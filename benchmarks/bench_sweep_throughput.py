@@ -33,7 +33,7 @@ from repro.experiments.runner import run_trials
 from conftest import BENCH_SEED, TABLE1_BALLS, TABLE1_BINS, write_bench_json
 
 #: The acceptance-gate cell: 1000 trials of THRESHOLD at n=10^4 balls into
-#: 10^3 bins (a Table-1 column at DESIGN.md scale).
+#: 10^3 bins (a Table-1-sized column).
 GATE_PROTOCOL = "threshold"
 GATE_BALLS = 10_000
 GATE_BINS = 1_000

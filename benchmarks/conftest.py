@@ -3,9 +3,7 @@
 Every benchmark regenerates one of the paper's artefacts (a table, a figure
 panel, or a theorem-level scaling claim) at a reduced but faithful scale so
 the whole suite runs in a couple of minutes on a laptop.  The module-level
-constants below are the single place where those scales are defined; see
-DESIGN.md §4 for the mapping from benchmark to paper artefact and
-EXPERIMENTS.md for the recorded outputs.
+constants below are the single place where those scales are defined.
 """
 
 from __future__ import annotations
@@ -19,12 +17,12 @@ import pytest
 from repro.core.backend import active_backend
 
 #: Problem size used by the Table 1 benchmarks (paper-scale is unspecified;
-#: DESIGN.md fixes n = 2_000, m = 8n for the measured table).
+#: we fix n = 2_000, m = 8n for the measured table).
 TABLE1_BALLS = 16_000
 TABLE1_BINS = 2_000
 
-#: Figure 3 benchmark grid: same n as DESIGN.md (scaled 10x down) and the same
-#: m/n ratios as the paper's x-axis (m·10^-4 in {20, …, 100} at n = 10^4).
+#: Figure 3 benchmark grid: the paper-scale n = 10^4 scaled 10x down, and the
+#: same m/n ratios as the paper's x-axis (m·10^-4 in {20, …, 100} at n = 10^4).
 FIGURE3_BINS = 1_000
 FIGURE3_GRID = (20_000, 40_000, 60_000, 80_000, 100_000)
 

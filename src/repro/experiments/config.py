@@ -2,8 +2,9 @@
 
 Experiments are described by small frozen dataclasses so that a configuration
 can be logged, hashed into output filenames, and reproduced exactly.  The
-defaults mirror the choices documented in DESIGN.md §4; the benchmarks use
-scaled-down variants so the whole suite runs in seconds.
+defaults are the paper-scale runs (Figure 3 at n = 10^4 bins, Table 1 at
+n = 2000, m = 8n); the benchmarks use scaled-down variants so the whole suite
+runs in seconds.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ class SweepConfig:
 
 def _figure3_default() -> SweepConfig:
     # Paper axis: m · 10^-4 from 20 to 100, i.e. m from 2·10^5 to 10^6,
-    # averaged over 100 simulations.  n is not stated; DESIGN.md fixes 10^4.
+    # averaged over 100 simulations.  n is not stated; we fix 10^4.
     return SweepConfig(
         protocols=("adaptive", "threshold"),
         n_bins=10_000,
@@ -184,7 +185,7 @@ def _table1_default() -> TrialConfig:
     )
 
 
-#: Paper-scale Figure 3 sweep (see DESIGN.md §4).
+#: Paper-scale Figure 3 sweep.
 FIGURE3_DEFAULT: SweepConfig = _figure3_default()
 #: Default problem size for the Table 1 comparison.
 TABLE1_DEFAULT: TrialConfig = _table1_default()

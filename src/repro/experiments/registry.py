@@ -1,9 +1,8 @@
 """Registry mapping experiment identifiers to the code that regenerates them.
 
-DESIGN.md's per-experiment index is mirrored here programmatically so the CLI
-(and curious users) can enumerate every reproducible artefact and run it by
-name, e.g. ``repro-experiment table1`` or ``repro-experiment figure3a --scale
-0.05``.
+Every reproducible artefact is indexed here so the CLI (and curious users)
+can enumerate them and run one by name, e.g. ``repro-experiment table1`` or
+``repro-experiment figure3a --scale 0.05``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Smoothness and scaling experiments backing the theorem-level claims.
 
 Besides Table 1 and Figure 3, the paper makes three quantitative claims that
-deserve their own experiments (DESIGN.md §4 lists them as the Theorem 3.1,
-Theorem 4.1 and Corollary 3.5 / Lemma 4.2 checks):
+deserve their own experiments (the Theorem 3.1, Theorem 4.1 and
+Corollary 3.5 / Lemma 4.2 checks):
 
 * ADAPTIVE's allocation time is linear in ``m`` with a modest constant
   (:func:`adaptive_time_scaling`);

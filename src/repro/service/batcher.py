@@ -145,7 +145,7 @@ class MicroBatcher:
         self.telemetry = telemetry if telemetry is not None else ServiceTelemetry()
         self.request_log = request_log
         self._clock = clock
-        self._queue: list[_Submission] = []
+        self._queue: deque[_Submission] = deque()
         self._queued_jobs = 0
         # Queued-but-uncommitted submissions by request id: the replay of a
         # still-pending submit must share its future, not enqueue again.
@@ -347,7 +347,7 @@ class MicroBatcher:
                 and jobs + self._queue[0].sizes.size > self.max_batch_jobs
             ):
                 break
-            submission = self._queue.pop(0)
+            submission = self._queue.popleft()
             batch.append(submission)
             jobs += submission.sizes.size
         if not batch:

@@ -809,7 +809,3 @@ class ServiceThread:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
-
-    @property
-    def time(self):  # pragma: no cover - convenience
-        return time

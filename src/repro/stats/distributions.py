@@ -13,6 +13,10 @@ from the unit-weight setting — plus uniform and constant controls.  Every
 generator returns strictly positive float64 weights and is registered in
 :data:`WEIGHT_DISTRIBUTIONS` so protocols and workload factories can refer
 to a family by name (see :func:`make_weights`).
+
+scipy is imported on first use by :func:`poisson_reference_pmf`, so that
+``import repro`` (which reaches this module through the weighted protocols)
+does not load it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 from repro.runtime.rng import SeedLike, as_generator
@@ -97,6 +100,8 @@ def poisson_reference_pmf(mean: float, max_level: int) -> np.ndarray:
         raise ConfigurationError(f"mean must be non-negative, got {mean}")
     if max_level < 0:
         raise ConfigurationError(f"max_level must be non-negative, got {max_level}")
+    from scipy import stats
+
     return stats.poisson.pmf(np.arange(max_level + 1), mean)
 
 

@@ -3,7 +3,8 @@
 Figure 3 of the paper plots *averages over 100 simulations*; these helpers
 turn a list of per-trial values into means, standard errors and normal-theory
 confidence intervals so every experiment reports its uncertainty alongside
-the point estimate.
+the point estimate.  scipy, needed only for the t quantile, is imported on
+first use so that ``import repro`` does not load it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 
@@ -67,6 +67,8 @@ def summarize(values: Sequence[float] | np.ndarray, confidence: float = 0.95) ->
     std = float(arr.std(ddof=1)) if n > 1 else 0.0
     stderr = std / np.sqrt(n) if n > 1 else 0.0
     if n > 1 and stderr > 0:
+        from scipy import stats
+
         t_crit = float(stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
         half = t_crit * stderr
     else:
@@ -105,6 +107,8 @@ def summarize_columns(
     data = np.ascontiguousarray(arr.T)
     means = data.mean(axis=1)
     if n > 1:
+        from scipy import stats
+
         stds = data.std(axis=1, ddof=1)
         stderrs = stds / np.sqrt(n)
         t_crit = float(stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))

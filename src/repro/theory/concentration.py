@@ -8,7 +8,9 @@ the experiments can overlay theoretical tail curves on empirical data, and so
 the property-based tests can check that the empirical processes respect the
 bounds.
 
-All functions return *upper bounds on probabilities* in ``[0, 1]``.
+All functions return *upper bounds on probabilities* in ``[0, 1]``.  The
+three exact tails import scipy on first use, so that ``import repro`` does
+not load it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 
@@ -105,6 +106,8 @@ def binomial_upper_tail(n: int, p: float, k: float) -> float:
         raise ConfigurationError(f"n must be non-negative, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError(f"p must be in [0, 1], got {p}")
+    from scipy import stats
+
     return float(stats.binom.sf(k - 1, n, p))
 
 
@@ -112,6 +115,8 @@ def poisson_cdf(mu: float, k: float) -> float:
     """``Pr[Poi(µ) ≤ k]`` (scipy-backed, exposed for the Lemma 3.2 experiment)."""
     if mu < 0:
         raise ConfigurationError(f"mu must be non-negative, got {mu}")
+    from scipy import stats
+
     return float(stats.poisson.cdf(k, mu))
 
 
@@ -119,6 +124,8 @@ def poisson_sf(mu: float, k: float) -> float:
     """``Pr[Poi(µ) > k]``."""
     if mu < 0:
         raise ConfigurationError(f"mu must be non-negative, got {mu}")
+    from scipy import stats
+
     return float(stats.poisson.sf(k, mu))
 
 
