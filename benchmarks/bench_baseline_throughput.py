@@ -33,7 +33,7 @@ from repro.baselines import (
     reference_rebalancing,
 )
 from repro.baselines.memory_engine import chunked_memory_hand_off
-from repro.core.backend import describe_backends, use_backend
+from repro.core.backend import use_backend
 from repro.runtime.probes import RandomProbeStream
 
 from conftest import BENCH_SEED, write_bench_json
@@ -99,47 +99,33 @@ def _hand_off_loop(m: int, n: int) -> None:
 
 
 def measure_backend_scenarios(n_balls: int, n_bins: int) -> list[dict]:
-    """Report-only: the deliberately-scalar memory(2,2) regime per backend.
+    """Report-only: the deliberately-scalar memory(2,2) regime, scalar backend.
 
     This is the regime the ROADMAP kept scalar because every vectorised
-    treatment measured slower; the numba backend JIT-compiles exactly that
-    loop.  No regression floor — the numbers land in the JSON (and the
-    printed table) so the scalar-vs-numba gap is tracked wherever numba is
-    installed, and the scenario degrades to a skip note where it is not.
+    treatment measured slower (on numpy it *is* the scalar fallback path).
+    No regression floor — the number lands in the JSON and the printed
+    table.
     """
-    entries = []
-    for record in describe_backends():
-        name = record["name"]
-        if name == "numpy":
-            continue  # memory(2,2) on numpy *is* the scalar fallback path
-        label = f"memory(2,2)[{name}]"
-        if not record["available"]:
-            print(f"{label}: skipped — {record['note']}")
-            continue
-        with use_backend(name):
-            # Warm-up outside the timed region (numba JIT-compiles on first
-            # use; the scalar backend is unaffected).
-            MemoryProtocol(d=2, k=2).allocate(
-                min(n_balls, 2000), n_bins, seed=BENCH_SEED
-            )
-            start = time.perf_counter()
-            MemoryProtocol(d=2, k=2).allocate(n_balls, n_bins, seed=BENCH_SEED)
-            seconds = time.perf_counter() - start
-        entries.append(
-            {
-                "label": label,
-                "ops_per_second": n_balls / seconds,
-                "backend": name,
-                "n_balls": n_balls,
-                "n_bins": n_bins,
-                "seconds": seconds,
-                "balls_per_second": n_balls / seconds,
-            }
-        )
-        print(
-            f"{label:<18} {seconds:>9.3f}s {n_balls / seconds:>12,.0f} balls/s"
-        )
-    return entries
+    name = "scalar"
+    label = f"memory(2,2)[{name}]"
+    with use_backend(name):
+        # Warm-up outside the timed region.
+        MemoryProtocol(d=2, k=2).allocate(min(n_balls, 2000), n_bins, seed=BENCH_SEED)
+        start = time.perf_counter()
+        MemoryProtocol(d=2, k=2).allocate(n_balls, n_bins, seed=BENCH_SEED)
+        seconds = time.perf_counter() - start
+    print(f"{label:<18} {seconds:>9.3f}s {n_balls / seconds:>12,.0f} balls/s")
+    return [
+        {
+            "label": label,
+            "ops_per_second": n_balls / seconds,
+            "backend": name,
+            "n_balls": n_balls,
+            "n_bins": n_bins,
+            "seconds": seconds,
+            "balls_per_second": n_balls / seconds,
+        }
+    ]
 
 
 def measure_speedup(name: str, n_balls: int, n_bins: int) -> dict[str, float]:

@@ -3,10 +3,10 @@
 The paper's tables and figures average hundreds of independent trials per
 cell, so the quantity that decides whether a sweep is interactive is
 **trials per second**, not balls per second.  This benchmark measures
-whole-cell throughput of ``run_trials`` on representative Table-1 cells in
-both execution modes — ``batch_trials=True`` (the trial-axis 2-D engines)
-and ``batch_trials=False`` (the exact per-trial loop) — and gates the
-speedup the batched path exists to deliver.
+whole-cell throughput on representative Table-1 cells two ways —
+``run_trials`` (the trial-axis 2-D engines) and one ``run_trial`` call per
+trial index (the exact per-trial loop) — and gates the speedup the batched
+path exists to deliver.
 
 The acceptance gate for the batched engines is **>= 5x trials/sec over the
 per-trial loop on the 1000-trial cell with n_balls = 10_000, n_bins =
@@ -28,7 +28,7 @@ import time
 import pytest
 
 from repro.experiments.config import TrialConfig
-from repro.experiments.runner import run_trials
+from repro.experiments.runner import run_trial, run_trials
 
 from conftest import BENCH_SEED, TABLE1_BALLS, TABLE1_BINS, write_bench_json
 
@@ -41,6 +41,15 @@ GATE_TRIALS = 1_000
 GATE_SPEEDUP = 5.0
 
 
+def run_cell(config: TrialConfig, *, batch: bool) -> None:
+    """One whole cell: batched ``run_trials``, or ``run_trial`` per index."""
+    if batch:
+        run_trials(config)
+    else:
+        for i in range(config.trials):
+            run_trial(config, i)
+
+
 def trials_per_second(
     protocol: str,
     n_balls: int,
@@ -50,7 +59,7 @@ def trials_per_second(
     batch: bool,
     reps: int = 3,
 ) -> float:
-    """Best-of-``reps`` whole-cell throughput of ``run_trials`` in trials/s.
+    """Best-of-``reps`` whole-cell throughput in trials/s.
 
     A half-size warm-up run absorbs one-time costs (imports, allocator
     growth, branch warm-up) before timing; best-of-N is the standard
@@ -64,14 +73,14 @@ def trials_per_second(
         trials=max(1, trials // 2),
         seed=BENCH_SEED,
     )
-    run_trials(config, batch_trials=batch)
+    run_cell(config, batch=batch)
     config = TrialConfig(
         protocol=protocol, n_balls=n_balls, n_bins=n_bins, trials=trials, seed=BENCH_SEED
     )
     best = 0.0
     for _ in range(reps):
         start = time.perf_counter()
-        run_trials(config, batch_trials=batch)
+        run_cell(config, batch=batch)
         seconds = time.perf_counter() - start
         best = max(best, trials / seconds)
     return best

@@ -32,7 +32,9 @@ def main() -> None:
     parser.add_argument(
         "--out-dir", type=Path, default=None, help="write CSV series to this directory"
     )
-    parser.add_argument("--workers", type=int, default=1, help="worker processes")
+    parser.add_argument(
+        "--workers", type=int, default=1, help="cluster worker processes (1: in-process)"
+    )
     args = parser.parse_args()
 
     sweep = FIGURE3_DEFAULT.scaled(args.scale)

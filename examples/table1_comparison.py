@@ -7,10 +7,11 @@ single-choice) on the same problem size, and prints the measured allocation
 time, probes per ball, maximum load and smoothness next to the asymptotic
 expressions the paper lists in Table 1.
 
-The sweep runs through the trial-axis batched engines (the default of
-:func:`~repro.experiments.runner.run_trials`), which makes averaging over
-many trials cheap; the script ends by timing one cell in both execution
-modes and printing the measured batched-vs-looped speedup.
+The sweep runs through the trial-axis batched engines of
+:func:`~repro.experiments.runner.run_trials`, which makes averaging over
+many trials cheap; the script ends by timing one cell against a
+``run_trial`` call per trial index and printing the measured
+batched-vs-looped speedup.
 
 Run it with ``python examples/table1_comparison.py [--scale 0.25]``.
 """
@@ -21,15 +22,20 @@ import argparse
 import time
 
 from repro.experiments.config import TrialConfig
-from repro.experiments.runner import run_trials
+from repro.experiments.runner import run_trial, run_trials
 from repro.experiments.table1 import table1_measured, table1_rows
 from repro.reporting import format_markdown_table
 
 
 def _cell_rate(config: TrialConfig, *, batch: bool) -> float:
-    """Whole-cell throughput of ``run_trials`` in trials/second."""
+    """Whole-cell throughput in trials/second: batched ``run_trials``, or
+    one ``run_trial`` call per trial index."""
     start = time.perf_counter()
-    run_trials(config, batch_trials=batch)
+    if batch:
+        run_trials(config)
+    else:
+        for i in range(config.trials):
+            run_trial(config, i)
     return config.trials / (time.perf_counter() - start)
 
 
@@ -93,8 +99,8 @@ def main() -> None:
         "two-choice baselines)."
     )
 
-    # Time one cell in both execution modes: the trial-axis batched engine
-    # (what the table above used) against the exact per-trial loop.
+    # Time one cell two ways: the trial-axis batched engine (what the table
+    # above used) against the exact per-trial loop.
     bench = TrialConfig(
         protocol="threshold",
         n_balls=n_balls,

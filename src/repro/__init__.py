@@ -58,13 +58,8 @@ The scheduler speaks the same language — a :class:`DispatchSpec` plus a
 ...     workload=WorkloadSpec("heavy-tailed", n_jobs=10_000, seed=5)))
 >>> outcome.metrics.makespan >= outcome.metrics.avg_work
 True
-
-The legacy free functions (``run_adaptive``/``run_threshold``) keep working
-but are deprecated in favour of :func:`simulate`; they emit one
-:class:`DeprecationWarning` per process.
 """
 
-from repro._compat import deprecated_names
 from repro._version import __version__
 from repro.api import (
     DispatchSpec,
@@ -83,7 +78,6 @@ from repro.core import (
     RunResult,
     ThresholdProtocol,
     active_backend,
-    available_backends,
     available_protocols,
     exponential_potential,
     get_protocol,
@@ -93,8 +87,6 @@ from repro.core import (
     quadratic_potential,
     use_backend,
 )
-from repro.core import adaptive as _adaptive_module
-from repro.core import threshold as _threshold_module
 from repro.errors import (
     CapacityExceededError,
     ConfigurationError,
@@ -130,8 +122,6 @@ __all__ = [
     "available_protocols",
     "get_protocol",
     "make_protocol",
-    "run_adaptive",
-    "run_threshold",
     "max_final_load",
     "quadratic_potential",
     "exponential_potential",
@@ -139,7 +129,6 @@ __all__ = [
     # Kernel backends (execution strategy; results are backend-independent).
     "use_backend",
     "active_backend",
-    "available_backends",
     # Errors.
     "ReproError",
     "ConfigurationError",
@@ -147,21 +136,3 @@ __all__ = [
     "CapacityExceededError",
     "ExperimentError",
 ]
-
-# Deprecated free-function entry points: served lazily so that touching them
-# emits a single DeprecationWarning per process (the functions themselves are
-# unchanged — `repro.core.adaptive.run_adaptive` stays warning-free for
-# internal use and the reference/equivalence test-suite).
-__getattr__ = deprecated_names(
-    __name__,
-    {
-        "run_adaptive": (
-            "repro.simulate(SimulationSpec('adaptive', ...))",
-            lambda: _adaptive_module.run_adaptive,
-        ),
-        "run_threshold": (
-            "repro.simulate(SimulationSpec('threshold', ...))",
-            lambda: _threshold_module.run_threshold,
-        ),
-    },
-)

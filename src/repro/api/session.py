@@ -130,8 +130,7 @@ class Simulation:
             )
         self.spec = spec
         self.protocol = spec.build_protocol()
-        # Resolve eagerly so an unavailable backend (e.g. "numba" without the
-        # optional dependency) fails at construction, not mid-run.
+        # Resolve eagerly so an unknown backend fails at construction.
         self._backend = None if spec.backend is None else get_backend(spec.backend)
         self._probe_stream = probe_stream
         if seed is not None:

@@ -75,11 +75,7 @@ def _check_params(params: Any, field_name: str) -> dict[str, Any]:
 
 
 def _check_backend(backend: Any) -> None:
-    """Spec-level backend validation: registered name or ``None``.
-
-    Availability is checked when a driver resolves the backend to run, so a
-    spec naming ``"numba"`` still round-trips on machines without numba.
-    """
+    """Spec-level backend validation: registered name or ``None``."""
     from repro.core.backend import validate_backend_name
 
     validate_backend_name(backend)
@@ -138,8 +134,8 @@ class SimulationSpec:
         ``weight_dist`` and distribution parameters for the weighted
         protocols, validated against the live registries.
     backend:
-        Kernel backend to execute on (``"numpy"``, ``"scalar"``,
-        ``"numba"``; see :mod:`repro.core.backend`).  ``None`` (default)
+        Kernel backend to execute on (``"numpy"`` or ``"scalar"``; see
+        :mod:`repro.core.backend`).  ``None`` (default)
         keeps the ambient selection — the ``"numpy"`` kernels unless a
         driver chose otherwise.  Purely an execution strategy: every
         backend produces bit-identical results.

@@ -60,7 +60,8 @@ class DChoiceSession(ProtocolSession):
     over the next slice — the engine's chunk-partitioning invariance makes
     any split of ``place`` calls bit-identical to the one-shot run.
     Tie-break ``priorities`` (and weighted increments) are drawn up front by
-    the caller, exactly as the one-shot implementations do.
+    the caller.  Only weighted runs record each ball's bin in
+    ``assignments``; their per-bin ball counts are tallied from it.
     """
 
     def __init__(
@@ -84,15 +85,16 @@ class DChoiceSession(ProtocolSession):
         self._chunk_size = chunk_size
         if weights is None:
             self._loads = np.zeros(n_bins, dtype=np.int64)
-            self._counts = self._loads
+            self.assignments = None
         else:
             self._loads = np.zeros(n_bins, dtype=np.float64)
-            self._counts = np.zeros(n_bins, dtype=np.int64)
-        self.assignments = np.empty(n_balls, dtype=np.int64)
+            self.assignments = np.empty(n_balls, dtype=np.int64)
 
     @property
     def loads(self) -> np.ndarray:
-        return self._counts
+        if self._weights is None:
+            return self._loads
+        return np.bincount(self.assignments[: self.placed], minlength=self.n_bins)
 
     @property
     def weighted_loads(self) -> np.ndarray | None:
@@ -104,22 +106,18 @@ class DChoiceSession(ProtocolSession):
 
     def _place(self, k: int) -> None:
         start = self.placed
+        window = slice(start, start + k)
+        weighted = self._weights is not None
         chunked_argmin_commit(
             self._loads,
             lambda done, count: self._source(start + done, count),
             k,
             self.d,
-            priorities=None
-            if self._priorities is None
-            else self._priorities[start : start + k],
+            priorities=None if self._priorities is None else self._priorities[window],
             chunk_size=self._chunk_size,
-            assignments=self.assignments[start : start + k],
-            weights=None
-            if self._weights is None
-            else self._weights[start : start + k],
+            assignments=self.assignments[window] if weighted else None,
+            weights=self._weights[window] if weighted else None,
         )
-        if self._weights is not None:
-            np.add.at(self._counts, self.assignments[start : start + k], 1)
 
     def _finalize(self) -> AllocationResult:
         probes = self.n_balls * self.d
@@ -127,7 +125,7 @@ class DChoiceSession(ProtocolSession):
             protocol=self.protocol.name,
             n_balls=self.n_balls,
             n_bins=self.n_bins,
-            loads=self._counts,
+            loads=self._loads,
             allocation_time=probes,
             costs=CostModel(probes=probes),
             params=self.protocol.params(),
@@ -188,50 +186,6 @@ class GreedyProtocol(AllocationProtocol):
             d=self.d,
             source=lambda start, count: stream.take_matrix(count, self.d),
             priorities=priorities,
-        )
-
-    def allocate(
-        self,
-        n_balls: int,
-        n_bins: int,
-        seed: SeedLike = None,
-        *,
-        probe_stream: ProbeStream | None = None,
-        record_trace: bool = False,
-    ) -> AllocationResult:
-        self.validate_size(n_balls, n_bins)
-        stream = probe_stream or RandomProbeStream(n_bins, seed)
-        if stream.n_bins != n_bins:
-            raise ConfigurationError(
-                "probe_stream.n_bins does not match the requested n_bins"
-            )
-
-        loads = np.zeros(n_bins, dtype=np.int64)
-        if n_balls:
-            priorities = None
-            if self.tie_break == "random":
-                # One up-front matrix from the auxiliary generator (see the
-                # replay contract in the module docstring).
-                priorities = stream.derive_generator(seed).random(
-                    size=(n_balls, self.d)
-                )
-            chunked_argmin_commit(
-                loads,
-                lambda start, count: stream.take_matrix(count, self.d),
-                n_balls,
-                self.d,
-                priorities=priorities,
-            )
-
-        probes = n_balls * self.d
-        return AllocationResult(
-            protocol=self.name,
-            n_balls=n_balls,
-            n_bins=n_bins,
-            loads=loads,
-            allocation_time=probes,
-            costs=CostModel(probes=probes),
-            params=self.params(),
         )
 
     def allocate_batch(

@@ -34,11 +34,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.baselines.engine import (
-    batched_argmin_commit,
-    chunked_argmin_commit,
-    matrix_source,
-)
+from repro.baselines.engine import batched_argmin_commit, matrix_source
 from repro.baselines.greedy import DChoiceSession
 from repro.core.protocol import (
     AllocationProtocol,
@@ -107,8 +103,8 @@ def seeded_group_choices(
     ``choices[i, g]`` is the bin ball ``i`` samples from group ``g`` —
     exactly the seed implementation's up-front float-offset sampling, which
     works for any group sizes.  This is the single home of the seeded
-    left[d] sampling, shared by :class:`LeftProtocol` (one-shot and
-    streaming) and the weighted left[d] runners so the three cannot drift.
+    left[d] sampling, shared by :class:`LeftProtocol` (session and
+    trial batch) and the weighted left[d] runners so they cannot drift.
     """
     boundaries = group_boundaries(n_bins, d)
     sizes = np.diff(boundaries)
@@ -150,8 +146,7 @@ class LeftProtocol(AllocationProtocol):
     ) -> DChoiceSession:
         self.validate_size(n_balls, n_bins)
         if probe_stream is not None:
-            # Replay mode: uniform probes map onto equal groups, exactly as
-            # in the one-shot run.
+            # Replay mode: uniform probes map onto equal groups.
             group_base, size = replay_group_map(n_bins, self.d)
             stream = probe_stream
             source = (
@@ -159,60 +154,14 @@ class LeftProtocol(AllocationProtocol):
                 + stream.take_matrix(count, self.d) % size
             )
         else:
-            # Seeded mode: the full in-group offset matrix is drawn up front
-            # (identical to the one-shot run), then sliced per step.
+            # Seeded mode: the full in-group offset matrix is drawn up front,
+            # then sliced per step.
             stream = RandomProbeStream(n_bins, seed)
             source = matrix_source(
                 seeded_group_choices(n_bins, self.d, n_balls, stream.generator)
             )
         return DChoiceSession(
             self, n_balls, n_bins, stream, d=self.d, source=source
-        )
-
-    def allocate(
-        self,
-        n_balls: int,
-        n_bins: int,
-        seed: SeedLike = None,
-        *,
-        probe_stream: ProbeStream | None = None,
-        record_trace: bool = False,
-    ) -> AllocationResult:
-        self.validate_size(n_balls, n_bins)
-        loads = np.zeros(n_bins, dtype=np.int64)
-
-        if probe_stream is not None:
-            if probe_stream.n_bins != n_bins:
-                raise ConfigurationError(
-                    "probe_stream.n_bins does not match the requested n_bins"
-                )
-            group_base, size = replay_group_map(n_bins, self.d)
-            chunked_argmin_commit(
-                loads,
-                lambda start, count: group_base
-                + probe_stream.take_matrix(count, self.d) % size,
-                n_balls,
-                self.d,
-            )
-        else:
-            group_boundaries(n_bins, self.d)  # validates d against n_bins
-            if n_balls:
-                choices = seeded_group_choices(
-                    n_bins, self.d, n_balls, RandomProbeStream(n_bins, seed).generator
-                )
-                chunked_argmin_commit(
-                    loads, matrix_source(choices), n_balls, self.d
-                )
-
-        probes = n_balls * self.d
-        return AllocationResult(
-            protocol=self.name,
-            n_balls=n_balls,
-            n_bins=n_bins,
-            loads=loads,
-            allocation_time=probes,
-            costs=CostModel(probes=probes),
-            params=self.params(),
         )
 
     def allocate_batch(
@@ -239,7 +188,7 @@ class LeftProtocol(AllocationProtocol):
         else:
             group_boundaries(n_bins, self.d)  # validates d against n_bins
             # Seeded mode: each trial's full in-group offset matrix is drawn
-            # up front from its own generator, identical to the one-shot run.
+            # up front from its own generator, identical to the session.
             sources = [
                 matrix_source(
                     seeded_group_choices(n_bins, self.d, n_balls, child.generator)

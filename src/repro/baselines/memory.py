@@ -114,25 +114,6 @@ class MemoryProtocol(AllocationProtocol):
         stream = probe_stream or RandomProbeStream(n_bins, seed)
         return _MemorySession(self, n_balls, n_bins, stream, record_trace)
 
-    def allocate(
-        self,
-        n_balls: int,
-        n_bins: int,
-        seed: SeedLike = None,
-        *,
-        probe_stream: ProbeStream | None = None,
-        record_trace: bool = False,
-    ) -> AllocationResult:
-        # One code path: the one-shot run is the streaming session driven to
-        # completion, so any step split is bit-identical by construction.
-        return self.begin(
-            n_balls,
-            n_bins,
-            seed,
-            probe_stream=probe_stream,
-            record_trace=record_trace,
-        ).result()
-
 
 class _MemorySession(ProtocolSession):
     """Streaming (d,k)-memory: the remembered set persists across steps.
@@ -140,7 +121,7 @@ class _MemorySession(ProtocolSession):
     Each ``place`` call drives the provisional-simulation engine over the
     next slice; the engine's state between calls is exactly the sequential
     protocol's (loads plus the remembered set), so any split of the balls
-    into steps is bit-identical to the one-shot run.  In trace mode the
+    into steps is bit-identical.  In trace mode the
     slices are aligned to the stage boundaries of ``n`` balls, so stepped
     runs record the same :class:`~repro.runtime.trace.StageRecord` rows.
     """

@@ -112,8 +112,7 @@ def chunked_weighted_memory_commit(
     the remembered set is returned.  The float loads make the rule's
     sequential dependency continuous-valued, so the commits run through the
     active backend's ``weighted_memory_fallback`` — the chunk-drawn scalar
-    rule (:func:`weighted_memory_hand_off`) by default, a JIT loop on the
-    numba backend.  Bulk fresh draws keep the probe consumption identical
+    rule (:func:`weighted_memory_hand_off`).  Bulk fresh draws keep the probe consumption identical
     to a per-ball loop, and any split into calls is bit-identical because
     the sequential state (loads, remembered set) is exact at every boundary.
     """
@@ -636,13 +635,12 @@ def chunked_memory_commit(
         any value yields bit-identical results.
 
     The ``d == 1, k == 1`` fast path runs the fixpoint of
-    :func:`_resolve_chunk_d1` (on backends supporting provisional memory);
+    :func:`_resolve_chunk_d1` (on the vectorised backend);
     ``k == 0`` delegates to the conflict-free d-choice engine; every other
     configuration (heavy remembered-set churn or ``d > 1`` candidate
     deduplication, where the scalar loop measures faster than any
     vectorised treatment tried) runs the active backend's
-    ``memory_fallback`` — the chunk-drawn scalar hand-off by default, a
-    JIT loop on the numba backend.
+    ``memory_fallback`` — the chunk-drawn scalar hand-off.
     """
     if n_balls < 0:
         raise ConfigurationError(f"n_balls must be non-negative, got {n_balls}")
@@ -668,7 +666,7 @@ def chunked_memory_commit(
         return []
 
     backend = active_backend()
-    if k >= 2 or d > 1 or not backend.provisional_memory:
+    if k >= 2 or d > 1 or not backend.vectorised:
         return backend.memory_fallback(
             stream,
             loads,

@@ -21,7 +21,6 @@ from repro.core.protocol import (
 )
 from repro.core.result import AllocationResult
 from repro.core.session import ProtocolSession
-from repro.errors import ConfigurationError
 from repro.runtime.costs import CostModel
 from repro.runtime.probes import ProbeStream, RandomProbeStream
 from repro.runtime.rng import SeedLike
@@ -57,35 +56,6 @@ class SingleChoiceProtocol(AllocationProtocol):
         self.validate_size(n_balls, n_bins)
         stream = probe_stream or RandomProbeStream(n_bins, seed)
         return _SingleChoiceSession(self, n_balls, n_bins, stream)
-
-    def allocate(
-        self,
-        n_balls: int,
-        n_bins: int,
-        seed: SeedLike = None,
-        *,
-        probe_stream: ProbeStream | None = None,
-        record_trace: bool = False,
-    ) -> AllocationResult:
-        self.validate_size(n_balls, n_bins)
-        stream = probe_stream or RandomProbeStream(n_bins, seed)
-        if stream.n_bins != n_bins:
-            raise ConfigurationError(
-                "probe_stream.n_bins does not match the requested n_bins"
-            )
-        choices = stream.take(n_balls)
-        loads = np.bincount(choices, minlength=n_bins).astype(np.int64)
-        costs = CostModel(probes=n_balls)
-        return AllocationResult(
-            protocol=self.name,
-            n_balls=n_balls,
-            n_bins=n_bins,
-            loads=loads,
-            allocation_time=n_balls,
-            costs=costs,
-            params=self.params(),
-        )
-
 
     def allocate_batch(
         self,

@@ -19,7 +19,8 @@ JSONL.  The moving parts:
 
 Entry points: ``repro sweep --workers N --out results.jsonl [--resume]``
 on the command line, :func:`run_cluster_sweep` from Python, or
-``run_sweep(..., cluster=True)`` for summary rows.
+``run_sweep(sweep, workers=N)`` for summary rows.  This coordinator is the
+package's only multi-process fan-out.
 """
 
 from repro.cluster.coordinator import (

@@ -13,8 +13,9 @@ machinery shared by every allocation scheme:
 * :mod:`repro.core.thresholds` — exact integer acceptance-limit arithmetic,
 * :mod:`repro.core.protocol` / :mod:`repro.core.result` — the protocol
   interface, registry and result records,
-* :mod:`repro.core.backend` — pluggable kernel backends (numpy / scalar /
-  numba) behind the engines' primitive kernels.
+* :mod:`repro.core.backend` — pluggable kernel backends (numpy, checked
+  against the scalar reference loops) behind the engines' primitive
+  kernels.
 """
 
 from repro.core.adaptive import AdaptiveProtocol, run_adaptive
@@ -22,7 +23,6 @@ from repro.core.backend import (
     DEFAULT_BACKEND,
     KernelBackend,
     active_backend,
-    available_backends,
     backend_names,
     describe_backends,
     get_backend,
@@ -130,7 +130,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "KernelBackend",
     "active_backend",
-    "available_backends",
     "backend_names",
     "describe_backends",
     "get_backend",

@@ -18,13 +18,6 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
-from repro.core.potentials import (
-    DEFAULT_EPSILON,
-    exponential_potential,
-    quadratic_potential,
-)
 from repro.core.protocol import (
     AllocationProtocol,
     batch_streams,
@@ -33,12 +26,9 @@ from repro.core.protocol import (
 from repro.core.result import AllocationResult
 from repro.core.session import StagedWindowSession, run_staged_batch
 from repro.core.thresholds import acceptance_limit, stage_windows
-from repro.core.window import fill_window
 from repro.errors import ConfigurationError
-from repro.runtime.costs import CostModel
 from repro.runtime.probes import ProbeStream, RandomProbeStream
 from repro.runtime.rng import SeedLike
-from repro.runtime.trace import StageRecord, Trace
 
 __all__ = ["AdaptiveProtocol", "run_adaptive"]
 
@@ -94,65 +84,6 @@ class AdaptiveProtocol(AllocationProtocol):
             block_size=self.block_size,
             checkpoint_stages=True,
             record_trace=record_trace,
-        )
-
-    def allocate(
-        self,
-        n_balls: int,
-        n_bins: int,
-        seed: SeedLike = None,
-        *,
-        probe_stream: ProbeStream | None = None,
-        record_trace: bool = False,
-    ) -> AllocationResult:
-        self.validate_size(n_balls, n_bins)
-        stream = probe_stream or RandomProbeStream(n_bins, seed)
-        if stream.n_bins != n_bins:
-            raise ConfigurationError(
-                "probe_stream.n_bins does not match the requested n_bins"
-            )
-
-        loads = np.zeros(n_bins, dtype=np.int64)
-        costs = CostModel()
-        trace = Trace() if record_trace else None
-        total_probes = 0
-
-        for window in stage_windows(n_balls, n_bins, self.offset):
-            outcome = fill_window(
-                loads,
-                window.acceptance_limit,
-                window.n_balls,
-                stream,
-                block_size=self.block_size,
-            )
-            total_probes += outcome.probes
-            costs.add_probes(outcome.probes)
-            costs.log_probe_checkpoint()
-            if trace is not None:
-                balls_so_far = window.last_ball
-                trace.append(
-                    StageRecord(
-                        stage=window.stage,
-                        balls_placed=window.n_balls,
-                        probes=outcome.probes,
-                        max_load=int(loads.max()),
-                        min_load=int(loads.min()),
-                        quadratic_potential=quadratic_potential(loads, balls_so_far),
-                        exponential_potential=exponential_potential(
-                            loads, balls_so_far, DEFAULT_EPSILON
-                        ),
-                    )
-                )
-
-        return AllocationResult(
-            protocol=self.name,
-            n_balls=n_balls,
-            n_bins=n_bins,
-            loads=loads,
-            allocation_time=total_probes,
-            costs=costs,
-            trace=trace,
-            params=self.params(),
         )
 
     def allocate_batch(

@@ -10,23 +10,18 @@ different execution models: a :class:`KernelBackend` implements the kernels,
 a registry names the implementations, and a context variable selects which
 one the engines see.
 
-Three backends ship:
+Two backends ship:
 
 * ``"numpy"`` (default) — the chunked vectorised kernels the engines have
-  always used, unchanged; the only backend supporting the trial-axis batched
-  engines and the provisional (1,1)-memory fixpoint.
-* ``"scalar"`` — the literal per-ball loops, single-homed here.  This is the
-  one copy of the scalar rules that used to be duplicated between engines
-  and the d>1 / k>=2 fallbacks (the per-ball *reference oracles* in
-  :mod:`repro.baselines.reference` stay deliberately independent).
-* ``"numba"`` — optional ``@njit`` kernels targeting exactly the regimes the
-  NumPy engines deliberately leave scalar ((d,k)-memory with ``d > 1`` or
-  ``k >= 2``, and the weighted-memory commit).  Degrades gracefully: when
-  numba is not installed the backend stays registered but unavailable, and
-  selecting it raises :class:`~repro.errors.ConfigurationError` with the
-  install hint.
+  always used; the only backend supporting the vectorised engines that
+  bypass the kernel methods (the trial-axis batched engines and the
+  provisional (1,1)-memory fixpoint).
+* ``"scalar"`` — the literal per-ball loops, single-homed here: the
+  reference the numpy kernels are checked against.  (The per-ball
+  *reference oracles* in :mod:`repro.baselines.reference` implement whole
+  protocols and stay deliberately independent.)
 
-Every backend produces **bit-identical** results on every kernel — same
+Both backends produce **bit-identical** results on every kernel — same
 loads, same assignments, same probe consumption — which the cross-backend
 suite (``tests/test_backends.py``) certifies under shared
 :class:`~repro.runtime.probes.FixedProbeStream` replay.  Backends are an
@@ -56,7 +51,6 @@ __all__ = [
     "KernelBackend",
     "NumpyBackend",
     "ScalarBackend",
-    "NumbaBackend",
     "DEFAULT_BACKEND",
     "register_backend",
     "get_backend",
@@ -64,7 +58,6 @@ __all__ = [
     "active_backend",
     "use_backend",
     "backend_names",
-    "available_backends",
     "describe_backends",
     "validate_backend_name",
     "memory_hand_off",
@@ -370,7 +363,7 @@ class KernelBackend:
     Subclasses implement the kernel methods; the base class carries the
     single-homed scalar memory rules (shared verbatim by the numpy and
     scalar backends — the NumPy engines deliberately keep those regimes
-    scalar, see the ROADMAP standing constraint) and the capability flags
+    scalar, see the ROADMAP standing constraint) and the capability flag
     the drivers consult.
 
     Every kernel must be **bit-identical** to the reference semantics —
@@ -381,24 +374,13 @@ class KernelBackend:
     #: Registry name; subclasses override.
     name: str = "abstract"
 
-    #: Whether the trial-axis batched engines (``fill_window_batch``,
-    #: ``batched_argmin_commit``) may run under this backend.  Drivers fall
-    #: back to the per-trial loop when false (results are identical either
-    #: way; batching is itself just an execution strategy).
-    trial_batching: bool = False
-
-    #: Whether the provisional (1,1)-memory fixpoint engine may run under
-    #: this backend; when false the d=1,k=1 configuration routes through
-    #: :meth:`memory_fallback` instead.
-    provisional_memory: bool = False
-
-    def available(self) -> bool:
-        """Whether this backend can run in the current environment."""
-        return True
-
-    def unavailable_reason(self) -> str | None:
-        """Why :meth:`available` is false (``None`` when available)."""
-        return None
+    #: Whether the vectorised engines that bypass the kernel methods — the
+    #: trial-axis batched engines (``fill_window_batch``,
+    #: ``batched_argmin_commit``) and the provisional (1,1)-memory fixpoint
+    #: — may run under this backend.  When false the runner falls back to
+    #: the per-trial loop and the d=1,k=1 memory configuration to
+    #: :meth:`memory_fallback` (results are identical either way).
+    vectorised: bool = False
 
     # -- engine kernels (subclasses implement) -------------------------- #
     def occurrence_ranks(self, values: np.ndarray) -> np.ndarray:
@@ -571,8 +553,7 @@ class NumpyBackend(KernelBackend):
     """
 
     name = "numpy"
-    trial_batching = True
-    provisional_memory = True
+    vectorised = True
 
     def occurrence_ranks(self, values):
         from repro.core.window import _occurrence_ranks_numpy
@@ -623,10 +604,9 @@ class NumpyBackend(KernelBackend):
 class ScalarBackend(KernelBackend):
     """The literal per-ball loops, one shared home for every scalar rule.
 
-    Useful as a cross-check oracle for the vectorised kernels (independent
-    of the per-ball references in :mod:`repro.baselines.reference`, which
-    implement whole protocols rather than kernels) and as the measured
-    baseline the numba backend must beat.
+    The cross-check oracle for the vectorised kernels (independent of the
+    per-ball references in :mod:`repro.baselines.reference`, which
+    implement whole protocols rather than kernels).
     """
 
     name = "scalar"
@@ -665,108 +645,6 @@ class ScalarBackend(KernelBackend):
         )
 
 
-class NumbaBackend(NumpyBackend):
-    """NumPy kernels everywhere, ``@njit`` loops on the scalar regimes.
-
-    The only regimes the NumPy engines leave scalar — the (d,k)-memory
-    hand-off for ``d > 1`` / ``k >= 2`` and the weighted-memory commit —
-    are exactly where a JIT-compiled per-ball loop wins (ROADMAP item 4
-    left this as the one sanctioned route to beat them).  Everything else
-    inherits the vectorised kernels unchanged.
-
-    The jitted kernels live in :mod:`repro.core._numba_kernels`; importing
-    that module is what requires numba, so this backend stays registered
-    (and honestly reports why it cannot run) when the ``accel`` extra is
-    not installed.
-    """
-
-    name = "numba"
-
-    _kernels_module: Any = None
-    _import_error: str | None = None
-
-    @classmethod
-    def _kernels(cls) -> Any:
-        if cls._kernels_module is None and cls._import_error is None:
-            try:
-                from repro.core import _numba_kernels
-
-                cls._kernels_module = _numba_kernels
-            except ImportError as exc:
-                cls._import_error = str(exc)
-        return cls._kernels_module
-
-    def available(self) -> bool:
-        return self._kernels() is not None
-
-    def unavailable_reason(self) -> str | None:
-        if self.available():
-            return None
-        return (
-            "backend 'numba' requires the optional numba dependency "
-            f"(import failed: {self._import_error}); install it with "
-            "`pip install 'repro-balls-into-bins[accel]'` or `pip install numba`"
-        )
-
-    def memory_fallback(
-        self,
-        stream,
-        loads,
-        memory,
-        n_balls,
-        d,
-        k,
-        assignments=None,
-        chunk_size=None,
-    ):
-        kernels = self._kernels()
-        mem_len = len(memory)
-        buf = np.empty(max(k, mem_len, 1), dtype=np.int64)
-        buf[:mem_len] = memory
-        record = assignments is not None
-        out = assignments if record else np.empty(1, dtype=np.int64)
-        placed = 0
-        while placed < n_balls:
-            count = min(_FRESH_CHUNK, n_balls - placed)
-            fresh = stream.take_matrix(count, d)
-            mem_len = kernels.memory_chunk(
-                loads, fresh, buf, mem_len, k, out, placed, record
-            )
-            placed += count
-        return [int(b) for b in buf[:mem_len]]
-
-    def weighted_memory_fallback(
-        self,
-        stream,
-        weighted_loads,
-        memory,
-        weights,
-        d,
-        k,
-        assignments=None,
-        chunk_size=None,
-    ):
-        kernels = self._kernels()
-        n_balls = int(weights.size)
-        chunk = int(chunk_size) if chunk_size else _FRESH_CHUNK
-        mem_len = len(memory)
-        buf = np.empty(max(k, mem_len, 1), dtype=np.int64)
-        buf[:mem_len] = memory
-        record = assignments is not None
-        out = assignments if record else np.empty(1, dtype=np.int64)
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
-        placed = 0
-        while placed < n_balls:
-            count = min(chunk, n_balls - placed)
-            fresh = stream.take_matrix(count, d)
-            mem_len = kernels.weighted_memory_chunk(
-                weighted_loads, fresh, buf, mem_len, k,
-                weights[placed : placed + count], out, placed, record,
-            )
-            placed += count
-        return [int(b) for b in buf[:mem_len]]
-
-
 # --------------------------------------------------------------------- #
 # Registry and ambient selection
 # --------------------------------------------------------------------- #
@@ -791,40 +669,20 @@ def register_backend(backend: KernelBackend) -> KernelBackend:
 
 
 def backend_names() -> list[str]:
-    """Names of all registered backends (available or not), sorted."""
+    """Names of all registered backends, sorted."""
     return sorted(_REGISTRY)
 
 
-def available_backends() -> list[str]:
-    """Names of the registered backends that can run here, sorted."""
-    return [name for name in sorted(_REGISTRY) if _REGISTRY[name].available()]
-
-
 def describe_backends() -> list[dict[str, Any]]:
-    """One record per registered backend: name, availability, note."""
-    records = []
-    for name in sorted(_REGISTRY):
-        backend = _REGISTRY[name]
-        ok = backend.available()
-        records.append(
-            {
-                "name": name,
-                "available": ok,
-                "note": "" if ok else (backend.unavailable_reason() or ""),
-                "default": name == DEFAULT_BACKEND,
-            }
-        )
-    return records
+    """One record per registered backend: name and whether it is the default."""
+    return [
+        {"name": name, "default": name == DEFAULT_BACKEND}
+        for name in sorted(_REGISTRY)
+    ]
 
 
 def validate_backend_name(name: Any) -> None:
-    """Spec-level validation: the name must be registered (``None`` = default).
-
-    Availability is deliberately *not* required here — a spec naming the
-    numba backend must round-trip on a machine without numba; resolving the
-    backend to actually run (:func:`get_backend`) is where unavailability
-    errors with the install hint.
-    """
+    """Spec-level validation: the name must be registered (``None`` = default)."""
     if name is None:
         return
     if not isinstance(name, str):
@@ -836,12 +694,9 @@ def validate_backend_name(name: Any) -> None:
 
 
 def get_backend(name: str) -> KernelBackend:
-    """Return the backend registered under ``name``, checking availability."""
+    """Return the backend registered under ``name``."""
     validate_backend_name(name)
-    backend = _REGISTRY[name]
-    if not backend.available():
-        raise ConfigurationError(backend.unavailable_reason())
-    return backend
+    return _REGISTRY[name]
 
 
 def resolve_backend(backend: "str | KernelBackend | None") -> KernelBackend:
@@ -876,4 +731,3 @@ def use_backend(backend: "str | KernelBackend | None") -> Iterator[KernelBackend
 
 register_backend(NumpyBackend())
 register_backend(ScalarBackend())
-register_backend(NumbaBackend())

@@ -10,7 +10,6 @@ serialisable.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.core.result import AllocationResult
@@ -70,10 +69,12 @@ def batch_streams(
     return BatchedProbeStream.from_seeds(n_bins, list(seeds))
 
 
-class AllocationProtocol(ABC):
-    """Abstract sequential balls-into-bins allocation protocol.
+class AllocationProtocol:
+    """Sequential balls-into-bins allocation protocol.
 
-    Subclasses implement :meth:`allocate`; they must
+    Streaming protocols implement :meth:`begin`, and :meth:`allocate` runs
+    that session to completion; the others override :meth:`allocate`.
+    Either way a protocol must
 
     * place exactly ``m`` balls into ``n`` bins,
     * report the number of random bin choices consumed as
@@ -90,7 +91,6 @@ class AllocationProtocol(ABC):
                 f"protocol {self.name!r} does not accept parameters {sorted(params)}"
             )
 
-    @abstractmethod
     def allocate(
         self,
         n_balls: int,
@@ -101,6 +101,10 @@ class AllocationProtocol(ABC):
         record_trace: bool = False,
     ) -> AllocationResult:
         """Allocate ``n_balls`` balls into ``n_bins`` bins.
+
+        The one-shot run is the streaming session of :meth:`begin` driven to
+        completion, so any split of a stepped run is bit-identical to it by
+        construction.
 
         Parameters
         ----------
@@ -118,6 +122,13 @@ class AllocationProtocol(ABC):
         record_trace:
             When true, record a per-stage :class:`~repro.runtime.trace.Trace`.
         """
+        return self.begin(
+            n_balls,
+            n_bins,
+            seed,
+            probe_stream=probe_stream,
+            record_trace=record_trace,
+        ).result()
 
     #: Whether :meth:`begin` is implemented (sequential per-ball placement).
     streaming: bool = False
@@ -184,9 +195,8 @@ class AllocationProtocol(ABC):
         """Start a streaming session placing ``n_balls`` balls incrementally.
 
         The session (:class:`~repro.core.session.ProtocolSession`) places
-        balls in caller-chosen chunks and produces a result bit-identical to
-        :meth:`allocate` for the same seed / probe stream, however the chunks
-        are split.  Protocols whose placement is not sequential per ball
+        balls in caller-chosen chunks; :meth:`allocate` is this session run
+        to completion.  Protocols whose placement is not sequential per ball
         (parallel rounds, rebalancing sweeps) raise
         :class:`~repro.errors.ConfigurationError`.
         """

@@ -1,17 +1,18 @@
 """Streaming protocol sessions: place balls in caller-chosen chunks.
 
-A :class:`ProtocolSession` is the incremental counterpart of
-:meth:`~repro.core.protocol.AllocationProtocol.allocate`: the caller places
-balls in chunks of any size (:meth:`ProtocolSession.place`), may inspect the
-evolving load vector and probe consumption between chunks, and finally asks
-for the same unified :class:`~repro.core.result.RunResult` a one-shot run
-would have produced.  The contract — certified by the test-suite for every
-streaming protocol — is that **any split of the balls into ``place`` calls
-yields a bit-identical result**: same loads, same probe-stream consumption,
-same cost checkpoints, same trace.  This works because the sessions are
-thin drivers over the chunked exact engines (the window primitive, the
-conflict-free commit engine, the weighted provisional engine), whose
-chunk-partitioning invariance is already certified.
+A :class:`ProtocolSession` is the one code path of every streaming
+protocol: the caller places balls in chunks of any size
+(:meth:`ProtocolSession.place`), may inspect the evolving load vector and
+probe consumption between chunks, and finally asks for the unified
+:class:`~repro.core.result.RunResult`.
+:meth:`~repro.core.protocol.AllocationProtocol.allocate` is a session run to
+completion in one chunk.  The contract — certified by the test-suite for
+every streaming protocol — is that **any split of the balls into ``place``
+calls yields a bit-identical result**: same loads, same probe-stream
+consumption, same cost checkpoints, same trace.  This works because the
+sessions are thin drivers over the chunked exact engines (the window
+primitive, the conflict-free commit engine, the weighted provisional
+engine), whose chunk-partitioning invariance is already certified.
 
 Sessions are created through
 :meth:`~repro.core.protocol.AllocationProtocol.begin`; protocols whose
@@ -20,9 +21,9 @@ rebalancing's move sweeps) do not support sessions and say so with a
 :class:`~repro.errors.ConfigurationError`.
 
 :class:`StagedWindowSession` is the shared machinery of the two
-constant-limit-window protocols (ADAPTIVE and THRESHOLD): it walks the
-stage/chunk boundaries of the one-shot implementations so that probe
-checkpoints and per-stage traces land on exactly the same balls.
+constant-limit-window protocols (ADAPTIVE and THRESHOLD): it cuts each
+chunk at stage boundaries so that probe checkpoints and per-stage traces
+land on the same balls however the run is split.
 """
 
 from __future__ import annotations
@@ -59,14 +60,13 @@ def run_staged_batch(
     """Run every trial of a constant-limit-window protocol as one 2-D batch.
 
     Shared by the batched ADAPTIVE and THRESHOLD paths: ``windows`` yields
-    ``(acceptance_limit, count)`` pairs — the same stage decomposition as
-    the one-shot single-trial run, which depends only on the ball index, so
-    all trials share it — and each window is filled for all trials at once
-    with :func:`~repro.core.window.fill_window_batch`.  Per-trial cost models
-    are rebuilt exactly as the one-shot implementations build them: one
-    ``add_probes`` + checkpoint per stage when ``checkpoint_stages``
-    (ADAPTIVE), one flat ``add_probes`` with no checkpoints otherwise
-    (non-traced THRESHOLD).  Trial ``t`` of the returned list is
+    ``(acceptance_limit, count)`` pairs — the stage decomposition of the
+    single-trial session, which depends only on the ball index, so all
+    trials share it — and each window is filled for all trials at once with
+    :func:`~repro.core.window.fill_window_batch`.  Per-trial cost models are
+    rebuilt exactly as the sessions build them: one checkpoint per stage
+    when ``checkpoint_stages`` (ADAPTIVE), one flat probe total with no
+    checkpoints otherwise (non-traced THRESHOLD).  Trial ``t`` of the returned list is
     bit-identical to the single-trial run on ``batch.children[t]``.
     """
     n_trials = batch.trials
@@ -110,7 +110,7 @@ class ProtocolSession(ABC):
     n_balls, n_bins:
         Problem size fixed at session start (``n_balls`` is the total the
         session will place — THRESHOLD-style rules need it up front, and it
-        makes any-split equivalence with the one-shot run well defined).
+        makes any-split equivalence well defined).
     placed:
         Number of balls placed so far.
     stream:
@@ -182,10 +182,9 @@ class ProtocolSession(ABC):
     def result(self) -> RunResult:
         """Place any remaining balls and return the finished run's record.
 
-        Bit-identical to the protocol's one-shot
-        :meth:`~repro.core.protocol.AllocationProtocol.allocate` for the
-        same seed / probe stream, however the preceding ``place`` calls were
-        split.  Idempotent: repeated calls return the same object.
+        Bit-identical for the same seed / probe stream however the
+        preceding ``place`` calls were split.  Idempotent: repeated calls
+        return the same object.
         """
         if self._final is None:
             self.place(self.remaining)
@@ -200,18 +199,17 @@ class ProtocolSession(ABC):
 class StagedWindowSession(ProtocolSession):
     """Session over constant-acceptance-limit windows (ADAPTIVE/THRESHOLD).
 
+    Subclasses implement ``_limit_for_ball(i)``, the acceptance limit of
+    1-indexed ball ``i`` (constant within each stage of ``n_bins`` balls by
+    construction of both protocols).
+
     Parameters
     ----------
-    limits:
-        ``limit_for_ball(i)`` giving the acceptance limit of 1-indexed ball
-        ``i`` (constant within each stage of ``n_bins`` balls by
-        construction of both protocols).
     checkpoint_stages:
-        Log a cost checkpoint when a stage completes (ADAPTIVE's one-shot
-        implementation does; THRESHOLD's only does in trace mode).
+        Log a cost checkpoint when a stage completes (ADAPTIVE always does;
+        THRESHOLD only in trace mode).
     record_trace:
-        Record the same per-stage :class:`~repro.runtime.trace.StageRecord`
-        rows as the one-shot implementation.
+        Record one :class:`~repro.runtime.trace.StageRecord` per stage.
     """
 
     def __init__(
@@ -266,8 +264,7 @@ class StagedWindowSession(ProtocolSession):
             done += seg
             balls_so_far = self.placed + done
             if balls_so_far == min(stage_last_ball, self.n_balls):
-                # The stage (or the final partial stage) just completed —
-                # exactly where the one-shot run logs its checkpoint/record.
+                # The stage (or the final partial stage) just completed.
                 if self._checkpoint_stages:
                     self.costs.log_probe_checkpoint()
                 if self.trace is not None:
@@ -291,19 +288,13 @@ class StagedWindowSession(ProtocolSession):
                 self._stage_probes = 0
 
     def _finalize(self) -> RunResult:
-        costs = self.costs
-        if not self._checkpoint_stages:
-            # The one-shot non-traced THRESHOLD run records the probe total
-            # in a single add_probes call and no checkpoints; rebuild the
-            # same flat cost model.
-            costs = CostModel(probes=self.costs.probes)
         return RunResult(
             protocol=self.protocol.name,
             n_balls=self.n_balls,
             n_bins=self.n_bins,
             loads=self._loads,
             allocation_time=self.costs.probes,
-            costs=costs,
+            costs=self.costs,
             trace=self.trace,
             params=self.protocol.params(),
         )

@@ -18,13 +18,6 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
-from repro.core.potentials import (
-    DEFAULT_EPSILON,
-    exponential_potential,
-    quadratic_potential,
-)
 from repro.core.protocol import (
     AllocationProtocol,
     batch_streams,
@@ -35,10 +28,8 @@ from repro.core.session import StagedWindowSession, run_staged_batch
 from repro.core.thresholds import acceptance_limit
 from repro.core.window import fill_window
 from repro.errors import ConfigurationError
-from repro.runtime.costs import CostModel
 from repro.runtime.probes import ProbeStream, RandomProbeStream
 from repro.runtime.rng import SeedLike
-from repro.runtime.trace import StageRecord, Trace
 
 __all__ = ["ThresholdProtocol", "run_threshold"]
 
@@ -91,79 +82,10 @@ class ThresholdProtocol(AllocationProtocol):
             n_bins,
             stream,
             block_size=self.block_size,
-            # The one-shot non-traced run logs no stage checkpoints (the
-            # whole run is one window); trace mode chunks by stage.
+            # An untraced run logs no stage checkpoints; trace mode chunks
+            # by stage so its trace is comparable to ADAPTIVE's.
             checkpoint_stages=False,
             record_trace=record_trace,
-        )
-
-    def allocate(
-        self,
-        n_balls: int,
-        n_bins: int,
-        seed: SeedLike = None,
-        *,
-        probe_stream: ProbeStream | None = None,
-        record_trace: bool = False,
-    ) -> AllocationResult:
-        self.validate_size(n_balls, n_bins)
-        stream = probe_stream or RandomProbeStream(n_bins, seed)
-        if stream.n_bins != n_bins:
-            raise ConfigurationError(
-                "probe_stream.n_bins does not match the requested n_bins"
-            )
-
-        loads = np.zeros(n_bins, dtype=np.int64)
-        costs = CostModel()
-        trace = Trace() if record_trace else None
-        total_probes = 0
-
-        if n_balls:
-            limit = acceptance_limit(n_balls, n_bins, self.offset)
-            if record_trace:
-                # Fill stage-sized chunks so the trace is comparable to
-                # ADAPTIVE's (the acceptance limit stays the global one).
-                placed = 0
-                stage = 0
-                while placed < n_balls:
-                    chunk = min(n_bins, n_balls - placed)
-                    outcome = fill_window(
-                        loads, limit, chunk, stream, block_size=self.block_size
-                    )
-                    placed += chunk
-                    total_probes += outcome.probes
-                    costs.add_probes(outcome.probes)
-                    costs.log_probe_checkpoint()
-                    trace.append(
-                        StageRecord(
-                            stage=stage,
-                            balls_placed=chunk,
-                            probes=outcome.probes,
-                            max_load=int(loads.max()),
-                            min_load=int(loads.min()),
-                            quadratic_potential=quadratic_potential(loads, placed),
-                            exponential_potential=exponential_potential(
-                                loads, placed, DEFAULT_EPSILON
-                            ),
-                        )
-                    )
-                    stage += 1
-            else:
-                outcome = fill_window(
-                    loads, limit, n_balls, stream, block_size=self.block_size
-                )
-                total_probes = outcome.probes
-                costs.add_probes(outcome.probes)
-
-        return AllocationResult(
-            protocol=self.name,
-            n_balls=n_balls,
-            n_bins=n_bins,
-            loads=loads,
-            allocation_time=total_probes,
-            costs=costs,
-            trace=trace,
-            params=self.params(),
         )
 
     def allocate_batch(
@@ -199,8 +121,8 @@ class ThresholdProtocol(AllocationProtocol):
             batch,
             windows,
             block_size=self.block_size,
-            # The one-shot non-traced run is a single window with one flat
-            # add_probes call and no checkpoints; mirror that cost model.
+            # The untraced session fills a single window with one flat probe
+            # total and no checkpoints; mirror that cost model.
             checkpoint_stages=False,
         )
 
@@ -210,6 +132,21 @@ class _ThresholdSession(StagedWindowSession):
 
     def _limit_for_ball(self, i: int) -> int:
         return acceptance_limit(self.n_balls, self.n_bins, self.protocol.offset)
+
+    def _place(self, k: int) -> None:
+        if self._checkpoint_stages:
+            super()._place(k)
+            return
+        # Nothing is logged per stage and the limit never changes, so the
+        # whole chunk is one window.
+        outcome = fill_window(
+            self._loads,
+            self._limit_for_ball(self.placed + 1),
+            k,
+            self.stream,
+            block_size=self._block_size,
+        )
+        self.costs.add_probes(outcome.probes)
 
 
 def run_threshold(

@@ -35,12 +35,13 @@ loop is capped by ``max_probes`` (raising
 probe source that never offers an acceptable bin).
 
 The registry names ``"weighted-adaptive"``, ``"weighted-threshold"``,
-``"weighted-greedy"``, ``"weighted-left"`` and ``"weighted-memory"`` wrap
-these runners as
-:class:`~repro.core.protocol.AllocationProtocol` instances that draw their
-weights from a named family of :data:`repro.stats.distributions.WEIGHT_DISTRIBUTIONS`
-(Pareto, exponential, bimodal, …) via the stream's auxiliary generator, so
-experiment configurations stay serialisable and replay-deterministic.
+``"weighted-greedy"``, ``"weighted-left"`` and ``"weighted-memory"`` run
+the same rules as streaming
+:class:`~repro.core.protocol.AllocationProtocol` sessions over the same
+engines.  They draw their weights from a named family of
+:data:`repro.stats.distributions.WEIGHT_DISTRIBUTIONS` (Pareto, exponential,
+bimodal, …) via the stream's auxiliary generator, so experiment
+configurations stay serialisable and replay-deterministic.
 """
 
 from __future__ import annotations
@@ -234,6 +235,11 @@ def _validate_weighted_run(
             "probe_stream.n_bins does not match the requested n_bins"
         )
     return weights, stream, float(w_max)
+
+
+def _counts(assignments: np.ndarray, n_bins: int) -> np.ndarray:
+    """Per-bin ball counts of a (prefix of an) assignment vector."""
+    return np.bincount(assignments, minlength=n_bins).astype(np.int64)
 
 
 def _result(
@@ -547,40 +553,18 @@ def run_weighted_left(
     weights, stream, _ = _validate_weighted_run(
         weights, n_bins, seed, probe_stream, None
     )
+    loads = np.zeros(n_bins, dtype=np.float64)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    m = weights.size
+    assignments = np.empty(m, dtype=np.int64)
     if probe_stream is not None:
         group_base, size = replay_group_map(n_bins, d)  # validates equal groups
         source = (
             lambda start, count: group_base + stream.take_matrix(count, d) % size
         )
-    else:
-        source = None
-    return _weighted_left_commit(weights, n_bins, d, stream, source, chunk_size)
-
-
-def _weighted_left_commit(
-    weights: np.ndarray,
-    n_bins: int,
-    d: int,
-    stream: ProbeStream,
-    source,
-    chunk_size: int | None,
-) -> WeightedRunResult:
-    """Single home of the weighted left[d] commit body.
-
-    ``source`` is the replay-mode candidate source (``None`` selects the
-    seeded float-offset sampling against ``stream.generator``); shared by
-    :func:`run_weighted_left` and the registry protocol so the two cannot
-    drift.
-    """
-    loads = np.zeros(n_bins, dtype=np.float64)
-    counts = np.zeros(n_bins, dtype=np.int64)
-    m = weights.size
-    assignments = np.empty(m, dtype=np.int64)
+    elif m:
+        source = matrix_source(seeded_group_choices(n_bins, d, m, stream.generator))
     if m:
-        if source is None:
-            source = matrix_source(
-                seeded_group_choices(n_bins, d, m, stream.generator)
-            )
         chunked_argmin_commit(
             loads,
             source,
@@ -779,13 +763,8 @@ class _WeightedProtocolBase(AllocationProtocol):
             self.weight_dist, n_balls, stream.derive_generator(seed), **self.dist_params
         )
 
-    def _run(
-        self, weights: np.ndarray, n_bins: int, stream: ProbeStream, seed: SeedLike
-    ) -> WeightedRunResult:
-        raise NotImplementedError
-
     def _stamp(self, run: WeightedRunResult) -> WeightedRunResult:
-        """Add registry-level provenance to a runner-produced record."""
+        """Add registry-level provenance (name, params, resolved weight bound)."""
         run.protocol = self.name
         run.params = self.params()
         if run.w_max_used is None:
@@ -818,36 +797,15 @@ class _WeightedProtocolBase(AllocationProtocol):
     ) -> ProtocolSession:
         raise NotImplementedError
 
-    def allocate(
-        self,
-        n_balls: int,
-        n_bins: int,
-        seed: SeedLike = None,
-        *,
-        probe_stream: ProbeStream | None = None,
-        record_trace: bool = False,
-    ) -> RunResult:
-        self.validate_size(n_balls, n_bins)
-        stream = probe_stream or RandomProbeStream(n_bins, seed)
-        if stream.n_bins != n_bins:
-            raise ConfigurationError(
-                "probe_stream.n_bins does not match the requested n_bins"
-            )
-        weights = self._draw_weights(n_balls, stream, seed)
-        # The runner produces the unified record; _stamp adds the
-        # registry-level provenance (protocol name, constructor params, and
-        # the resolved weight bound even when it defaulted to weights.max()).
-        return self._stamp(self._run(weights, n_bins, stream, seed))
-
-
 class _WeightedEngineSession(ProtocolSession):
     """Streaming weighted ADAPTIVE/THRESHOLD via the chunked engine.
 
     The full weight vector and the per-ball thresholds are fixed up front
-    (exactly as in the one-shot runners), so each :meth:`place` call simply
-    drives :func:`~repro.core.weighted_engine.chunked_weighted_assign` over
-    the next slice — the engine's chunk invariance makes any split of the
-    placement bit-identical to the one-shot run.
+    (exactly as in :func:`run_weighted_adaptive`), so each :meth:`place`
+    call simply drives
+    :func:`~repro.core.weighted_engine.chunked_weighted_assign` over the
+    next slice — the engine's chunk invariance makes any split of the
+    placement bit-identical.
     """
 
     def __init__(
@@ -864,13 +822,12 @@ class _WeightedEngineSession(ProtocolSession):
         self._thresholds = thresholds
         self._w_max = w_max
         self._wloads = np.zeros(n_bins, dtype=np.float64)
-        self._counts = np.zeros(n_bins, dtype=np.int64)
         self._probes = 0
         self.assignments = np.empty(weights.size, dtype=np.int64)
 
     @property
     def loads(self) -> np.ndarray:
-        return self._counts
+        return _counts(self.assignments[: self.placed], self.n_bins)
 
     @property
     def weighted_loads(self) -> np.ndarray:
@@ -882,26 +839,21 @@ class _WeightedEngineSession(ProtocolSession):
 
     def _place(self, k: int) -> None:
         start = self.placed
-        segment = self.assignments[start : start + k]
         self._probes += chunked_weighted_assign(
             self._wloads,
             self._weights[start : start + k],
             self._thresholds[start : start + k],
             self.stream,
             chunk_size=self.protocol.chunk_size,
-            assignments=segment,
+            assignments=self.assignments[start : start + k],
         )
-        np.add.at(self._counts, segment, 1)
 
     def _finalize(self) -> WeightedRunResult:
-        counts = np.bincount(self.assignments, minlength=self.n_bins).astype(
-            np.int64
-        )
         run = _result(
             self.protocol.name,
             self._weights,
             self._wloads,
-            counts,
+            _counts(self.assignments, self.n_bins),
             self._probes,
             self._w_max,
         )
@@ -910,7 +862,7 @@ class _WeightedEngineSession(ProtocolSession):
 
 @register_protocol
 class WeightedAdaptiveProtocol(_WeightedProtocolBase):
-    """Registry wrapper for :func:`run_weighted_adaptive`."""
+    """Registry protocol running :func:`run_weighted_adaptive`'s rule."""
 
     name = "weighted-adaptive"
     streaming = True
@@ -928,21 +880,10 @@ class WeightedAdaptiveProtocol(_WeightedProtocolBase):
         )
         return _WeightedEngineSession(self, n_bins, stream, weights, thresholds, w_max)
 
-    def _run(
-        self, weights: np.ndarray, n_bins: int, stream: ProbeStream, seed: SeedLike
-    ) -> WeightedRunResult:
-        return run_weighted_adaptive(
-            weights,
-            n_bins,
-            probe_stream=stream,
-            w_max=self.w_max,
-            chunk_size=self.chunk_size,
-        )
-
 
 @register_protocol
 class WeightedThresholdProtocol(_WeightedProtocolBase):
-    """Registry wrapper for :func:`run_weighted_threshold`."""
+    """Registry protocol running :func:`run_weighted_threshold`'s rule."""
 
     name = "weighted-threshold"
     streaming = True
@@ -960,17 +901,6 @@ class WeightedThresholdProtocol(_WeightedProtocolBase):
             thresholds = np.empty(0, dtype=np.float64)
         return _WeightedEngineSession(self, n_bins, stream, weights, thresholds, w_max)
 
-    def _run(
-        self, weights: np.ndarray, n_bins: int, stream: ProbeStream, seed: SeedLike
-    ) -> WeightedRunResult:
-        return run_weighted_threshold(
-            weights,
-            n_bins,
-            probe_stream=stream,
-            w_max=self.w_max,
-            chunk_size=self.chunk_size,
-        )
-
 
 class _WeightedDChoiceSession(DChoiceSession):
     """Streaming weighted d-choice session finalising to the unified record.
@@ -986,7 +916,7 @@ class _WeightedDChoiceSession(DChoiceSession):
             self.protocol.name,
             self._weights,
             self._loads,
-            np.bincount(self.assignments, minlength=self.n_bins).astype(np.int64),
+            _counts(self.assignments, self.n_bins),
             self.n_balls * self.d,
         )
         return self.protocol._stamp(run)
@@ -994,7 +924,7 @@ class _WeightedDChoiceSession(DChoiceSession):
 
 @register_protocol
 class WeightedGreedyProtocol(_WeightedProtocolBase):
-    """Registry wrapper for :func:`run_weighted_greedy`."""
+    """Registry protocol running :func:`run_weighted_greedy`'s rule."""
 
     name = "weighted-greedy"
     streaming = True
@@ -1046,23 +976,10 @@ class WeightedGreedyProtocol(_WeightedProtocolBase):
         params.pop("w_max", None)
         return {"d": self.d, "tie_break": self.tie_break, **params}
 
-    def _run(
-        self, weights: np.ndarray, n_bins: int, stream: ProbeStream, seed: SeedLike
-    ) -> WeightedRunResult:
-        return run_weighted_greedy(
-            weights,
-            n_bins,
-            seed,
-            d=self.d,
-            tie_break=self.tie_break,
-            probe_stream=stream,
-            chunk_size=self.chunk_size,
-        )
-
 
 @register_protocol
 class WeightedLeftProtocol(_WeightedProtocolBase):
-    """Registry wrapper for :func:`run_weighted_left`.
+    """Registry protocol running :func:`run_weighted_left`'s rule.
 
     Mirrors :class:`~repro.baselines.left.LeftProtocol`'s replay contract:
     seeded runs sample each ball's in-group offsets up front (any group
@@ -1133,57 +1050,26 @@ class WeightedLeftProtocol(_WeightedProtocolBase):
             chunk_size=self.chunk_size,
         )
 
-    def allocate(
-        self,
-        n_balls: int,
-        n_bins: int,
-        seed: SeedLike = None,
-        *,
-        probe_stream: ProbeStream | None = None,
-        record_trace: bool = False,
-    ) -> RunResult:
-        self.validate_size(n_balls, n_bins)
-        stream = probe_stream or RandomProbeStream(n_bins, seed)
-        if stream.n_bins != n_bins:
-            raise ConfigurationError(
-                "probe_stream.n_bins does not match the requested n_bins"
-            )
-        weights = self._draw_weights(n_balls, stream, seed)
-        weights, stream, _ = _validate_weighted_run(
-            weights, n_bins, None, stream, None
-        )
-        source = (
-            self._source(n_balls, n_bins, stream, True)
-            if probe_stream is not None
-            else None
-        )
-        return self._stamp(
-            _weighted_left_commit(
-                weights, n_bins, self.d, stream, source, self.chunk_size
-            )
-        )
-
 
 class _WeightedMemorySession(ProtocolSession):
     """Streaming weighted (d,k)-memory: remembered set persists across steps.
 
-    The weight vector is fixed up front (exactly as in the one-shot run) and
-    each ``place`` call drives the chunk-drawn scalar commit over the next
-    slice; the scalar state (float loads, remembered set) is exact at every
-    boundary, so any split is bit-identical to the one-shot run.
+    The weight vector is fixed up front and each ``place`` call drives the
+    chunk-drawn scalar commit over the next slice; the scalar state (float
+    loads, remembered set) is exact at every boundary, so any split is
+    bit-identical.
     """
 
     def __init__(self, protocol, n_bins, stream, weights) -> None:
         super().__init__(protocol, int(weights.size), n_bins, stream)
         self._weights = weights
         self._wloads = np.zeros(n_bins, dtype=np.float64)
-        self._counts = np.zeros(n_bins, dtype=np.int64)
         self._memory: list[int] = []
         self.assignments = np.empty(weights.size, dtype=np.int64)
 
     @property
     def loads(self) -> np.ndarray:
-        return self._counts
+        return _counts(self.assignments[: self.placed], self.n_bins)
 
     @property
     def weighted_loads(self) -> np.ndarray:
@@ -1195,7 +1081,6 @@ class _WeightedMemorySession(ProtocolSession):
 
     def _place(self, k: int) -> None:
         start = self.placed
-        segment = self.assignments[start : start + k]
         self._memory = chunked_weighted_memory_commit(
             self.stream,
             self._wloads,
@@ -1203,19 +1088,16 @@ class _WeightedMemorySession(ProtocolSession):
             self._weights[start : start + k],
             self.protocol.d,
             self.protocol.k,
-            assignments=segment,
+            assignments=self.assignments[start : start + k],
             chunk_size=self.protocol.chunk_size,
         )
-        np.add.at(self._counts, segment, 1)
 
     def _finalize(self) -> WeightedRunResult:
-        # The incrementally maintained per-bin counts are exactly the final
-        # tally once every ball is placed.
         run = _result(
             self.protocol.name,
             self._weights,
             self._wloads,
-            self._counts,
+            _counts(self.assignments, self.n_bins),
             self.n_balls * self.protocol.d,
         )
         return self.protocol._stamp(run)
@@ -1223,7 +1105,7 @@ class _WeightedMemorySession(ProtocolSession):
 
 @register_protocol
 class WeightedMemoryProtocol(_WeightedProtocolBase):
-    """Registry wrapper for :func:`run_weighted_memory`."""
+    """Registry protocol running :func:`run_weighted_memory`'s rule."""
 
     name = "weighted-memory"
     streaming = True
@@ -1258,15 +1140,3 @@ class WeightedMemoryProtocol(_WeightedProtocolBase):
             weights, n_bins, None, stream, None
         )
         return _WeightedMemorySession(self, n_bins, stream, weights)
-
-    def _run(
-        self, weights: np.ndarray, n_bins: int, stream: ProbeStream, seed: SeedLike
-    ) -> WeightedRunResult:
-        return run_weighted_memory(
-            weights,
-            n_bins,
-            d=self.d,
-            k=self.k,
-            probe_stream=stream,
-            chunk_size=self.chunk_size,
-        )

@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro.core.backend import describe_backends, get_backend, use_backend
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.reporting.tables import format_markdown_table, write_csv
 
@@ -68,9 +68,9 @@ def _add_version_flag(parser: argparse.ArgumentParser) -> None:
         version=f"%(prog)s {__version__}",
     )
 
-#: Experiments whose runners accept the execution-mode flags
-#: (``--workers`` / ``--no-batch-trials`` / ``--trial-block``).
-_EXECUTION_MODE_EXPERIMENTS = frozenset({"table1", "figure3a", "figure3b"})
+
+#: Experiments whose runners fan out over cluster workers (``--workers``).
+_FAN_OUT_EXPERIMENTS = frozenset({"table1", "figure3a", "figure3b"})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,25 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "worker processes for trial execution (table1 / figure3 "
-            "experiments; default 1)"
-        ),
-    )
-    parser.add_argument(
-        "--no-batch-trials",
-        action="store_true",
-        help=(
-            "run trials through the legacy per-trial loop instead of the "
-            "batched trial-axis engines (bit-identical results, slower)"
-        ),
-    )
-    parser.add_argument(
-        "--trial-block",
-        type=int,
-        default=None,
-        help=(
-            "trials per batched block (default: auto-sized from the "
-            "problem's memory footprint)"
+            "cluster worker processes the table1 / figure3 cells fan out "
+            "over (default 1: in-process; same rows either way)"
         ),
     )
     parser.add_argument(
@@ -160,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-backends",
         action="store_true",
-        help="list registered kernel backends (with availability) and exit",
+        help="list registered kernel backends and exit",
     )
     return parser
 
@@ -663,8 +646,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         backend_scope = nullcontext()
 
     if args.spec is not None:
-        with backend_scope:
-            rows = _run_spec(args.spec)
+        try:
+            with backend_scope:
+                rows = _run_spec(args.spec)
+        except ConfigurationError as exc:
+            parser.error(str(exc))
         if args.json:
             print(json.dumps(rows, default=str, indent=2))
         elif args.output is not None:
@@ -690,22 +676,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     kwargs: dict[str, Any] = {}
     if args.trials is not None:
         kwargs["trials"] = args.trials
-    if args.experiment in _EXECUTION_MODE_EXPERIMENTS:
-        # Only the trial-runner experiments understand execution-mode knobs;
-        # other runners forward stray kwargs to protocol constructors.
-        if args.workers is not None:
-            kwargs["workers"] = args.workers
-        if args.no_batch_trials:
-            kwargs["batch_trials"] = False
-        if args.trial_block is not None:
-            kwargs["trial_block"] = args.trial_block
-    elif args.workers is not None or args.no_batch_trials or args.trial_block is not None:
-        parser.error(
-            "--workers/--no-batch-trials/--trial-block apply only to: "
-            + ", ".join(sorted(_EXECUTION_MODE_EXPERIMENTS))
-        )
-    with backend_scope:
-        result = run_experiment(args.experiment, scale=args.scale, **kwargs)
+    if args.workers is not None:
+        # Other runners forward stray kwargs to protocol constructors.
+        if args.experiment not in _FAN_OUT_EXPERIMENTS:
+            parser.error(
+                "--workers applies only to: "
+                + ", ".join(sorted(_FAN_OUT_EXPERIMENTS))
+            )
+        kwargs["workers"] = args.workers
+    try:
+        with backend_scope:
+            result = run_experiment(args.experiment, scale=args.scale, **kwargs)
+    except (ConfigurationError, ExperimentError) as exc:
+        parser.error(str(exc))
 
     if args.json:
         print(json.dumps(result, default=str, indent=2))

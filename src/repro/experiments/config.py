@@ -98,10 +98,9 @@ class SweepConfig:
     trials: int = 10
     seed: int = 0
     params: dict[str, dict[str, Any]] = field(default_factory=dict)
-    #: Execution mode (per-trial results are bit-identical across all three
-    #: knobs; see :func:`repro.experiments.runner.run_trials`).
-    batch_trials: bool = True
-    trial_block: int | None = None
+    #: Cluster workers the sweep fans out over; 1 runs it in-process (the
+    #: rows are identical either way, see
+    #: :func:`repro.experiments.runner.run_sweep`).
     workers: int = 1
     #: Kernel backend for every cell (``None`` keeps the ambient selection).
     #: Travels on each expanded spec, so cluster shards honour it per-shard.
@@ -118,10 +117,6 @@ class SweepConfig:
             raise ConfigurationError("ball_grid entries must be non-negative")
         if self.trials < 1:
             raise ConfigurationError(f"trials must be at least 1, got {self.trials}")
-        if self.trial_block is not None and self.trial_block < 1:
-            raise ConfigurationError(
-                f"trial_block must be at least 1, got {self.trial_block}"
-            )
         if self.workers < 1:
             raise ConfigurationError(
                 f"workers must be at least 1, got {self.workers}"

@@ -39,22 +39,18 @@ def figure3_series(
     sweep: SweepConfig = FIGURE3_DEFAULT,
     *,
     workers: int | None = None,
-    batch_trials: bool | None = None,
-    trial_block: int | None = None,
 ) -> list[dict[str, Any]]:
     """Run the Figure 3 sweep and return one row per (protocol, m) point.
 
     Rows contain the mean allocation time and mean quadratic potential (with
-    confidence bounds), which back both panels of the figure.  Execution-mode
-    arguments default to the sweep config's own fields; per-trial results
-    are bit-identical across all modes.
+    confidence bounds), which back both panels of the figure.  ``workers``
+    defaults to the sweep config's own field; ``workers > 1`` fans the
+    sweep out over the cluster, with identical rows.
     """
     return run_sweep(
         sweep,
         metrics=("allocation_time", "probes_per_ball", "quadratic_potential", "gap"),
         workers=workers,
-        batch_trials=batch_trials,
-        trial_block=trial_block,
     )
 
 

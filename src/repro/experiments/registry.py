@@ -115,33 +115,32 @@ def _run_weighted(
 ) -> Any:
     """Weighted protocols under heavy-tailed weight families.
 
-    For every (protocol, weight distribution) pair, run ``trials`` seeded
-    allocations (one :class:`~repro.api.SimulationSpec` per seed, through
-    the :func:`repro.simulate` facade) and report ball-count and
+    For every (protocol, weight distribution) pair, run one ``trials``-trial
+    :class:`~repro.api.SimulationSpec` through the experiment runner (seeds
+    from the single-homed per-trial table) and report ball-count and
     weighted-load balance alongside the probe cost — the weighted analogue
     of the Table 1 sweep.
     """
     import numpy as np
 
-    from repro.api.session import simulate
+    from repro.experiments.runner import run_trials
 
     n_balls = max(500, int(200_000 * scale))
     n_bins = max(50, int(5_000 * scale))
     rows = []
     for dist in _WEIGHTED_DISTRIBUTIONS:
         for name, params in _WEIGHTED_PROTOCOLS:
-            records = [
-                simulate(
-                    SimulationSpec(
-                        protocol=name,
-                        n_balls=n_balls,
-                        n_bins=n_bins,
-                        seed=seed + trial,
-                        params={"weight_dist": dist, **params, **kwargs},
-                    )
-                ).as_record()
-                for trial in range(max(1, trials))
-            ]
+            records = run_trials(
+                SimulationSpec(
+                    protocol=name,
+                    n_balls=n_balls,
+                    n_bins=n_bins,
+                    seed=seed,
+                    trials=trials,
+                    params={"weight_dist": dist, **params, **kwargs},
+                ),
+                as_records=True,
+            )
             rows.append(
                 {
                     "protocol": name,

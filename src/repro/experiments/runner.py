@@ -7,28 +7,25 @@ accepted everywhere a spec is (it is converted on the way in), and the
 derived per-trial seeds are identical either way — and identical to what
 :func:`repro.simulate` derives for multi-trial specs.
 
-Execution modes (all bit-identical per trial, certified by the test-suite):
+Trials run in-process through the protocol's
+:meth:`~repro.core.protocol.AllocationProtocol.allocate_batch`, in
+memory-bounded blocks of :func:`default_trial_block` trials: one 2-D
+trial-axis computation for the protocols that batch natively, the exact
+per-trial loop for those that honestly don't.  A backend without the
+vectorised engines (``"scalar"``) runs one trial at a time instead; the
+results are bit-identical either way.  Sweeps fan out only through the
+:mod:`repro.cluster` coordinator (``workers > 1``), which runs each spec as
+one shard through this same runner.
 
-* **batched** (default): trials run through the protocol's
-  :meth:`~repro.core.protocol.AllocationProtocol.allocate_batch` — one 2-D
-  trial-axis computation for the protocols that batch natively, the exact
-  per-trial loop for those that honestly don't — in memory-bounded blocks of
-  ``trial_block`` trials;
-* **per-trial** (``batch_trials=False``): the legacy one-``Simulation``-per
-  -trial loop;
-* **process pool** (``workers > 1``): trial blocks (batched) or single
-  trials (per-trial) fan out across worker processes.
-
-All modes derive per-trial seeds from the single-homed
+Every path derives per-trial seeds from the single-homed
 :func:`repro.runtime.rng.trial_seed_table`, so composing them can never
 double-derive or skew seeds.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
+from typing import Any, Sequence
 
 from repro.api.session import Simulation
 from repro.api.spec import SimulationSpec
@@ -43,6 +40,7 @@ __all__ = [
     "run_trial",
     "run_trials",
     "summarize_trials",
+    "summarize_specs",
     "run_sweep",
     "summarize_shard_records",
     "as_spec",
@@ -108,24 +106,14 @@ def run_trial(
     return Simulation(spec, seed=seed).run()
 
 
-def _run_trial_for_pool(args: tuple[SimulationSpec, int]) -> dict[str, Any]:
-    spec, index = args
-    return run_trial(spec, index).as_record()
-
-
-def _run_trial_result_for_pool(args: tuple[SimulationSpec, int]) -> RunResult:
-    spec, index = args
-    return run_trial(spec, index)
-
-
 def _run_trial_block(
     spec: SimulationSpec, start: int, stop: int
 ) -> list[RunResult]:
     """Run trials ``start … stop-1`` of ``spec`` as one batched block.
 
     Seeds are a slice of the single-homed per-trial table, so a block's
-    trial ``i`` sees exactly the seed the looped runner (and any worker
-    process handling a different block) derives for trial ``i``.
+    trial ``i`` sees exactly the seed :func:`run_trial` derives for trial
+    ``i``, however the trials are partitioned.
     """
     protocol = spec.build_protocol()
     seeds = trial_seed_table(spec.seed, spec.trials)[start:stop]
@@ -140,122 +128,77 @@ def _run_trial_block(
         )
 
 
-def _run_block_for_pool(
-    args: tuple[SimulationSpec, int, int],
-) -> list[RunResult]:
-    spec, start, stop = args
-    return _run_trial_block(spec, start, stop)
-
-
-def _run_block_records_for_pool(
-    args: tuple[SimulationSpec, int, int],
-) -> list[dict[str, Any]]:
-    return [result.as_record() for result in _run_block_for_pool(args)]
-
-
 def run_trials(
-    config: SimulationSpec | TrialConfig,
-    *,
-    workers: int = 1,
-    as_records: bool = False,
-    batch_trials: bool = True,
-    trial_block: int | None = None,
+    config: SimulationSpec | TrialConfig, *, as_records: bool = False
 ) -> list[RunResult] | list[dict[str, Any]]:
-    """Run every trial of ``config``.
+    """Run every trial of ``config`` in-process.
 
     Parameters
     ----------
     config:
         The trial batch to execute (a :class:`~repro.api.SimulationSpec`;
         legacy :class:`TrialConfig` accepted).
-    workers:
-        Number of worker processes; 1 (default) runs sequentially in-process.
     as_records:
         When true, return flattened record dictionaries instead of
-        :class:`~repro.core.result.RunResult` objects.  The return type
-        honours this flag for any ``workers`` count: multi-process runs
-        pickle the full results back to the parent when ``as_records`` is
-        false (record dictionaries are the cheaper wire format, so
-        summarising callers should pass ``as_records=True``).
-    batch_trials:
-        When true (default), trials run through the protocol's
-        :meth:`~repro.core.protocol.AllocationProtocol.allocate_batch` in
-        memory-bounded blocks — the trial-axis 2-D engines for protocols
-        that batch natively, the exact per-trial loop otherwise.  Results
-        are bit-identical to ``batch_trials=False`` either way.
-    trial_block:
-        Trials per batched block (default: auto-sized from the problem's
-        memory footprint, see :func:`default_trial_block`).  Results are
-        independent of the block size.
+        :class:`~repro.core.result.RunResult` objects.
     """
     spec = as_spec(config)
-    if workers < 1:
-        raise ConfigurationError(f"workers must be at least 1, got {workers}")
-    if trial_block is not None and trial_block < 1:
-        raise ConfigurationError(
-            f"trial_block must be at least 1, got {trial_block}"
-        )
-    # Backends without trial-axis kernels (e.g. "scalar") run the exact
-    # per-trial loop instead — the two modes are bit-identical anyway.
     backend = (
         active_backend() if spec.backend is None else get_backend(spec.backend)
     )
-    if not backend.trial_batching:
-        batch_trials = False
-    if not batch_trials:
-        if workers == 1:
-            results = [run_trial(spec, i) for i in range(spec.trials)]
-            if as_records:
-                return [r.as_record() for r in results]
-            return results
-        worker_fn = (
-            _run_trial_for_pool if as_records else _run_trial_result_for_pool
-        )
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(worker_fn, [(spec, i) for i in range(spec.trials)])
-            )
-
-    block = trial_block or default_trial_block(
-        spec.n_balls, spec.n_bins, spec.trials
-    )
-    blocks = [
-        (spec, start, min(start + block, spec.trials))
-        for start in range(0, spec.trials, block)
-    ]
-    if workers == 1:
+    if backend.vectorised:
+        block = default_trial_block(spec.n_balls, spec.n_bins, spec.trials)
         results = []
-        for args in blocks:
-            results.extend(_run_block_for_pool(args))
-        if as_records:
-            return [r.as_record() for r in results]
-        return results
-    worker_fn = (
-        _run_block_records_for_pool if as_records else _run_block_for_pool
-    )
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [
-            item for chunk in pool.map(worker_fn, blocks) for item in chunk
-        ]
+        for start in range(0, spec.trials, block):
+            results.extend(
+                _run_trial_block(spec, start, min(start + block, spec.trials))
+            )
+    else:
+        # The batched engines bypass the kernel methods, so a backend
+        # without them runs the exact per-trial loop.
+        results = [run_trial(spec, i) for i in range(spec.trials)]
+    if as_records:
+        return [r.as_record() for r in results]
+    return results
 
 
 def summarize_trials(
     config: SimulationSpec | TrialConfig,
     *,
     metrics: Sequence[str] = DEFAULT_METRICS,
-    workers: int = 1,
-    batch_trials: bool = True,
-    trial_block: int | None = None,
 ) -> dict[str, TrialSummary]:
     """Run ``config`` and summarise the requested metrics across trials."""
-    records = run_trials(
-        config,
-        workers=workers,
-        as_records=True,
-        batch_trials=batch_trials,
-        trial_block=trial_block,
+    return summarize_records(run_trials(config, as_records=True), metrics)
+
+
+def summarize_specs(
+    specs: Sequence[SimulationSpec],
+    *,
+    metrics: Sequence[str] = DEFAULT_METRICS,
+    workers: int = 1,
+    out: str | None = None,
+    resume: bool = False,
+) -> list[dict[str, TrialSummary]]:
+    """Run every spec and summarise its trials, one dict per spec in order.
+
+    ``workers=1`` runs the specs in-process.  ``workers > 1`` shards them
+    over that many :mod:`repro.cluster` workers, one spec per shard.
+    ``out`` streams the per-trial record rows to JSONL as shards complete
+    (in-process when ``workers=1``), and ``resume`` continues a truncated
+    ``out`` file without re-running finished shards.  The summaries are
+    identical on every path: per-trial rows are bit-identical and each
+    spec's rows are summarised on their own.
+    """
+    if workers < 1:
+        raise ConfigurationError(f"workers must be at least 1, got {workers}")
+    if workers == 1 and out is None and not resume:
+        return [summarize_trials(spec, metrics=metrics) for spec in specs]
+    from repro.cluster import run_cluster_sweep
+
+    records = run_cluster_sweep(
+        list(specs), workers=workers if workers > 1 else 0, out=out, resume=resume
     )
-    return summarize_records(records, metrics)
+    return _shard_summaries(specs, records, metrics)
 
 
 def run_sweep(
@@ -263,9 +206,6 @@ def run_sweep(
     *,
     metrics: Sequence[str] = DEFAULT_METRICS,
     workers: int | None = None,
-    batch_trials: bool | None = None,
-    trial_block: int | None = None,
-    cluster: bool = False,
     out: str | None = None,
     resume: bool = False,
 ) -> list[dict[str, Any]]:
@@ -273,55 +213,19 @@ def run_sweep(
 
     Each row contains the protocol name, the problem size, and for every
     metric ``k`` the keys ``k_mean``, ``k_std``, ``k_ci_low`` and
-    ``k_ci_high``.  Execution-mode arguments default to the sweep config's
-    own ``workers`` / ``batch_trials`` / ``trial_block`` fields.
-
-    With ``cluster=True`` the sweep's spec stream is instead sharded over
-    the :mod:`repro.cluster` coordinator — ``workers`` then counts
-    *coordinator workers* (one shard in flight per worker; ``0`` = run the
-    shards in-process), ``out`` streams the per-trial record rows to JSONL
-    as shards complete, and ``resume`` continues a truncated ``out`` file
-    without re-running finished shards.  The summary rows are identical to
-    the non-cluster path for the same sweep (per-trial rows are
-    bit-identical; summaries aggregate per shard in spec order).
+    ``k_ci_high``.  ``workers`` defaults to the sweep config's own field;
+    ``workers``, ``out`` and ``resume`` are as in :func:`summarize_specs`.
+    The rows are identical for any ``workers`` count.
     """
-    if cluster:
-        return _run_sweep_cluster(
-            sweep,
-            metrics=metrics,
-            workers=sweep.workers if workers is None else workers,
-            out=out,
-            resume=resume,
-        )
-    if out is not None or resume:
-        raise ConfigurationError(
-            "out/resume: JSONL streaming requires cluster=True"
-        )
-    rows: list[dict[str, Any]] = []
-    workers = sweep.workers if workers is None else workers
-    batch_trials = sweep.batch_trials if batch_trials is None else batch_trials
-    trial_block = sweep.trial_block if trial_block is None else trial_block
-    for spec in sweep.specs():
-        summaries = summarize_trials(
-            spec,
-            metrics=metrics,
-            workers=workers,
-            batch_trials=batch_trials,
-            trial_block=trial_block,
-        )
-        row: dict[str, Any] = {
-            "protocol": spec.protocol,
-            "n_balls": spec.n_balls,
-            "n_bins": spec.n_bins,
-            "trials": spec.trials,
-        }
-        for key, summary in summaries.items():
-            row[f"{key}_mean"] = summary.mean
-            row[f"{key}_std"] = summary.std
-            row[f"{key}_ci_low"] = summary.ci_low
-            row[f"{key}_ci_high"] = summary.ci_high
-        rows.append(row)
-    return rows
+    specs = sweep.specs()
+    summaries = summarize_specs(
+        specs,
+        metrics=metrics,
+        workers=sweep.workers if workers is None else workers,
+        out=out,
+        resume=resume,
+    )
+    return [_summary_row(spec, s) for spec, s in zip(specs, summaries)]
 
 
 def summarize_shard_records(
@@ -333,41 +237,40 @@ def summarize_shard_records(
 
     ``records`` are provenance-tagged schema-v1 rows (each carries the
     ``shard`` id of the spec that produced it); the output is one row per
-    spec in spec order, identical to what the non-cluster ``run_sweep``
-    produces for the same sweep.
+    spec in spec order, identical to what :func:`run_sweep` produces for
+    the same sweep.
     """
+    summaries = _shard_summaries(specs, records, metrics)
+    return [_summary_row(spec, s) for spec, s in zip(specs, summaries)]
+
+
+def _shard_summaries(
+    specs: Sequence[SimulationSpec],
+    records: Sequence[dict[str, Any]],
+    metrics: Sequence[str],
+) -> list[dict[str, TrialSummary]]:
+    """Summarise cluster rows per shard, in spec order."""
     by_shard: dict[int, list[dict[str, Any]]] = {}
     for record in records:
         by_shard.setdefault(int(record["shard"]), []).append(record)
-    rows: list[dict[str, Any]] = []
-    for shard_id, spec in enumerate(specs):
-        summaries = summarize_records(by_shard.get(shard_id, []), metrics)
-        row: dict[str, Any] = {
-            "protocol": spec.protocol,
-            "n_balls": spec.n_balls,
-            "n_bins": spec.n_bins,
-            "trials": spec.trials,
-        }
-        for key, summary in summaries.items():
-            row[f"{key}_mean"] = summary.mean
-            row[f"{key}_std"] = summary.std
-            row[f"{key}_ci_low"] = summary.ci_low
-            row[f"{key}_ci_high"] = summary.ci_high
-        rows.append(row)
-    return rows
+    return [
+        summarize_records(by_shard.get(shard_id, []), metrics)
+        for shard_id in range(len(specs))
+    ]
 
 
-def _run_sweep_cluster(
-    sweep: SweepConfig,
-    *,
-    metrics: Sequence[str],
-    workers: int,
-    out: str | None,
-    resume: bool,
-) -> list[dict[str, Any]]:
-    """Cluster-sharded :func:`run_sweep`: fan out, then summarise per shard."""
-    from repro.cluster import run_cluster_sweep
-
-    specs = sweep.specs()
-    records = run_cluster_sweep(specs, workers=workers, out=out, resume=resume)
-    return summarize_shard_records(specs, records, metrics)
+def _summary_row(
+    spec: SimulationSpec, summaries: dict[str, TrialSummary]
+) -> dict[str, Any]:
+    row: dict[str, Any] = {
+        "protocol": spec.protocol,
+        "n_balls": spec.n_balls,
+        "n_bins": spec.n_bins,
+        "trials": spec.trials,
+    }
+    for key, summary in summaries.items():
+        row[f"{key}_mean"] = summary.mean
+        row[f"{key}_std"] = summary.std
+        row[f"{key}_ci_low"] = summary.ci_low
+        row[f"{key}_ci_high"] = summary.ci_high
+    return row

@@ -14,7 +14,7 @@ from typing import Any, Sequence
 
 from repro.api.spec import SimulationSpec
 from repro.errors import ConfigurationError
-from repro.experiments.runner import summarize_trials
+from repro.experiments.runner import summarize_specs
 from repro.theory.bounds import TABLE1_ROWS, table1_bounds
 
 __all__ = ["TABLE1_PROTOCOLS", "table1_rows", "table1_measured"]
@@ -39,24 +39,21 @@ def table1_measured(
     seed: int = 2013,
     protocols: Sequence[tuple[str, dict[str, Any]]] = TABLE1_PROTOCOLS,
     workers: int = 1,
-    batch_trials: bool = True,
-    trial_block: int | None = None,
 ) -> list[dict[str, Any]]:
     """Measure every protocol of Table 1 on one problem size.
 
     Returns one row per protocol with measured means (allocation time, probes
     per ball, max load, gap) and the corresponding theoretical leading term.
-    The execution-mode knobs are forwarded to
-    :func:`~repro.experiments.runner.run_trials`; per-trial results (and
-    therefore the table) are bit-identical across all of them.
+    ``workers > 1`` shards the protocols over that many cluster workers
+    (see :func:`~repro.experiments.runner.summarize_specs`); the table is
+    identical for any ``workers`` count.
     """
     if trials < 1:
         raise ConfigurationError(f"trials must be at least 1, got {trials}")
     d_for_bounds = 2
     bounds = table1_bounds(n_balls, n_bins, d=d_for_bounds)
-    rows: list[dict[str, Any]] = []
-    for name, params in protocols:
-        spec = SimulationSpec(
+    specs = [
+        SimulationSpec(
             protocol=name,
             n_balls=n_balls,
             n_bins=n_bins,
@@ -64,12 +61,12 @@ def table1_measured(
             trials=trials,
             params=dict(params),
         )
-        summaries = summarize_trials(
-            spec,
-            workers=workers,
-            batch_trials=batch_trials,
-            trial_block=trial_block,
-        )
+        for name, params in protocols
+    ]
+    rows: list[dict[str, Any]] = []
+    for (name, params), summaries in zip(
+        protocols, summarize_specs(specs, workers=workers)
+    ):
         rows.append(
             {
                 "protocol": name,

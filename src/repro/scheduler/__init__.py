@@ -13,11 +13,9 @@ Dispatchers can be built declaratively from a
 :class:`repro.api.DispatchSpec` via :meth:`Dispatcher.from_spec`; workload
 generators are registered by name in :data:`WORKLOADS` so specs stay
 serialisable.  Dispatch runs return :class:`DispatchResult`, part of the
-unified :class:`repro.RunResult` hierarchy (``DispatchOutcome`` is a
-deprecated alias).
+unified :class:`repro.RunResult` hierarchy.
 """
 
-from repro._compat import deprecated_names
 from repro.scheduler.dispatcher import Dispatcher, DispatchResult
 from repro.scheduler.jobs import (
     WORKLOADS,
@@ -35,7 +33,6 @@ from repro.scheduler.reference import reference_dispatch
 __all__ = [
     "Dispatcher",
     "DispatchResult",
-    "DispatchOutcome",
     "reference_dispatch",
     "Job",
     "Workload",
@@ -48,8 +45,3 @@ __all__ = [
     "ScheduleMetrics",
     "compute_metrics",
 ]
-
-__getattr__ = deprecated_names(
-    __name__,
-    {"DispatchOutcome": ("repro.scheduler.DispatchResult", lambda: DispatchResult)},
-)

@@ -52,7 +52,7 @@ Two entry points are exposed:
 
 * :meth:`Dispatcher.dispatch` — one-shot: dispatch a whole
   :class:`~repro.scheduler.jobs.Workload` (internally iterating its arrival
-  batches) and return a :class:`DispatchOutcome`.
+  batches) and return a :class:`DispatchResult`.
 * :meth:`Dispatcher.dispatch_batch` — streaming: dispatch one batch of job
   sizes against the dispatcher's persistent server state and return the
   per-job server assignments.  Callers feed arrival groups (e.g. the bursts
@@ -67,7 +67,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._compat import deprecated_names
 from repro.baselines.engine import chunked_argmin_commit
 from repro.baselines.left import replay_group_map
 from repro.baselines.memory_engine import chunked_memory_commit, memory_hand_off
@@ -87,7 +86,7 @@ from repro.runtime.rng import SeedLike
 from repro.scheduler.jobs import Workload
 from repro.scheduler.metrics import ScheduleMetrics, compute_metrics
 
-__all__ = ["DispatchResult", "DispatchOutcome", "Dispatcher"]
+__all__ = ["DispatchResult", "Dispatcher"]
 
 _POLICIES = (
     "adaptive",
@@ -115,7 +114,7 @@ class DispatchResult(RunResult):
     dispatch policy, ``n_bins`` the number of servers, ``loads`` the per-server
     job counts and ``allocation_time`` the probe total — and the legacy
     ``policy`` / ``n_servers`` / ``job_counts`` / ``probes`` names are kept as
-    read-only views.  ``DispatchOutcome`` is a deprecated alias of this class.
+    read-only views.
     """
 
     assignments: np.ndarray = field(
@@ -173,11 +172,6 @@ class DispatchResult(RunResult):
 
 
 register_record_kind(DispatchResult.record_kind, DispatchResult)
-
-__getattr__ = deprecated_names(
-    __name__,
-    {"DispatchOutcome": ("repro.scheduler.DispatchResult", lambda: DispatchResult)},
-)
 
 
 class Dispatcher:
@@ -274,7 +268,7 @@ class Dispatcher:
         self.w_max = None if w_max is None else float(w_max)
         self.block_size = block_size
         self.small_burst = None if small_burst is None else int(small_burst)
-        # Resolved eagerly so an unavailable backend fails at construction.
+        # Resolved eagerly so an unknown backend fails at construction.
         self._backend = None if backend is None else resolve_backend(backend)
         if probe_stream is not None:
             if probe_stream.n_bins != n_servers:

@@ -11,14 +11,10 @@ Covers the acceptance criteria of the API redesign:
   yields the same final ``RunResult`` as a one-shot ``run()``;
 * spec validation failures raise ``ConfigurationError`` naming the offending
   field;
-* the deprecated entry points emit a ``DeprecationWarning`` exactly once per
-  process.
+* the deprecated entry points are gone in 2.0.
 """
 
 from __future__ import annotations
-
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -429,51 +425,20 @@ class TestValidationNamesField:
 
 
 # --------------------------------------------------------------------- #
-# Deprecation shims
+# Deprecation shims (removed in 2.0)
 # --------------------------------------------------------------------- #
 class TestDeprecationShims:
-    def test_deprecated_entry_points_warn_exactly_once(self):
-        # Fresh interpreter so this test cannot be poisoned by (or poison)
-        # other tests touching the warn-once registry.
-        script = """
-import warnings
-with warnings.catch_warnings(record=True) as caught:
-    warnings.simplefilter("always")
-    import repro
-    repro.run_adaptive; repro.run_adaptive; repro.run_adaptive
-    repro.run_threshold
-    import repro.scheduler
-    repro.scheduler.DispatchOutcome; repro.scheduler.DispatchOutcome
-messages = [str(w.message) for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and "repro" in str(w.message)]
-assert len(messages) == 3, messages
-assert sum("run_adaptive" in m for m in messages) == 1, messages
-assert sum("run_threshold" in m for m in messages) == 1, messages
-assert sum("DispatchOutcome" in m for m in messages) == 1, messages
-# The deprecation cycle names its end: every message states the
-# removal release (see repro._compat.REMOVAL_RELEASE).
-assert all("will be removed in repro 2.0" in m for m in messages), messages
-print("OK")
-"""
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "OK" in proc.stdout
+    def test_removed_names_are_gone(self):
+        import repro.scheduler
 
-    def test_deprecated_names_still_work(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = repro.run_adaptive(1_000, 100, seed=0)
-            from repro.scheduler import DispatchOutcome, DispatchResult
-        assert result.max_load >= 1
-        assert DispatchOutcome is DispatchResult
+        assert repro.__version__.startswith("2.")
+        for module, name in (
+            (repro, "run_adaptive"),
+            (repro, "run_threshold"),
+            (repro.scheduler, "DispatchOutcome"),
+        ):
+            assert not hasattr(module, name), name
+            assert name not in module.__all__
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):

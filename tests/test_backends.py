@@ -3,11 +3,10 @@
 Every registered :class:`~repro.core.backend.KernelBackend` must produce
 *bit-identical* results: the backends are execution strategies for the same
 algorithms, so loads, probe counts, stream consumption, weighted loads and
-assignments may not differ by a single ulp between ``"numpy"``, ``"scalar"``
-and (when installed) ``"numba"``.  The replay matrices mirror the existing
+assignments may not differ by a single ulp between ``"numpy"`` and the
+``"scalar"`` reference loops.  The replay matrices mirror the existing
 per-engine equivalence suites (baseline / weighted / memory), driven once
-per backend; the numba backend auto-skips when the optional dependency is
-missing.  Further groups certify the spec-level ``backend=`` field
+per backend.  Further groups certify the spec-level ``backend=`` field
 (round-trip, validation, legacy documents) and the driver threading
 (Simulation, run_trials, Dispatcher, CLI).
 """
@@ -28,9 +27,7 @@ from repro.baselines.memory_engine import (
 )
 from repro.core.backend import (
     DEFAULT_BACKEND,
-    KernelBackend,
     active_backend,
-    available_backends,
     backend_names,
     describe_backends,
     get_backend,
@@ -48,13 +45,6 @@ from repro.scheduler.dispatcher import Dispatcher
 SIZES = [(0, 6), (1, 4), (24, 24), (400, 12), (2000, 8), (60, 240), (500, 100)]
 
 ALL_BACKENDS = backend_names()
-
-
-def backend_or_skip(name: str) -> KernelBackend:
-    try:
-        return get_backend(name)
-    except ConfigurationError as exc:
-        pytest.skip(str(exc))
 
 
 def choice_vector(m: int, n: int, d: int, seed: int = 99) -> np.ndarray:
@@ -107,24 +97,18 @@ def assert_results_identical(reference, candidate):
 # --------------------------------------------------------------------------- #
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert {"numpy", "scalar", "numba"} <= set(backend_names())
+        assert backend_names() == ["numpy", "scalar"]
 
     def test_default_is_numpy(self):
         assert DEFAULT_BACKEND == "numpy"
         assert active_backend().name == "numpy"
-
-    def test_numpy_and_scalar_always_available(self):
-        assert {"numpy", "scalar"} <= set(available_backends())
 
     def test_describe_backends_shape(self):
         records = describe_backends()
         assert sorted(r["name"] for r in records) == backend_names()
         by_name = {r["name"]: r for r in records}
         assert by_name["numpy"]["default"] is True
-        assert by_name["numpy"]["available"] is True
-        unavailable = [r for r in records if not r["available"]]
-        for record in unavailable:
-            assert record["note"]  # install hint, not a silent failure
+        assert by_name["scalar"]["default"] is False
 
     def test_unknown_backend_names_available(self):
         with pytest.raises(ConfigurationError, match="unknown backend 'bogus'"):
@@ -132,18 +116,13 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="numpy"):
             get_backend("bogus")
 
-    def test_validate_accepts_registered_unavailable_name(self):
-        # A spec naming numba must validate on machines without numba.
-        validate_backend_name("numba")
+    def test_validate_backend_name(self):
+        validate_backend_name("scalar")
         validate_backend_name(None)
         with pytest.raises(ConfigurationError, match="must be a string"):
             validate_backend_name(3)
-
-    def test_get_backend_unavailable_mentions_install_hint(self):
-        if "numba" in available_backends():
-            pytest.skip("numba installed here; unavailability path not reachable")
-        with pytest.raises(ConfigurationError, match="pip install"):
-            get_backend("numba")
+        with pytest.raises(ConfigurationError, match="unknown backend 'numba'"):
+            validate_backend_name("numba")
 
     def test_use_backend_nests_and_restores(self):
         assert active_backend().name == DEFAULT_BACKEND
@@ -173,14 +152,6 @@ class TestSpecBackendField:
         assert data["backend"] == "scalar"
         assert SimulationSpec.from_dict(data) == spec
 
-    def test_unavailable_backend_round_trips(self):
-        # The spec layer validates the *name*; availability is checked when a
-        # driver resolves the backend to run.
-        spec = SimulationSpec(
-            "adaptive", n_balls=10, n_bins=5, seed=1, backend="numba"
-        )
-        assert SimulationSpec.from_dict(spec.to_dict()) == spec
-
     def test_legacy_document_without_backend(self):
         spec = SimulationSpec("adaptive", n_balls=1000, n_bins=100, seed=1)
         data = spec.to_dict()
@@ -192,7 +163,7 @@ class TestSpecBackendField:
     def test_unknown_backend_rejected_with_names(self):
         with pytest.raises(ConfigurationError, match="unknown backend"):
             SimulationSpec("adaptive", n_balls=10, n_bins=5, backend="bogus")
-        with pytest.raises(ConfigurationError, match="numba"):
+        with pytest.raises(ConfigurationError, match="scalar"):
             SimulationSpec("adaptive", n_balls=10, n_bins=5, backend="bogus")
 
     def test_dispatch_spec_round_trip_and_legacy(self):
@@ -217,7 +188,6 @@ class TestCrossBackendEquivalence:
         "protocol,params,d", REPLAY_PROTOCOLS, ids=lambda v: str(v)
     )
     def test_replay_bit_identical(self, backend_name, size, protocol, params, d):
-        backend_or_skip(backend_name)
         m, n = size
         if protocol == "left" and n % d:
             pytest.skip("replay needs equal groups")
@@ -244,7 +214,6 @@ class TestCrossBackendEquivalence:
     @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("protocol,params", SEEDED_PROTOCOLS, ids=lambda v: str(v))
     def test_seeded_bit_identical(self, backend_name, size, protocol, params):
-        backend_or_skip(backend_name)
         m, n = size
         reference = simulate(
             SimulationSpec(protocol, n_balls=m, n_bins=n, seed=11, params=params)
@@ -263,7 +232,6 @@ class TestCrossBackendEquivalence:
 
     @pytest.mark.parametrize("backend_name", ALL_BACKENDS)
     def test_step_split_matches_one_shot(self, backend_name):
-        backend_or_skip(backend_name)
         spec = SimulationSpec(
             "memory",
             n_balls=1200,
@@ -287,7 +255,6 @@ class TestChunkInvariancePerBackend:
     @settings(max_examples=20, deadline=None)
     @given(chunk_size=st.integers(1, 700), seed=st.integers(0, 2**31))
     def test_argmin_commit_chunk_invariance(self, backend_name, chunk_size, seed):
-        backend_or_skip(backend_name)
         m, n, d = 600, 25, 2
         choices = np.random.default_rng(seed).integers(
             0, n, size=(m, d), dtype=np.int64
@@ -313,7 +280,6 @@ class TestChunkInvariancePerBackend:
     @settings(max_examples=20, deadline=None)
     @given(chunk_size=st.integers(1, 500), seed=st.integers(0, 2**31))
     def test_memory_commit_chunk_invariance(self, backend_name, chunk_size, seed):
-        backend_or_skip(backend_name)
         m, n, d, k = 400, 16, 2, 2
         choices = np.random.default_rng(seed).integers(
             0, n, size=m * d, dtype=np.int64
@@ -334,7 +300,6 @@ class TestChunkInvariancePerBackend:
     @settings(max_examples=20, deadline=None)
     @given(chunk_size=st.integers(1, 500), seed=st.integers(0, 2**31))
     def test_weighted_memory_chunk_invariance(self, backend_name, chunk_size, seed):
-        backend_or_skip(backend_name)
         m, n, d, k = 300, 12, 2, 2
         rng = np.random.default_rng(seed)
         choices = rng.integers(0, n, size=m * d, dtype=np.int64)
@@ -356,16 +321,8 @@ class TestChunkInvariancePerBackend:
 # Driver threading
 # --------------------------------------------------------------------------- #
 class TestDriverThreading:
-    def test_simulation_rejects_unavailable_backend_at_construction(self):
-        if "numba" in available_backends():
-            pytest.skip("numba installed here; unavailability path not reachable")
-        spec = SimulationSpec("adaptive", n_balls=10, n_bins=5, seed=1, backend="numba")
-        with pytest.raises(ConfigurationError, match="numba"):
-            Simulation(spec)
-
     @pytest.mark.parametrize("backend_name", ALL_BACKENDS)
     def test_run_trials_bit_identical(self, backend_name):
-        backend_or_skip(backend_name)
         base = SimulationSpec(
             "greedy", n_balls=1500, n_bins=150, seed=9, trials=3, params={"d": 2}
         )
@@ -408,7 +365,6 @@ class TestDriverThreading:
         ],
     )
     def test_dispatcher_bit_identical(self, backend_name, policy, params):
-        backend_or_skip(backend_name)
         workload = WorkloadSpec("heavy-tailed", n_jobs=2000, seed=31)
         reference = simulate(
             DispatchSpec(policy, n_servers=64, seed=17, params=params,

@@ -8,7 +8,7 @@ vector).  These tests certify that promise for every natively batched
 protocol, for the honest per-trial fallbacks, under
 :class:`~repro.runtime.probes.FixedProbeStream` replay, across trial-block
 and probe-block partitions (hypothesis), and through the full
-``run_trials`` surface including process pools and seed single-homing.
+``run_trials`` surface including seed single-homing.
 
 A subtlety the suite leans on everywhere: ``Generator.spawn`` (used for
 auxiliary tie-break randomness) advances the spawn counter of a *shared*
@@ -24,10 +24,11 @@ from hypothesis import given, settings, strategies as st
 
 import repro  # noqa: F401  (registers the baselines)
 from repro.core import make_protocol
-from repro.core.protocol import batch_streams
 from repro.errors import ConfigurationError
 from repro.experiments.config import SweepConfig, TrialConfig
 from repro.experiments.runner import (
+    _run_trial_block,
+    as_spec,
     default_trial_block,
     run_sweep,
     run_trial,
@@ -57,6 +58,21 @@ FALLBACK_PROTOCOLS = [
 def _fresh_seeds(master: int, trials: int) -> list[np.random.SeedSequence]:
     """A fresh seed table (never reuse SeedSequence objects across runs)."""
     return trial_seed_table(master, trials)
+
+
+def _looped_records(config) -> list[dict]:
+    """The per-trial reference: one ``run_trial`` per trial index."""
+    return [run_trial(config, i).as_record() for i in range(config.trials)]
+
+
+def _block_records(config, block: int) -> list[dict]:
+    """Every trial, run as consecutive ``_run_trial_block`` blocks of ``block``."""
+    spec = as_spec(config)
+    return [
+        result.as_record()
+        for start in range(0, spec.trials, block)
+        for result in _run_trial_block(spec, start, min(start + block, spec.trials))
+    ]
 
 
 def _assert_results_identical(batched, single, label):
@@ -228,11 +244,11 @@ class TestSeedSingleHoming:
         config = TrialConfig(
             protocol="adaptive", n_balls=800, n_bins=128, trials=6, seed=17
         )
-        looped = run_trials(config, batch_trials=False, as_records=True)
+        looped = _looped_records(config)
         batched = run_trials(config, as_records=True)
-        blocked = run_trials(config, trial_block=2, as_records=True)
-        pooled = run_trials(config, workers=2, trial_block=3, as_records=True)
-        assert looped == batched == blocked == pooled
+        blocked = _block_records(config, 2)
+        blocked_by_three = _block_records(config, 3)
+        assert looped == batched == blocked == blocked_by_three
 
 
 class TestRunTrialsBatchedSurface:
@@ -250,16 +266,9 @@ class TestRunTrialsBatchedSurface:
         config = TrialConfig(
             protocol=name, n_balls=300, n_bins=50, trials=3, seed=5, params=params
         )
-        looped = run_trials(config, batch_trials=False, as_records=True)
+        looped = _looped_records(config)
         batched = run_trials(config, as_records=True)
         assert looped == batched
-
-    def test_invalid_trial_block(self):
-        config = TrialConfig(
-            protocol="adaptive", n_balls=100, n_bins=10, trials=2, seed=0
-        )
-        with pytest.raises(ConfigurationError):
-            run_trials(config, trial_block=0)
 
     def test_sweep_config_carries_execution_mode(self):
         sweep = SweepConfig(
@@ -268,18 +277,11 @@ class TestRunTrialsBatchedSurface:
             ball_grid=(200,),
             trials=3,
             seed=9,
-            batch_trials=False,
+            workers=2,
         )
-        rows_per_trial = run_sweep(sweep)
-        rows_batched = run_sweep(sweep, batch_trials=True, trial_block=2)
-        assert rows_per_trial == rows_batched
-        with pytest.raises(ConfigurationError):
-            SweepConfig(
-                protocols=("adaptive",),
-                n_bins=64,
-                ball_grid=(200,),
-                trial_block=0,
-            )
+        rows_fanned_out = run_sweep(sweep)
+        rows_in_process = run_sweep(sweep, workers=1)
+        assert rows_fanned_out == rows_in_process
         with pytest.raises(ConfigurationError):
             SweepConfig(
                 protocols=("adaptive",),
@@ -384,8 +386,8 @@ class TestPartitionInvariance:
             seed=seed,
             params=dict(params),
         )
-        reference = run_trials(config, batch_trials=False, as_records=True)
-        blocked = run_trials(config, trial_block=trial_block, as_records=True)
+        reference = _looped_records(config)
+        blocked = _block_records(config, trial_block)
         assert reference == blocked
 
     @settings(max_examples=10, deadline=None)

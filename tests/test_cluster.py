@@ -134,12 +134,20 @@ class TestEquivalence:
 
     def test_run_sweep_cluster_summaries_match(self):
         direct = run_sweep(SWEEP)
-        clustered = run_sweep(SWEEP, cluster=True, workers=2)
+        clustered = run_sweep(SWEEP, workers=2)
         assert clustered == direct
 
-    def test_run_sweep_rejects_streaming_without_cluster(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="cluster=True"):
-            run_sweep(SWEEP, out=str(tmp_path / "x.jsonl"))
+    def test_table1_fans_out_through_the_cluster(self):
+        from repro.experiments.table1 import table1_measured
+
+        kwargs = dict(n_balls=600, n_bins=60, trials=3, seed=5)
+        assert table1_measured(**kwargs, workers=2) == table1_measured(**kwargs)
+
+    def test_run_sweep_streams_in_process(self, reference_rows, tmp_path):
+        # workers=1 stays in-process but still streams rows to ``out``.
+        out = tmp_path / "x.jsonl"
+        assert run_sweep(SWEEP, out=str(out)) == run_sweep(SWEEP)
+        assert_same_rows(list(iter_jsonl(out)), reference_rows)
 
 
 # --------------------------------------------------------------------- #

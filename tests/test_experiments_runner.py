@@ -62,30 +62,6 @@ class TestRunTrials:
         assert len(records) == 4
         assert all("max_load" in record for record in records)
 
-    def test_invalid_workers(self):
-        with pytest.raises(ConfigurationError):
-            run_trials(SMALL, workers=0)
-
-    def test_multiprocess_workers_match_sequential(self):
-        sequential = run_trials(SMALL, as_records=True)
-        parallel = run_trials(SMALL, workers=2, as_records=True)
-        seq_sorted = sorted(sequential, key=lambda r: r["allocation_time"])
-        par_sorted = sorted(parallel, key=lambda r: r["allocation_time"])
-        for a, b in zip(seq_sorted, par_sorted):
-            assert a["allocation_time"] == b["allocation_time"]
-            assert a["max_load"] == b["max_load"]
-
-    def test_multiprocess_workers_honour_result_return_type(self):
-        """workers > 1 with as_records=False must return AllocationResults
-        (the seed silently handed back record dicts instead)."""
-        parallel = run_trials(SMALL, workers=2)
-        sequential = run_trials(SMALL)
-        assert all(isinstance(r, AllocationResult) for r in parallel)
-        for a, b in zip(sequential, parallel):
-            assert np.array_equal(a.loads, b.loads)
-            assert a.allocation_time == b.allocation_time
-            assert a.params == b.params
-
 
 class TestSummaries:
     def test_summarize_trials_keys(self):

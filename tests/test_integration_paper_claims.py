@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from repro import (
+    SimulationSpec,
     available_protocols,
     make_protocol,
     max_final_load,
-    run_adaptive,
-    run_threshold,
+    simulate,
 )
 from repro.experiments.config import SweepConfig
 from repro.experiments.figure3 import figure3_series, potential_curve, runtime_curve
@@ -33,18 +33,25 @@ from repro.theory.bounds import threshold_excess_probes
 pytestmark = pytest.mark.slow
 
 
+def simulate_one(protocol, m, n, seed):
+    """One seeded run through the public facade."""
+    return simulate(SimulationSpec(protocol, n_balls=m, n_bins=n, seed=seed))
+
+
 class TestHeadlineGuarantees:
     @pytest.mark.parametrize("m,n", [(5_000, 500), (20_000, 500), (12_345, 678)])
     def test_max_load_guarantee_both_protocols(self, m, n):
         for seed in range(3):
-            assert run_adaptive(m, n, seed=seed).max_load <= max_final_load(m, n)
-            assert run_threshold(m, n, seed=seed).max_load <= max_final_load(m, n)
+            for protocol in ("adaptive", "threshold"):
+                result = simulate_one(protocol, m, n, seed=seed)
+                assert result.max_load <= max_final_load(m, n)
 
     def test_adaptive_linear_allocation_time(self):
         """Probes per ball stays bounded as m grows (Theorem 3.1)."""
         n = 1_000
         ratios = [
-            run_adaptive(phi * n, n, seed=phi).probes_per_ball for phi in (2, 8, 32)
+            simulate_one("adaptive", phi * n, n, seed=phi).probes_per_ball
+            for phi in (2, 8, 32)
         ]
         assert max(ratios) < 2.0
         # ... and does not grow systematically with m.
@@ -54,22 +61,22 @@ class TestHeadlineGuarantees:
         """allocation_time ≈ m + O(m^{3/4} n^{1/4}) (Theorem 4.1)."""
         m, n = 200_000, 2_000
         for seed in range(2):
-            result = run_threshold(m, n, seed=seed)
+            result = simulate_one("threshold", m, n, seed=seed)
             excess = result.allocation_time - m
             assert 0 <= excess <= 5 * threshold_excess_probes(m, n)
 
     def test_adaptive_gap_is_logarithmic(self):
         """Corollary 3.5: max − min load = O(log n) w.h.p."""
         for n, m in [(500, 50_000), (2_000, 200_000)]:
-            result = run_adaptive(m, n, seed=0)
+            result = simulate_one("adaptive", m, n, seed=0)
             assert result.gap <= 4 * np.log(n)
 
     def test_smoothness_contrast_heavy_load(self):
         """Lemma 4.2 vs Corollary 3.5 at m = n^2."""
         n = 150
         m = n * n
-        adaptive = run_adaptive(m, n, seed=1)
-        threshold = run_threshold(m, n, seed=1)
+        adaptive = simulate_one("adaptive", m, n, seed=1)
+        threshold = simulate_one("threshold", m, n, seed=1)
         assert adaptive.quadratic_potential() < threshold.quadratic_potential() / 3
         assert adaptive.gap < threshold.gap
 
@@ -92,8 +99,8 @@ class TestTable1Ordering:
         """greedy pays d·m probes; threshold/adaptive pay ~m and ~1.4m."""
         m, n = 10_000, 1_000
         greedy = make_protocol("greedy", d=2).allocate(m, n, seed=0)
-        adaptive = run_adaptive(m, n, seed=0)
-        threshold = run_threshold(m, n, seed=0)
+        adaptive = simulate_one("adaptive", m, n, seed=0)
+        threshold = simulate_one("threshold", m, n, seed=0)
         assert greedy.allocation_time == 2 * m
         assert threshold.allocation_time < adaptive.allocation_time < greedy.allocation_time
 

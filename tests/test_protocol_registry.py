@@ -86,3 +86,12 @@ class TestProtocolInterface:
     def test_base_init_rejects_unknown_params(self):
         with pytest.raises(ConfigurationError, match="single-choice"):
             make_protocol("single-choice", bogus=1)
+
+    @pytest.mark.parametrize("name", available_protocols())
+    def test_streaming_protocols_have_one_code_path(self, name):
+        """A streaming protocol's one-shot run is its session, never a copy."""
+        cls = get_protocol(name)
+        if cls.streaming:
+            assert cls.allocate is AllocationProtocol.allocate, name
+        else:
+            assert cls.allocate is not AllocationProtocol.allocate, name

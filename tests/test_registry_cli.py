@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.cli import build_parser, main
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
 
@@ -39,6 +43,10 @@ class TestRegistry:
             "bimodal",
         }
         assert all(row["mean_weighted_max_load"] > 0 for row in rows)
+
+    def test_run_weighted_rejects_zero_trials(self):
+        with pytest.raises(ConfigurationError, match="trials"):
+            run_experiment("weighted", scale=0.01, trials=0)
 
     def test_every_spec_names_a_bench_target(self):
         for spec in EXPERIMENTS.values():
@@ -100,3 +108,33 @@ class TestCli:
         assert main(["theorem31", "--scale", "0.1", "--trials", "1", "--json"]) == 0
         parsed = json.loads(capsys.readouterr().out)
         assert isinstance(parsed, list)
+
+    @pytest.mark.parametrize(
+        "argv,stdin,message",
+        [
+            (["table1", "--trials", "0"], None, "trials must be at least 1"),
+            (["table1", "--workers", "0"], None, "workers must be at least 1"),
+            (["figure3a", "--scale", "0"], None, "scale must be in (0, 1]"),
+            (["figure3a", "--scale", "2"], None, "scale must be in (0, 1]"),
+            (
+                ["--spec", "-"],
+                '{"protocol": "adaptive", "n_balls": -1, "n_bins": 5}',
+                "n_balls",
+            ),
+        ],
+        ids=["trials-0", "workers-0", "scale-0", "scale-2", "spec-negative-balls"],
+    )
+    def test_bad_input_is_a_usage_error(self, argv, stdin, message):
+        """Bad input exits with code 2 and a message, never a traceback."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.cli", *argv],
+            input=stdin,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
