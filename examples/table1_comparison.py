@@ -11,7 +11,7 @@ The sweep runs through the trial-axis batched engines of
 :func:`~repro.experiments.runner.run_trials`, which makes averaging over
 many trials cheap; the script ends by timing one cell against a
 ``run_trial`` call per trial index and printing the measured
-batched-vs-looped speedup.
+batched/looped throughput ratio.
 
 Run it with ``python examples/table1_comparison.py [--scale 0.25]``.
 """
@@ -113,8 +113,8 @@ def main() -> None:
     print(
         f"\nBatched trial-axis sweep: {batched:,.0f} trials/s vs "
         f"{looped:,.0f} trials/s for the per-trial loop on the THRESHOLD "
-        f"cell ({bench.trials} trials, bit-identical results) — "
-        f"{batched / looped:.1f}x faster."
+        f"cell ({bench.trials} trials, bit-identical results): "
+        f"batched/looped ratio {batched / looped:.2f}."
     )
 
 

@@ -7,17 +7,18 @@ iff the *current* load of ``j`` is at most a fixed acceptance limit ``T``
 stage, see :mod:`repro.core.thresholds`).
 
 The sequential process can be vectorised exactly thanks to the following
-observation.  Let ``c_j = max(T + 1 − load_j, 0)`` be bin ``j``'s remaining
+observation.  Let ``c_j = max(T + 1 − load_j, 0)`` be bin ``j``'s free
 capacity at the start of the window.  Every accepted probe into ``j``
 increases its load by one, and probes are only rejected by full bins, so a
 probe into ``j`` is accepted **iff the number of earlier probes into ``j``
-within the window is smaller than ``c_j``** — acceptance depends only on the
-probe's rank among same-bin probes, not on the interleaving with other bins.
-We therefore draw probes in blocks, compute per-bin ranks with a stable sort,
-mark acceptances, and stop at the ``b``-th acceptance.  The result (final
-loads *and* number of probes consumed) is bit-for-bit identical to the
-ball-by-ball reference implementation fed with the same probe sequence,
-which the test-suite verifies.
+within the window is smaller than ``c_j``**.  A probe block thus accepts
+``min(count_j, c_j)`` of its probes into each bin ``j`` whatever their order,
+and a sort-free prefix-counting fixpoint finds the ``b``-th acceptance.  Only
+per-ball assignments need ranks, and only for *contested* bins (some free
+capacity, more probes in the block than that).  The result (final loads
+*and* number of probes consumed) is bit-for-bit identical to the ball-by-ball
+reference implementation fed with the same probe sequence, which the
+test-suite verifies.
 """
 
 from __future__ import annotations
@@ -158,15 +159,27 @@ def _conflict_free_rows_numpy(
     return ~conflict.reshape(k, d).any(axis=1)
 
 
-def _default_block_size(balls_remaining: int, n_bins: int) -> int:
-    """Heuristic probe block size: slightly more than the balls still to place.
+def _predicted_need(remaining, n_bins: int, unsaturated):
+    """Probes a window is predicted to need to place ``remaining`` balls.
 
-    Theorem 3.1 / Theorem 4.1 say the per-ball probe cost is constant (and
-    close to one for THRESHOLD), so a block of ~1.3× the remaining balls
-    usually finishes the window in one or two passes while wasting few draws.
+    The acceptance probability right now is exactly the fraction of
+    unsaturated bins; it only declines as slots fill, so ``remaining /
+    p_now`` slightly underestimates.  Works elementwise on per-trial arrays.
     """
-    base = max(64, balls_remaining + balls_remaining // 4 + 16)
-    return min(base, max(4 * n_bins, 1 << 22))
+    return remaining * (float(n_bins) / np.maximum(unsaturated, 1))
+
+
+def _overshoot_size(need) -> int:
+    """A pass size that (almost) always finishes a window needing ``need`` probes."""
+    return int(float(need) * 1.35) + 64
+
+
+def _check_writeable(loads) -> None:
+    """Reject loads that cannot be updated in place (a list would be copied)."""
+    if not isinstance(loads, np.ndarray) or not loads.flags.writeable:
+        raise ConfigurationError(
+            "loads must be a writeable NumPy array: the window updates it in place"
+        )
 
 
 def _run_window(
@@ -186,7 +199,7 @@ def _run_window(
     """
     if n_balls < 0:
         raise ConfigurationError(f"n_balls must be non-negative, got {n_balls}")
-    loads = np.asarray(loads)
+    _check_writeable(loads)
     if loads.ndim != 1 or loads.size == 0:
         raise ConfigurationError("loads must be a non-empty 1-D array")
     if loads.size != stream.n_bins:
@@ -216,53 +229,61 @@ def _run_window_numpy(
     block_size: int | None,
     collect: bool,
 ) -> tuple[int, list[np.ndarray]]:
-    """The vectorised rank-and-cutoff window engine (validated input)."""
-    capacities = np.maximum(acceptance_limit + 1 - loads, 0).astype(np.int64)
+    """The sort-free counting window engine (validated input).
 
-    # Number of probes already seen per bin within this window.  A probe into
-    # bin j is accepted iff seen[j] (at probe time) < capacities[j].
-    seen = np.zeros(loads.size, dtype=np.int64)
-    placed = 0
+    Each pass is sized to (almost) always finish the window unless
+    ``block_size`` pins it; the unread tail goes back to the stream.
+    """
+    n_bins = loads.size
+    # Pass memory stays bounded however many balls the window places.
+    max_pass = max(4 * n_bins, _BATCH_ELEMENT_BUDGET)
+    free = np.maximum(acceptance_limit + 1 - loads, 0)
+    remaining = n_balls
     probes = 0
     chunks: list[np.ndarray] = []
-
-    while placed < n_balls:
-        remaining = n_balls - placed
-        size = block_size if block_size is not None else _default_block_size(
-            remaining, loads.size
-        )
+    while remaining:
+        need = _predicted_need(remaining, n_bins, np.count_nonzero(free))
+        size = min(_overshoot_size(need), max_pass) if block_size is None else block_size
         if stream.available is not None:
             # Finite replay streams: never request more than they can serve
             # (requesting at least one keeps the exhaustion error meaningful).
             size = max(1, min(size, stream.available))
         block = stream.take(size)
-        ranks = _occurrence_ranks_numpy(block)
-        accepted = seen[block] + ranks < capacities[block]
-        cumulative = np.cumsum(accepted)
-        if cumulative.size and cumulative[-1] >= remaining:
-            # The `remaining`-th acceptance happens at this index; everything
-            # after it is never examined by the sequential process.
-            cutoff = int(np.searchsorted(cumulative, remaining))
-            if cutoff + 1 < size:
-                stream.give_back(block[cutoff + 1 :])
-            block = block[: cutoff + 1]
-            accepted = accepted[: cutoff + 1]
-            probes += cutoff + 1
-            newly_placed = remaining
+        if collect:
+            room = free[block]
+            accepted = np.bincount(block, minlength=n_bins)[block] <= room
+            # Only probes into contested bins (some free capacity, more
+            # probes in the block than that) need an occurrence rank.
+            contested = np.flatnonzero(~accepted & (room > 0))
+            if contested.size:
+                keys = block[contested]
+                if n_bins <= 65536:
+                    # A stable argsort of uint16 keys is a radix sort: the
+                    # same permutation, far faster than on int64 keys.
+                    keys = keys.astype(np.uint16)
+                accepted[contested] = _occurrence_ranks_numpy(keys) < room[contested]
+            # The sequential process stops reading at the remaining-th
+            # acceptance (or reads the whole block if it has fewer).
+            hits = np.flatnonzero(accepted)[:remaining]
+            taken = int(hits[-1]) + 1 if hits.size == remaining else size
+            accepted_bins = block[hits]
+            chunks.append(accepted_bins)
+            placed = np.bincount(accepted_bins, minlength=n_bins)
+            remaining -= accepted_bins.size
         else:
-            probes += size
-            newly_placed = int(cumulative[-1]) if cumulative.size else 0
-
-        accepted_bins = block[accepted]
-        if accepted_bins.size:
-            counts = np.bincount(accepted_bins, minlength=loads.size)
-            loads += counts
-            if collect:
-                chunks.append(accepted_bins)
-        # Every probe in the (possibly truncated) block was seen by its bin.
-        seen += np.bincount(block, minlength=loads.size)
-        placed += newly_placed
-
+            taken, counts = _exact_cutoff(
+                block, free, remaining, size, hint=int(need * 1.1) + 8
+            )
+            placed = np.minimum(counts, free)
+            # Past the block, the fixpoint exceeds it by the balls still to
+            # place (it counts the block's rejections on top of the goal).
+            remaining = max(taken - size, 0)
+            taken = min(taken, size)
+        if taken < size:
+            stream.give_back(block[taken:])
+        probes += taken
+        loads += placed
+        free -= placed
     return probes, chunks
 
 
@@ -275,6 +296,8 @@ def fill_window(
     block_size: int | None = None,
 ) -> WindowOutcome:
     """Place ``n_balls`` balls under a constant acceptance limit.
+
+    Pure counting: no probe is ranked (see the module docstring).
 
     Parameters
     ----------
@@ -289,7 +312,8 @@ def fill_window(
         Probe stream to consume; its ``consumed`` counter is left exactly at
         the number of probes the sequential process would have used.
     block_size:
-        Number of probes drawn per vectorised pass (default: heuristic).
+        Number of probes drawn per vectorised pass (default: sized from the
+        window's acceptance rate to finish it in one pass).
 
     Returns
     -------
@@ -297,6 +321,8 @@ def fill_window(
 
     Raises
     ------
+    ConfigurationError
+        If ``loads`` is not a writeable 1-D array over the stream's bins.
     ProtocolError
         If the window's total remaining capacity is smaller than ``n_balls``
         (the protocol could never terminate) .
@@ -309,7 +335,8 @@ def fill_window(
 
 #: Cap on the total elements of one batched pass (rows x block columns); keeps
 #: the transient block memory of a many-trial window bounded (~32 MB of int64)
-#: independently of the trial count.
+#: independently of the trial count.  A single-run pass may also take up to
+#: four load vectors' worth.
 _BATCH_ELEMENT_BUDGET = 1 << 22
 
 #: When the best-placed trial's predicted probe need drops to this many
@@ -324,7 +351,7 @@ _ENDGAME_DRAWS = 2048
 def _exact_cutoff(
     vals: np.ndarray, free_row: np.ndarray, goal: int, size: int, hint: int = 0
 ) -> tuple[int, np.ndarray]:
-    """Exact probe count of one trial's window-finishing block, sort-free.
+    """Exact probe count of a window-finishing block, sort-free.
 
     Finds the least prefix of ``vals`` holding exactly ``goal`` acceptances
     against per-bin ``free_row`` capacities via the prefix-counting fixpoint
@@ -433,7 +460,7 @@ def fill_window_batch(
     """
     if n_balls < 0:
         raise ConfigurationError(f"n_balls must be non-negative, got {n_balls}")
-    loads = np.asarray(loads)
+    _check_writeable(loads)
     if loads.ndim != 2 or loads.size == 0:
         raise ConfigurationError("loads must be a non-empty 2-D (trials x bins) array")
     if not loads.flags.c_contiguous:
@@ -490,26 +517,20 @@ def fill_window_batch(
             size = block_size
             want = size
         else:
-            # Each row's instantaneous acceptance probability is exactly its
-            # fraction of unsaturated bins (a probe lands uniformly and is
-            # accepted iff its bin still has free capacity).  It only
-            # declines as slots fill, so ``need = rem / p_now`` is a slight
-            # underestimate of the probes still required — which keeps the
-            # bulk undershoot safe and tells the endgame how much margin to
-            # add.
+            # The predicted need slightly underestimates, which keeps the
+            # bulk undershoot safe.
             unsat = (
                 np.count_nonzero(free_rows, axis=1)[active]
                 if active.size == n_trials
                 else np.count_nonzero(free_rows[active], axis=1)
             )
-            need = rem * (float(n_bins) / np.maximum(unsat, 1))
+            need = _predicted_need(rem, n_bins, unsat)
             min_need = float(need.min())
             endgame = min_need <= _ENDGAME_DRAWS
             if endgame:
                 # Close to done: overshoot so (almost) every trial finishes
                 # this pass; the exact per-row cutoff handles the overshoot.
-                # The margin covers the within-pass decline of p_now.
-                size = int(float(need.max()) * 1.35) + 64
+                size = _overshoot_size(need.max())
             else:
                 # Bulk regime: undershoot so whole blocks are consumed and
                 # the cheap counting fold applies to every row.
@@ -659,7 +680,8 @@ def assign_window(
     built on: the ``k``-th entry of the returned ``assignments`` is the bin
     that accepted ball ``k`` of the window, exactly as in the sequential
     process (same probes consumed, same loads, same acceptance order).
-    ``loads`` is modified in place, as in :func:`fill_window`.
+    ``loads`` is modified in place, as in :func:`fill_window`.  Only the
+    probes into contested bins are ranked (see the module docstring).
     """
     probes, chunks = _run_window(
         loads, acceptance_limit, n_balls, stream, block_size, collect=True

@@ -7,7 +7,7 @@ paper's protocols into the load-balancing scenario its introduction
 motivates, and lets the examples and benchmarks measure application-level
 metrics (makespan, per-server work) instead of only the abstract max load.
 
-Six dispatch policies are provided, mirroring the paper's protocols and
+Eight dispatch policies are provided, mirroring the paper's protocols and
 every Table-1 comparison strategy:
 
 * ``"adaptive"`` — threshold ``jobs_dispatched/n + 1`` (ADAPTIVE; needs no
@@ -183,10 +183,10 @@ class Dispatcher:
         Number of servers (bins).
     policy:
         One of ``"adaptive"``, ``"threshold"``, ``"greedy"``, ``"left"``,
-        ``"memory"``, ``"single"``.
+        ``"memory"``, ``"single"``, ``"weighted"``, ``"weighted-left"``.
     d:
-        Number of probes per job for the ``"greedy"``, ``"left"`` and
-        ``"memory"`` policies.
+        Number of probes per job for the ``"greedy"``, ``"left"``,
+        ``"memory"`` and ``"weighted-left"`` policies.
     k:
         Number of remembered servers for the ``"memory"`` policy.
     w_max:

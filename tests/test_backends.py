@@ -35,6 +35,7 @@ from repro.core.backend import (
     use_backend,
     validate_backend_name,
 )
+from repro.core.window import assign_window, fill_window
 from repro.errors import ConfigurationError
 from repro.experiments.runner import run_trials
 from repro.runtime.probes import FixedProbeStream
@@ -316,6 +317,30 @@ class TestChunkInvariancePerBackend:
         assert np.array_equal(states[0][0], states[1][0])
         assert states[0][1] == states[1][1]
 
+    @pytest.mark.parametrize("backend_name", ALL_BACKENDS)
+    @pytest.mark.parametrize("window_fn", [fill_window, assign_window])
+    @settings(max_examples=20, deadline=None)
+    @given(block_size=st.integers(1, 700), seed=st.integers(0, 2**31))
+    def test_window_block_invariance(self, backend_name, window_fn, block_size, seed):
+        n, limit = 25, 3
+        rng = np.random.default_rng(seed)
+        start = rng.integers(0, limit + 3, size=n)
+        n_balls = int(np.maximum(limit + 1 - start, 0).sum()) * 3 // 4
+        choices = rng.integers(0, n, size=20_000, dtype=np.int64)
+        with use_backend(backend_name):
+            states = []
+            for block in (block_size, None):
+                loads = start.copy()
+                stream = FixedProbeStream(n, choices)
+                result = window_fn(loads, limit, n_balls, stream, block_size=block)
+                states.append(
+                    (loads, getattr(result, "assignments", None), result.probes,
+                     stream.consumed)
+                )
+        assert np.array_equal(states[0][0], states[1][0])
+        assert np.array_equal(states[0][1], states[1][1])
+        assert states[0][2:] == states[1][2:]
+
 
 # --------------------------------------------------------------------------- #
 # Driver threading
@@ -360,6 +385,7 @@ class TestDriverThreading:
             ("left", {"d": 2}),
             ("memory", {"d": 2, "k": 2}),
             ("adaptive", {}),
+            ("threshold", {}),
             ("weighted", {}),
             ("weighted-left", {"d": 2}),
         ],

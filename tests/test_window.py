@@ -6,9 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.window import fill_window, occurrence_ranks
+from repro.core.backend import use_backend
+from repro.core.window import (
+    assign_window,
+    fill_window,
+    fill_window_batch,
+    occurrence_ranks,
+)
 from repro.errors import ConfigurationError, ProtocolError
-from repro.runtime.probes import FixedProbeStream, RandomProbeStream
+from repro.runtime.probes import BatchedProbeStream, FixedProbeStream, RandomProbeStream
+
+
+def _unwriteable_loads(n_rows: int | None):
+    """Loads no window can update in place: a list and a read-only array."""
+    shape = (3,) if n_rows is None else (n_rows, 3)
+    frozen = np.zeros(shape, dtype=np.int64)
+    frozen.flags.writeable = False
+    return [frozen.tolist(), frozen]
 
 
 class TestOccurrenceRanks:
@@ -125,6 +139,28 @@ class TestFillWindow:
         assert outcome.probes == naive_probes
         assert outcome.placed == n_balls
 
+    @pytest.mark.parametrize("loads", _unwriteable_loads(None))
+    def test_unwriteable_loads_rejected_before_probing(self, loads):
+        stream = RandomProbeStream(3, seed=1)
+        with pytest.raises(ConfigurationError, match="writeable NumPy array"):
+            fill_window(loads, 1, 4, stream)
+        assert stream.consumed == 0
+
+    def test_pass_size_bounded_for_large_windows(self):
+        # One pass would need ~6.75M probes; memory stays at a bounded pass.
+        class RecordingStream(RandomProbeStream):
+            largest = 0
+
+            def take(self, count):
+                self.largest = max(self.largest, count)
+                return super().take(count)
+
+        stream = RecordingStream(10, seed=4)
+        loads = np.zeros(10, dtype=np.int64)
+        fill_window(loads, 600_000, 5_000_000, stream)
+        assert loads.sum() == 5_000_000
+        assert stream.largest <= 1 << 22
+
     def test_existing_loads_respected(self):
         loads = np.array([2, 0, 0], dtype=np.int64)
         choices = np.array([0, 0, 1, 0, 2, 1])
@@ -153,8 +189,6 @@ class TestAssignWindow:
 
     @pytest.mark.parametrize("block_size", [None, 3, 64])
     def test_matches_sequential_process(self, block_size):
-        from repro.core.window import assign_window
-
         rng = np.random.default_rng(17)
         n_bins, n_balls, limit = 37, 150, 5
         start_loads = rng.integers(0, 3, size=n_bins).astype(np.int64)
@@ -174,8 +208,6 @@ class TestAssignWindow:
         assert stream.consumed == expected_probes
 
     def test_zero_balls(self):
-        from repro.core.window import assign_window
-
         loads = np.zeros(5, dtype=np.int64)
         stream = FixedProbeStream(5, np.arange(5))
         result = assign_window(loads, 1, 0, stream)
@@ -183,9 +215,103 @@ class TestAssignWindow:
         assert result.probes == 0
 
     def test_insufficient_capacity_raises(self):
-        from repro.core.window import assign_window
-
         loads = np.full(4, 3, dtype=np.int64)
         stream = FixedProbeStream(4, np.zeros(100, dtype=np.int64))
         with pytest.raises(ProtocolError):
             assign_window(loads, 2, 5, stream)
+
+    @pytest.mark.parametrize("loads", _unwriteable_loads(None))
+    def test_unwriteable_loads_rejected_before_probing(self, loads):
+        stream = RandomProbeStream(3, seed=1)
+        with pytest.raises(ConfigurationError, match="writeable NumPy array"):
+            assign_window(loads, 1, 4, stream)
+        assert stream.consumed == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_property_matches_sequential(self, data):
+        n_bins = data.draw(st.integers(1, 12))
+        limit = data.draw(st.integers(0, 4))
+        # From free capacity >= 2 (load below the limit) to bins already
+        # over it.
+        start = np.array(
+            data.draw(
+                st.lists(
+                    st.integers(0, limit + 3), min_size=n_bins, max_size=n_bins
+                )
+            ),
+            dtype=np.int64,
+        )
+        capacity = int(np.maximum(limit + 1 - start, 0).sum())
+        n_balls = data.draw(st.integers(0, capacity))
+        block_size = data.draw(st.none() | st.integers(1, max(1, 3 * n_balls)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        choices = np.random.default_rng(seed).integers(0, n_bins, size=4000)
+
+        expected, expected_probes, expected_loads = self._sequential_assignments(
+            start, limit, n_balls, choices
+        )
+        loads = start.copy()
+        stream = FixedProbeStream(n_bins, choices)
+        result = assign_window(loads, limit, n_balls, stream, block_size=block_size)
+
+        assert np.array_equal(result.assignments, expected)
+        assert result.probes == expected_probes
+        assert np.array_equal(loads, expected_loads)
+        assert stream.consumed == expected_probes
+        assert np.array_equal(
+            stream.take(16), choices[expected_probes : expected_probes + 16]
+        )
+
+
+class TestFillWindowBatch:
+    @pytest.mark.parametrize("loads", _unwriteable_loads(2))
+    def test_unwriteable_loads_rejected_before_probing(self, loads):
+        batch = BatchedProbeStream([RandomProbeStream(3, seed=s) for s in (1, 2)])
+        with pytest.raises(ConfigurationError, match="writeable NumPy array"):
+            fill_window_batch(loads, 1, 4, batch)
+        assert not batch.consumed().any()
+
+
+class TestAgainstScalarBackend:
+    """The numpy window engine against the per-probe scalar loop."""
+
+    @staticmethod
+    def _run(backend, window_fn, start, limit, n_balls, choices):
+        loads = start.copy()
+        stream = FixedProbeStream(start.size, choices)
+        with use_backend(backend):
+            result = window_fn(loads, limit, n_balls, stream)
+        return loads, result, stream.consumed
+
+    @pytest.mark.parametrize("window_fn", [fill_window, assign_window])
+    def test_more_bins_than_uint16_keys(self, window_fn):
+        # Bin 65,536 would alias bin 0 under 16-bit sort keys.  Both have one
+        # free slot and are probed twice first, so a pass ranking them as
+        # one bin would reject bin 0's first probe.
+        n, limit = 65_537, 3
+        rng = np.random.default_rng(65_537)
+        start = rng.integers(limit - 1, limit + 3, size=n)
+        start[[0, n - 1]] = limit
+        choices = np.concatenate([[n - 1, 0, n - 1, 0], rng.integers(0, n, size=n)])
+        numpy_run = self._run("numpy", window_fn, start, limit, 2000, choices)
+        scalar_run = self._run("scalar", window_fn, start, limit, 2000, choices)
+        assert np.array_equal(numpy_run[0], scalar_run[0])
+        assert numpy_run[1].probes == scalar_run[1].probes
+        assert numpy_run[2] == scalar_run[2]
+        if window_fn is assign_window:
+            assert np.array_equal(numpy_run[1].assignments, scalar_run[1].assignments)
+            assert list(numpy_run[1].assignments[:2]) == [n - 1, 0]
+
+    @pytest.mark.parametrize("window_fn", [fill_window, assign_window])
+    def test_exhausted_fixed_stream_same_error(self, window_fn):
+        # Three balls need three distinct bins; the replay offers two.
+        messages = []
+        for backend in ("numpy", "scalar"):
+            with pytest.raises(ProtocolError, match="exhausted") as info:
+                self._run(
+                    backend, window_fn, np.zeros(4, dtype=np.int64), 0, 3,
+                    np.array([0, 0, 1, 0, 1]),
+                )
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
