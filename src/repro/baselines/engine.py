@@ -19,9 +19,16 @@ of :func:`repro.core.window.conflict_free_rows`:
   show it — every earlier ball of the chunk can only place into its own
   candidate bins (disjoint from this row), and every already-committed later
   ball was itself required to be disjoint from this row when it committed;
-* conflict-free balls therefore commit together in one vectorised argmin
-  pass, and the remaining (conflicted) balls spill to the next sub-phase,
-  re-evaluated against the updated loads.
+* conflict-free balls therefore commit together, and the remaining
+  (conflicted) balls spill to the next sub-phase, re-evaluated against the
+  updated loads.
+
+Each sub-phase decides with one loop over the ``d`` candidate columns
+(:func:`_first_least_loaded`): the per-ball rule of the scalar kernel,
+vectorised over rows, so every row of the block gets its first least-loaded
+bin from ``d`` 1-D gathers and compares.  The commit and the move sweep
+share that selection and the conflict rule
+(:func:`repro.core.window._conflict_free_rows_numpy`).
 
 The first uncommitted ball of a chunk is always conflict-free, so every
 sub-phase makes progress and the sub-phase loop terminates.  The expected
@@ -46,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.backend import active_backend
-from repro.core.window import _conflict_free_rows_numpy
+from repro.core.window import _check_writeable, _conflict_free_rows_numpy
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -112,7 +119,9 @@ def commit_chunk(
 
     The commit runs on the active kernel backend (see
     :mod:`repro.core.backend`); :func:`_commit_chunk_numpy` is the default
-    conflict-free sub-phase engine described above.
+    conflict-free sub-phase engine described above: each sub-phase picks
+    every row's target with the column loop of :func:`_first_least_loaded`
+    and commits the conflict-free rows.
     """
     active_backend().commit_chunk(
         loads,
@@ -122,6 +131,34 @@ def commit_chunk(
         base=base,
         weights=weights,
     )
+
+
+def _first_least_loaded(
+    loads: np.ndarray, block: np.ndarray, priorities: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first least-loaded candidate and its load, column by column.
+
+    The per-ball rule of :func:`~repro.core.backend._commit_chunk_scalar`
+    vectorised over rows: column 0 is the best so far, and column ``j``
+    replaces it when strictly less loaded — or, with ``priorities``, equally
+    loaded with a strictly smaller priority.  That is the lexicographic
+    minimum over (load, priority, position), so ties keep the earlier
+    position.
+    """
+    targets = block[:, 0]
+    best = loads[targets]
+    best_p = None if priorities is None else priorities[:, 0]
+    for j in range(1, block.shape[1]):
+        cand = block[:, j]
+        cand_loads = loads[cand]
+        better = cand_loads < best
+        if best_p is not None:
+            p = priorities[:, j]
+            better |= (cand_loads == best) & (p < best_p)
+            best_p = np.where(better, p, best_p)
+        targets = np.where(better, cand, targets)
+        best = np.minimum(best, cand_loads)
+    return targets, best
 
 
 def _commit_chunk_numpy(
@@ -142,28 +179,8 @@ def _commit_chunk_numpy(
     indices: np.ndarray | None = None
     while block.shape[0]:
         free = _conflict_free_rows_numpy(block, n_bins)
-        sub = block[free]
-        if pblock is None:
-            if sub.shape[1] == 1:
-                targets = sub[:, 0]
-            elif sub.shape[1] == 2:
-                # The d=2 hot path: two 1-D gathers and a strict comparison
-                # (ties keep position 0) beat the general axis-argmin.
-                first, second = sub[:, 0], sub[:, 1]
-                targets = np.where(loads[second] < loads[first], second, first)
-            else:
-                candidate_loads = loads[sub]
-                # argmin returns the first (leftmost) minimum position.
-                pos = np.argmin(candidate_loads, axis=1)
-                targets = sub[np.arange(sub.shape[0]), pos]
-        else:
-            candidate_loads = loads[sub]
-            min_load = candidate_loads.min(axis=1)
-            tied = np.where(
-                candidate_loads == min_load[:, None], pblock[free], np.inf
-            )
-            pos = np.argmin(tied, axis=1)
-            targets = sub[np.arange(sub.shape[0]), pos]
+        # Every row of the block decides; only the conflict-free ones commit.
+        targets = _first_least_loaded(loads, block, pblock)[0][free]
         if wblock is not None:
             np.add.at(loads, targets, wblock[free])
         elif targets.size * 16 >= n_bins:
@@ -182,6 +199,14 @@ def _commit_chunk_numpy(
             pblock = pblock[spilled]
         if wblock is not None:
             wblock = wblock[spilled]
+
+
+def _check_covers(name: str, values, n_balls: int) -> None:
+    """Reject a per-ball input that stops short of the ``n_balls`` placed."""
+    if values is not None and len(values) < n_balls:
+        raise ConfigurationError(
+            f"{name} covers {len(values)} balls but {n_balls} are placed"
+        )
 
 
 def matrix_source(choices: np.ndarray) -> Callable[[int, int], np.ndarray]:
@@ -221,6 +246,9 @@ def chunked_argmin_commit(
         raise ConfigurationError(f"n_balls must be non-negative, got {n_balls}")
     if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be positive, got {chunk_size}")
+    _check_writeable(loads)
+    _check_covers("priorities", priorities, n_balls)
+    _check_covers("weights", weights, n_balls)
     chunk = chunk_size or default_chunk_size(loads.size, d)
     done = 0
     while done < n_balls:
@@ -280,7 +308,7 @@ def batched_argmin_commit(
         raise ConfigurationError(f"n_balls must be non-negative, got {n_balls}")
     if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be positive, got {chunk_size}")
-    loads = np.asarray(loads)
+    _check_writeable(loads)
     if loads.ndim != 2 or loads.size == 0:
         raise ConfigurationError("loads must be a non-empty 2-D (trials x bins) array")
     if not loads.flags.c_contiguous:
@@ -290,6 +318,15 @@ def batched_argmin_commit(
         raise ConfigurationError(
             f"got {len(sources)} chunk sources for {n_trials} trial rows"
         )
+    for name, per_trial in (("priorities", priorities), ("weights", weights)):
+        if per_trial is None:
+            continue
+        if len(per_trial) != n_trials:
+            raise ConfigurationError(
+                f"got {len(per_trial)} {name} for {n_trials} trial rows"
+            )
+        for values in per_trial:
+            _check_covers(name, values, n_balls)
     flat_loads = loads.reshape(-1)
     offsets = (np.arange(n_trials, dtype=np.int64) * n_bins)[:, None, None]
     chunk = chunk_size or default_chunk_size(n_bins, d)
@@ -342,6 +379,9 @@ def chunked_move_sweep(
     updated in place.  The sweep runs on the active kernel backend
     (:func:`_move_sweep_numpy` is the default).
     """
+    _check_writeable(loads)
+    _check_writeable(placement, "placement")
+    _check_covers("placement", placement, len(choices))
     return active_backend().move_sweep(
         loads, choices, placement, chunk_size=chunk_size
     )
@@ -361,14 +401,13 @@ def _move_sweep_numpy(
         rows = choices[start : start + chunk]
         pending = np.arange(rows.shape[0])
         while pending.size:
-            free = _conflict_free_rows_numpy(rows[pending], loads.size)
+            block = rows[pending]
+            free = _conflict_free_rows_numpy(block, loads.size)
             ready = pending[free]
-            sub = rows[ready]
-            candidate_loads = loads[sub]
-            pos = np.argmin(candidate_loads, axis=1)
-            best = sub[np.arange(sub.shape[0]), pos]
+            best, best_load = _first_least_loaded(loads, block)
+            best, best_load = best[free], best_load[free]
             current = placement[start + ready]
-            move = candidate_loads[np.arange(sub.shape[0]), pos] + 2 <= loads[current]
+            move = best_load + 2 <= loads[current]
             if move.any():
                 loads -= np.bincount(current[move], minlength=loads.size)
                 loads += np.bincount(best[move], minlength=loads.size)

@@ -71,6 +71,7 @@ from repro.core.backend import (  # noqa: F401  (re-exported scalar rules)
     memory_hand_off,
     weighted_memory_hand_off,
 )
+from repro.core.window import _bin_sort_keys, _check_writeable
 from repro.errors import ConfigurationError
 from repro.runtime.probes import ProbeStream
 
@@ -123,6 +124,7 @@ def chunked_weighted_memory_commit(
         raise ConfigurationError(f"k must be non-negative, got {k}")
     if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be positive, got {chunk_size}")
+    _check_writeable(weighted_loads, "weighted_loads")
     memory = [int(b) for b in memory]
     if not n_balls:
         return memory
@@ -319,13 +321,8 @@ def _resolve_chunk_d1(
     b = fresh.shape[0]
     n = loads.size
     flat = fresh[:, 0]
-    if n <= 65536:
-        # Stable integer argsort on uint16 keys is a radix sort — an order
-        # of magnitude faster than comparison-sorting composite keys, and
-        # stability makes it exactly the (bin, ball) order.
-        qorder = np.argsort(flat.astype(np.uint16), kind="stable")
-    else:
-        qorder = np.argsort(flat * np.int64(b) + np.arange(b), kind="stable")
+    # Stability makes the bin order exactly the (bin, ball) cell order.
+    qorder = np.argsort(_bin_sort_keys(flat, n), kind="stable")
     sorted_bins = flat[qorder]
     if n <= 8 * b:
         group_end: np.ndarray | None = np.cumsum(np.bincount(flat, minlength=n))
@@ -650,6 +647,7 @@ def chunked_memory_commit(
         raise ConfigurationError(f"k must be non-negative, got {k}")
     if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be positive, got {chunk_size}")
+    _check_writeable(loads)
     memory = [int(b) for b in memory]
     if not n_balls:
         return memory

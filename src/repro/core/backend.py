@@ -258,8 +258,9 @@ def _commit_chunk_scalar(
     """The per-ball argmin commit: first least-loaded candidate wins.
 
     With ``priorities``, the smallest priority among the least-loaded
-    positions wins (first position on a priority tie) — the same selection
-    the masked-argmin pass of the vectorised commit makes.  Weighted commits
+    positions wins (first position on a priority tie).  The vectorised
+    commit's column loop applies this same comparison to every row at
+    once.  Weighted commits
     add each ball's weight with one scalar ``+`` in ball order, the same
     IEEE operation sequence as the engine's element-wise ``np.add.at``.
     """

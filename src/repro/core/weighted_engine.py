@@ -66,6 +66,7 @@ import math
 import numpy as np
 
 from repro.core.backend import active_backend
+from repro.core.window import _bin_sort_keys, _check_writeable
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime.probes import ProbeStream
 
@@ -296,6 +297,7 @@ def chunked_weighted_assign(
         raise ConfigurationError(
             "weights and thresholds must be 1-D arrays of equal length"
         )
+    _check_writeable(loads)
     if loads.ndim != 1 or loads.size != stream.n_bins:
         raise ConfigurationError(
             "loads must be a 1-D vector matching the probe stream's n_bins"
@@ -363,9 +365,11 @@ def _simulate_block(
     """
     size = block.size
     # Per-block sort structure (independent of the iteration state): probes
-    # grouped by bin, original order preserved within a group.
-    order = np.argsort(block, kind="stable")
-    sorted_bins = block[order]
+    # grouped by bin, original order preserved within a group — one stable
+    # argsort, a radix sort on uint16 keys below 65,536 bins.
+    keys = _bin_sort_keys(block)
+    order = np.argsort(keys, kind="stable")
+    sorted_bins = keys[order]
     new_group = np.empty(size, dtype=bool)
     new_group[0] = True
     new_group[1:] = sorted_bins[1:] != sorted_bins[:-1]

@@ -93,6 +93,20 @@ def occurrence_ranks(values: np.ndarray) -> np.ndarray:
     return active_backend().occurrence_ranks(values)
 
 
+def _bin_sort_keys(bins: np.ndarray, n_bins: int | None = None) -> np.ndarray:
+    """Bin indices in ``[0, n_bins)`` as keys for a stable argsort.
+
+    Below 65,536 bins the keys are uint16, which NumPy's stable argsort runs
+    as a radix sort: the permutation is the same, several times faster than
+    the merge sort int64 keys get.  ``n_bins`` defaults to
+    ``bins.max() + 1``.  Callers narrow before sorting, so the wide indices
+    can be freed while the sort runs.
+    """
+    if n_bins is None:
+        n_bins = int(bins.max()) + 1 if bins.size else 0
+    return bins.astype(np.uint16) if n_bins <= 65536 else bins
+
+
 def _occurrence_ranks_numpy(values: np.ndarray) -> np.ndarray:
     """Occurrence ranks with a stable argsort: O(k log k), fully vectorised."""
     k = values.size
@@ -127,13 +141,16 @@ def conflict_free_rows(candidates: np.ndarray, n_bins: int | None = None) -> np.
 
     The occurrence-rank idea of :func:`occurrence_ranks` specialises here to
     "does an element's value have an earlier holder?", which a single scatter
-    answers in O(k·d + n) without a sort: assigning rows to a per-bin table
-    in *reversed* element order leaves each bin holding its **first** row
-    (later assignments overwrite, so reversing makes the earliest win), and
-    an element conflicts iff its bin's first holder is a strictly earlier
-    row.  ``n_bins`` sizes the scatter table; it defaults to
+    answers in O(k·d + n) without a sort: assigning flat (row-major)
+    positions to a per-bin table in *reversed* order leaves each bin holding
+    its **first** position (later assignments overwrite, so reversing makes
+    the earliest win).  Row ``i`` starts at flat position ``i·d``, so it is
+    conflict-free iff, column by column, the first holder of its bin is not
+    before ``i·d`` — a position inside the row itself is an in-row repeat.
+    ``n_bins`` sizes the scatter table; it defaults to
     ``candidates.max() + 1``.  The fold runs on the active kernel backend
-    (:func:`_conflict_free_rows_numpy` is the default).
+    (:func:`_conflict_free_rows_numpy` is the default; the commit engine and
+    the move sweep of :mod:`repro.baselines.engine` call it directly).
     """
     candidates = np.asarray(candidates)
     if candidates.ndim != 2:
@@ -150,13 +167,15 @@ def _conflict_free_rows_numpy(
     """Conflict-free rows via the reversed first-holder scatter (see above)."""
     k, d = candidates.shape
     flat = candidates.ravel()
-    rows = np.repeat(np.arange(k, dtype=np.int64), d)
     size = int(flat.max()) + 1 if n_bins is None else int(n_bins)
     # No fill needed: only slots named by `flat` are read, all of them written.
     first_holder = np.empty(size, dtype=np.int64)
-    first_holder[flat[::-1]] = rows[::-1]
-    conflict = first_holder[flat] < rows
-    return ~conflict.reshape(k, d).any(axis=1)
+    first_holder[flat[::-1]] = np.arange(k * d - 1, -1, -1, dtype=np.int64)
+    row_start = np.arange(0, k * d, d, dtype=np.int64)
+    free = first_holder[candidates[:, 0]] >= row_start
+    for j in range(1, d):
+        free &= first_holder[candidates[:, j]] >= row_start
+    return free
 
 
 def _predicted_need(remaining, n_bins: int, unsaturated):
@@ -174,11 +193,14 @@ def _overshoot_size(need) -> int:
     return int(float(need) * 1.35) + 64
 
 
-def _check_writeable(loads) -> None:
-    """Reject loads that cannot be updated in place (a list would be copied)."""
-    if not isinstance(loads, np.ndarray) or not loads.flags.writeable:
+def _check_writeable(array, name: str = "loads") -> None:
+    """Reject an output that cannot be updated in place (a list would be copied).
+
+    Every in-place engine entry point calls this before drawing a probe.
+    """
+    if not isinstance(array, np.ndarray) or not array.flags.writeable:
         raise ConfigurationError(
-            "loads must be a writeable NumPy array: the window updates it in place"
+            f"{name} must be a writeable NumPy array: it is updated in place"
         )
 
 
@@ -256,12 +278,8 @@ def _run_window_numpy(
             # probes in the block than that) need an occurrence rank.
             contested = np.flatnonzero(~accepted & (room > 0))
             if contested.size:
-                keys = block[contested]
-                if n_bins <= 65536:
-                    # A stable argsort of uint16 keys is a radix sort: the
-                    # same permutation, far faster than on int64 keys.
-                    keys = keys.astype(np.uint16)
-                accepted[contested] = _occurrence_ranks_numpy(keys) < room[contested]
+                ranks = _occurrence_ranks_numpy(_bin_sort_keys(block[contested], n_bins))
+                accepted[contested] = ranks < room[contested]
             # The sequential process stops reading at the remaining-th
             # acceptance (or reads the whole block if it has fewer).
             hits = np.flatnonzero(accepted)[:remaining]

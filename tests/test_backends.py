@@ -35,7 +35,11 @@ from repro.core.backend import (
     use_backend,
     validate_backend_name,
 )
-from repro.core.window import assign_window, fill_window
+from repro.core.weighted_engine import (
+    adaptive_weighted_thresholds,
+    chunked_weighted_assign,
+)
+from repro.core.window import assign_window, conflict_free_rows, fill_window
 from repro.errors import ConfigurationError
 from repro.experiments.runner import run_trials
 from repro.runtime.probes import FixedProbeStream
@@ -230,6 +234,87 @@ class TestCrossBackendEquivalence:
             )
         )
         assert_results_identical(reference, candidate)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        n=st.integers(1, 12),
+        b=st.integers(0, 40),
+        base=st.integers(0, 5),
+        with_priorities=st.booleans(),
+        with_weights=st.booleans(),
+        seed=st.integers(0, 2**31),
+    )
+    def test_commit_chunk_kernels_agree(
+        self, d, n, b, base, with_priorities, with_weights, seed
+    ):
+        # Few bins make in-row repeats and load ties common; priorities from
+        # {0, 0.5, 1} make exact priority ties common too.
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, n, size=(b, d))
+        priorities = rng.choice([0.0, 0.5, 1.0], size=(b, d)) if with_priorities else None
+        weights = rng.uniform(0.1, 3.0, size=b) if with_weights else None
+        start = rng.integers(0, 4, size=n).astype(np.float64 if with_weights else np.int64)
+        outcomes = {}
+        for name in ALL_BACKENDS:
+            loads = start.copy()
+            assignments = np.full(base + b, -1, dtype=np.int64)
+            get_backend(name).commit_chunk(
+                loads,
+                rows,
+                priorities=priorities,
+                assignments=assignments,
+                base=base,
+                weights=weights,
+            )
+            outcomes[name] = (loads.tobytes(), assignments.tobytes())
+        assert all(o == outcomes["scalar"] for o in outcomes.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        n=st.integers(1, 12),
+        b=st.integers(0, 40),
+        chunk_size=st.integers(1, 16),
+        seed=st.integers(0, 2**31),
+    )
+    def test_move_sweep_and_conflict_rows_kernels_agree(self, d, n, b, chunk_size, seed):
+        rng = np.random.default_rng(seed)
+        choices = rng.integers(0, n, size=(b, d))
+        # A ball's current bin is one of its candidates, as in rebalancing.
+        placement = choices[np.arange(b), rng.integers(0, d, size=b)]
+        start = np.bincount(placement, minlength=n) + rng.integers(0, 3, size=n)
+        outcomes = {}
+        for name in ALL_BACKENDS:
+            loads, placed = start.copy(), placement.copy()
+            backend = get_backend(name)
+            moved = backend.move_sweep(loads, choices, placed, chunk_size=chunk_size)
+            with use_backend(name):
+                free = conflict_free_rows(choices, n), conflict_free_rows(choices)
+            outcomes[name] = (moved, loads.tolist(), placed.tolist(), [f.tolist() for f in free])
+        assert all(o == outcomes["scalar"] for o in outcomes.values())
+
+    @pytest.mark.parametrize("n_bins", [65_536, 65_537])
+    def test_weighted_assign_at_the_radix_key_boundary(self, n_bins):
+        # Probes hit the two lowest and two highest bins.  At 65,537 bins the
+        # top bin is 65,536, which a uint16 key would wrap onto bin 0.
+        m = 600
+        rng = np.random.default_rng(n_bins)
+        weights = rng.uniform(0.5, 1.5, size=m)
+        thresholds = adaptive_weighted_thresholds(weights, 4, float(weights.max()))
+        hot = np.array([0, 1, n_bins - 2, n_bins - 1])
+        choices = hot[rng.integers(0, 4, size=20 * m)]
+        outcomes = {}
+        for name in ALL_BACKENDS:
+            loads = np.zeros(n_bins)
+            assignments = np.empty(m, dtype=np.int64)
+            stream = FixedProbeStream(n_bins, choices)
+            with use_backend(name):
+                probes = chunked_weighted_assign(
+                    loads, weights, thresholds, stream, assignments=assignments
+                )
+            outcomes[name] = (probes, stream.consumed, loads.tobytes(), assignments.tobytes())
+        assert all(o == outcomes["scalar"] for o in outcomes.values())
 
     @pytest.mark.parametrize("backend_name", ALL_BACKENDS)
     def test_step_split_matches_one_shot(self, backend_name):

@@ -1,0 +1,153 @@
+"""Input checks of the in-place engine entry points.
+
+Each chunked engine updates the caller's ``loads`` in place.  A list would
+be copied (the placement is lost) and a read-only array must not be written
+through (``np.add.at`` does not check the flag), so every entry point
+rejects both with :class:`~repro.errors.ConfigurationError` before it draws
+a single probe.  Per-ball inputs (``priorities``, ``weights``,
+``placement``) must cover every ball placed.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.baselines.engine import (
+    batched_argmin_commit,
+    chunked_argmin_commit,
+    chunked_move_sweep,
+)
+from repro.baselines.memory_engine import (
+    chunked_memory_commit,
+    chunked_weighted_memory_commit,
+)
+from repro.core.weighted_engine import chunked_weighted_assign
+from repro.errors import ConfigurationError
+from repro.runtime.probes import RandomProbeStream
+
+BALLS = 10
+
+
+def _frozen(shape, dtype=np.float64) -> np.ndarray:
+    array = np.zeros(shape, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+#: Loads no engine can update in place.  With 1,000 bins a 10-ball commit
+#: takes the ``np.add.at`` path, which writes through the read-only flag;
+#: with 8 bins the write raises, but only after probes were drawn.
+UNWRITEABLE = {
+    "list": lambda: [0.0] * 8,
+    "read-only-1000-bins": lambda: _frozen(1000),
+    "read-only-8-bins": lambda: _frozen(8),
+}
+
+
+def _source(stream: RandomProbeStream, d: int):
+    return lambda start, count: stream.take_matrix(count, d)
+
+
+class TestArgminCommitInputs:
+    @pytest.mark.parametrize(
+        "case", [*UNWRITEABLE, "short-priorities", "short-weights"]
+    )
+    def test_chunked_argmin_commit(self, case):
+        loads = UNWRITEABLE[case]() if case in UNWRITEABLE else np.zeros(1000)
+        stream = RandomProbeStream(len(loads), seed=1)
+        kwargs = {}
+        if case == "short-priorities":
+            kwargs["priorities"] = np.zeros((BALLS - 1, 2))
+        elif case == "short-weights":
+            kwargs["weights"] = np.ones(BALLS - 1)
+        with pytest.raises(ConfigurationError):
+            chunked_argmin_commit(loads, _source(stream, 2), BALLS, 2, **kwargs)
+        assert stream.consumed == 0
+        assert not np.any(loads)
+
+    @pytest.mark.parametrize(
+        "case",
+        [*UNWRITEABLE, "short-priorities", "short-weights",
+         "priorities-per-trial", "weights-per-trial"],
+    )
+    def test_batched_argmin_commit(self, case):
+        if case in UNWRITEABLE:
+            row = UNWRITEABLE[case]()
+            loads = [list(row)] * 2 if isinstance(row, list) else _frozen((2, len(row)))
+        else:
+            loads = np.zeros((2, 1000))
+        streams = [RandomProbeStream(len(loads[0]), seed=s) for s in (1, 2)]
+        kwargs = {}
+        if case == "short-priorities":
+            kwargs["priorities"] = [np.zeros((BALLS, 2)), np.zeros((BALLS - 1, 2))]
+        elif case == "short-weights":
+            kwargs["weights"] = [np.ones(BALLS), np.ones(BALLS - 1)]
+        elif case == "priorities-per-trial":
+            kwargs["priorities"] = [np.zeros((BALLS, 2))]
+        elif case == "weights-per-trial":
+            kwargs["weights"] = [np.ones(BALLS)] * 3
+        with pytest.raises(ConfigurationError):
+            batched_argmin_commit(
+                loads, [_source(s, 2) for s in streams], BALLS, 2, **kwargs
+            )
+        assert [s.consumed for s in streams] == [0, 0]
+        assert not np.any(loads)
+
+    @pytest.mark.parametrize(
+        "case",
+        [*UNWRITEABLE, "list-placement", "read-only-placement", "short-placement"],
+    )
+    def test_chunked_move_sweep(self, case):
+        # Every ball sits in bin 0 with a free alternative: a sweep would move.
+        choices = np.array([[0, 1], [0, 2], [0, 3], [0, 1]], dtype=np.int64)
+        loads = np.array([4, 0, 0, 0], dtype=np.int64)
+        placement = np.zeros(4, dtype=np.int64)
+        if case in UNWRITEABLE:
+            loads = UNWRITEABLE[case]()
+        elif case == "list-placement":
+            placement = [0, 0, 0, 0]
+        elif case == "read-only-placement":
+            placement = _frozen(4, np.int64)
+        else:
+            placement = np.zeros(3, dtype=np.int64)
+        before = (np.array(loads), np.array(placement))
+        with pytest.raises(ConfigurationError):
+            chunked_move_sweep(loads, choices, placement)
+        assert np.array_equal(loads, before[0])
+        assert np.array_equal(placement, before[1])
+
+
+class TestMemoryAndWeightedInputs:
+    @pytest.mark.parametrize("case", UNWRITEABLE)
+    @pytest.mark.parametrize("d,k", [(2, 0), (1, 1), (2, 2)])
+    def test_chunked_memory_commit(self, case, d, k):
+        loads = UNWRITEABLE[case]()
+        stream = RandomProbeStream(len(loads), seed=1)
+        with pytest.raises(ConfigurationError):
+            chunked_memory_commit(stream, loads, [], BALLS, d, k)
+        assert stream.consumed == 0
+        assert not np.any(loads)
+
+    @pytest.mark.parametrize("case", UNWRITEABLE)
+    def test_chunked_weighted_memory_commit(self, case):
+        loads = UNWRITEABLE[case]()
+        stream = RandomProbeStream(len(loads), seed=1)
+        with pytest.raises(ConfigurationError):
+            chunked_weighted_memory_commit(stream, loads, [], np.ones(BALLS), 2, 1)
+        assert stream.consumed == 0
+        assert not np.any(loads)
+
+    @pytest.mark.parametrize("case", [*UNWRITEABLE, "bytes"])
+    def test_chunked_weighted_assign(self, case):
+        data = bytes(32)
+        # np.frombuffer views the immutable bytes object as four float bins.
+        loads = np.frombuffer(data) if case == "bytes" else UNWRITEABLE[case]()
+        stream = RandomProbeStream(len(loads), seed=1)
+        with pytest.raises(ConfigurationError):
+            chunked_weighted_assign(
+                loads, np.ones(BALLS), np.full(BALLS, 4.0), stream
+            )
+        assert stream.consumed == 0
+        assert not np.any(loads)
+        assert data == bytes(32)
