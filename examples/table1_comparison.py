@@ -7,11 +7,10 @@ single-choice) on the same problem size, and prints the measured allocation
 time, probes per ball, maximum load and smoothness next to the asymptotic
 expressions the paper lists in Table 1.
 
-The sweep runs through the trial-axis batched engines of
-:func:`~repro.experiments.runner.run_trials`, which makes averaging over
-many trials cheap; the script ends by timing one cell against a
-``run_trial`` call per trial index and printing the measured
-batched/looped throughput ratio.
+The sweep runs through :func:`~repro.experiments.runner.run_trials`, whose
+trial-axis batched engines make averaging over many trials cheap; the
+script ends by timing one ADAPTIVE cell against a ``run_trial`` call per
+trial index and printing the measured batched/looped throughput ratio.
 
 Run it with ``python examples/table1_comparison.py [--scale 0.25]``.
 """
@@ -99,10 +98,10 @@ def main() -> None:
         "two-choice baselines)."
     )
 
-    # Time one cell two ways: the trial-axis batched engine (what the table
-    # above used) against the exact per-trial loop.
+    # Time one ADAPTIVE cell two ways: the trial-axis batched engine (what
+    # the table above used) against the exact per-trial loop.
     bench = TrialConfig(
-        protocol="threshold",
+        protocol="adaptive",
         n_balls=n_balls,
         n_bins=n_bins,
         trials=max(100, args.trials),
@@ -112,7 +111,7 @@ def main() -> None:
     looped = _cell_rate(bench, batch=False)
     print(
         f"\nBatched trial-axis sweep: {batched:,.0f} trials/s vs "
-        f"{looped:,.0f} trials/s for the per-trial loop on the THRESHOLD "
+        f"{looped:,.0f} trials/s for the per-trial loop on the ADAPTIVE "
         f"cell ({bench.trials} trials, bit-identical results): "
         f"batched/looped ratio {batched / looped:.2f}."
     )

@@ -30,7 +30,7 @@ stream without biasing some bins, so that case still raises
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -53,6 +53,7 @@ __all__ = [
     "group_boundaries",
     "replay_group_map",
     "seeded_group_choices",
+    "left_source",
 ]
 
 
@@ -103,13 +104,31 @@ def seeded_group_choices(
     ``choices[i, g]`` is the bin ball ``i`` samples from group ``g`` —
     exactly the seed implementation's up-front float-offset sampling, which
     works for any group sizes.  This is the single home of the seeded
-    left[d] sampling, shared by :class:`LeftProtocol` (session and
-    trial batch) and the weighted left[d] runners so they cannot drift.
+    left[d] sampling, used through :func:`left_source` and by the per-ball
+    references.
     """
     boundaries = group_boundaries(n_bins, d)
     sizes = np.diff(boundaries)
     offsets = generator.random(size=(n_balls, d))
     return (boundaries[:-1] + np.floor(offsets * sizes)).astype(np.int64)
+
+
+def left_source(
+    n_bins: int, d: int, n_balls: int, stream: ProbeStream, replay: bool
+) -> Callable[[int, int], np.ndarray]:
+    """The commit-engine source of ``n_balls`` left[d] balls on ``stream``.
+
+    With ``replay`` each ball's ``d`` stream probes map onto equal groups
+    (:func:`replay_group_map`); otherwise the seeded one-per-group matrix of
+    :func:`seeded_group_choices` is drawn up front from ``stream.generator``
+    and sliced.  Every vectorised left[d] caller — :class:`LeftProtocol`,
+    the weighted left[d] session and the Dispatcher's ``"left"`` and
+    ``"weighted-left"`` policies — takes its candidates from here.
+    """
+    if replay:
+        group_base, size = replay_group_map(n_bins, d)
+        return lambda start, count: group_base + stream.take_matrix(count, d) % size
+    return matrix_source(seeded_group_choices(n_bins, d, n_balls, stream.generator))
 
 
 @register_protocol
@@ -145,21 +164,10 @@ class LeftProtocol(AllocationProtocol):
         record_trace: bool = False,
     ) -> DChoiceSession:
         self.validate_size(n_balls, n_bins)
-        if probe_stream is not None:
-            # Replay mode: uniform probes map onto equal groups.
-            group_base, size = replay_group_map(n_bins, self.d)
-            stream = probe_stream
-            source = (
-                lambda start, count: group_base
-                + stream.take_matrix(count, self.d) % size
-            )
-        else:
-            # Seeded mode: the full in-group offset matrix is drawn up front,
-            # then sliced per step.
-            stream = RandomProbeStream(n_bins, seed)
-            source = matrix_source(
-                seeded_group_choices(n_bins, self.d, n_balls, stream.generator)
-            )
+        stream = probe_stream or RandomProbeStream(n_bins, seed)
+        source = left_source(
+            n_bins, self.d, n_balls, stream, replay=probe_stream is not None
+        )
         return DChoiceSession(
             self, n_balls, n_bins, stream, d=self.d, source=source
         )
@@ -176,25 +184,14 @@ class LeftProtocol(AllocationProtocol):
         self.validate_size(n_balls, n_bins)
         batch = batch_streams(n_bins, seeds, probe_streams)
         loads = np.zeros((batch.trials, n_bins), dtype=np.int64)
-        if probe_streams is not None:
-            # Replay mode: each trial maps its own uniform probes onto equal
-            # groups, exactly as the single-trial run does.
-            group_base, size = replay_group_map(n_bins, self.d)
-            sources = [
-                lambda start, count, child=child: group_base
-                + child.take_matrix(count, self.d) % size
-                for child in batch.children
-            ]
-        else:
-            group_boundaries(n_bins, self.d)  # validates d against n_bins
-            # Seeded mode: each trial's full in-group offset matrix is drawn
-            # up front from its own generator, identical to the session.
-            sources = [
-                matrix_source(
-                    seeded_group_choices(n_bins, self.d, n_balls, child.generator)
-                )
-                for child in batch.children
-            ]
+        # Each trial takes its candidates from its own stream, exactly as
+        # the single-trial session does.
+        sources = [
+            left_source(
+                n_bins, self.d, n_balls, child, replay=probe_streams is not None
+            )
+            for child in batch.children
+        ]
         if n_balls:
             batched_argmin_commit(loads, sources, n_balls, self.d)
         probes = n_balls * self.d

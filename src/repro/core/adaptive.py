@@ -117,7 +117,6 @@ class AdaptiveProtocol(AllocationProtocol):
                 for window in stage_windows(n_balls, n_bins, self.offset)
             ),
             block_size=self.block_size,
-            checkpoint_stages=True,
         )
 
 

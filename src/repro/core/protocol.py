@@ -137,7 +137,9 @@ class AllocationProtocol:
     #: ``False`` means the base-class per-trial loop — protocols whose
     #: placement is inherently data-dependent across probes (the remembered
     #: -bin chain of the memory protocols, the weighted commit regimes) stay
-    #: on it honestly rather than growing a second engine.
+    #: on it honestly rather than growing a second engine, and so does
+    #: THRESHOLD, whose trial is one window the single-run engine fills as
+    #: fast as a trial-axis one would.
     batches: bool = False
 
     def allocate_batch(
@@ -155,6 +157,7 @@ class AllocationProtocol:
         same probe counts, same cost checkpoints) to
         ``allocate(n_balls, n_bins, seeds[i])`` — certified by the
         test-suite for every protocol.  Protocols with ``batches = True``
+        (ADAPTIVE and the unit d-choice and single-choice baselines)
         override this with a trial-axis vectorised engine; this default
         simply loops ``allocate`` per trial, so every protocol exposes the
         same batch API regardless of whether batching pays off for it.

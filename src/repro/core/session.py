@@ -55,19 +55,17 @@ def run_staged_batch(
     windows,
     *,
     block_size: int | None,
-    checkpoint_stages: bool,
 ) -> list[RunResult]:
-    """Run every trial of a constant-limit-window protocol as one 2-D batch.
+    """Run every trial of the batched ADAPTIVE path as one 2-D computation.
 
-    Shared by the batched ADAPTIVE and THRESHOLD paths: ``windows`` yields
-    ``(acceptance_limit, count)`` pairs — the stage decomposition of the
-    single-trial session, which depends only on the ball index, so all
-    trials share it — and each window is filled for all trials at once with
-    :func:`~repro.core.window.fill_window_batch`.  Per-trial cost models are
-    rebuilt exactly as the sessions build them: one checkpoint per stage
-    when ``checkpoint_stages`` (ADAPTIVE), one flat probe total with no
-    checkpoints otherwise (non-traced THRESHOLD).  Trial ``t`` of the returned list is
-    bit-identical to the single-trial run on ``batch.children[t]``.
+    ``windows`` yields ``(acceptance_limit, count)`` pairs — the stage
+    decomposition of the single-trial session, which depends only on the
+    ball index, so all trials share it — and each window is filled for all
+    trials at once with :func:`~repro.core.window.fill_window_batch`.  Each
+    trial's cost model logs one checkpoint per stage, exactly as the
+    session builds it.  Trial ``t`` of the returned list is bit-identical
+    to the single-trial run on ``batch.children[t]``.  THRESHOLD fills one
+    window per trial and runs the base-class per-trial loop instead.
     """
     n_trials = batch.trials
     loads = np.zeros((n_trials, n_bins), dtype=np.int64)
@@ -79,14 +77,9 @@ def run_staged_batch(
     results = []
     for t in range(n_trials):
         costs = CostModel()
-        if checkpoint_stages:
-            for probes in window_probes:
-                costs.add_probes(int(probes[t]))
-                costs.log_probe_checkpoint()
-        else:
-            total = sum(int(probes[t]) for probes in window_probes)
-            if total:
-                costs.add_probes(total)
+        for probes in window_probes:
+            costs.add_probes(int(probes[t]))
+            costs.log_probe_checkpoint()
         results.append(
             RunResult(
                 protocol=protocol.name,

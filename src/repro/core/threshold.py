@@ -18,13 +18,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.protocol import (
-    AllocationProtocol,
-    batch_streams,
-    register_protocol,
-)
+from repro.core.protocol import AllocationProtocol, register_protocol
 from repro.core.result import AllocationResult
-from repro.core.session import StagedWindowSession, run_staged_batch
+from repro.core.session import StagedWindowSession
 from repro.core.thresholds import acceptance_limit
 from repro.core.window import fill_window
 from repro.errors import ConfigurationError
@@ -49,7 +45,6 @@ class ThresholdProtocol(AllocationProtocol):
 
     name = "threshold"
     streaming = True
-    batches = True
 
     def __init__(self, offset: int = 1, block_size: int | None = None) -> None:
         if offset < 1:
@@ -86,44 +81,6 @@ class ThresholdProtocol(AllocationProtocol):
             # by stage so its trace is comparable to ADAPTIVE's.
             checkpoint_stages=False,
             record_trace=record_trace,
-        )
-
-    def allocate_batch(
-        self,
-        n_balls: int,
-        n_bins: int,
-        seeds=None,
-        *,
-        probe_streams=None,
-        record_trace: bool = False,
-    ) -> list[AllocationResult]:
-        if record_trace:
-            # Traced runs chunk by stage and record potentials per trial;
-            # the per-trial loop stays the exact, honest path for them.
-            return super().allocate_batch(
-                n_balls,
-                n_bins,
-                seeds,
-                probe_streams=probe_streams,
-                record_trace=True,
-            )
-        self.validate_size(n_balls, n_bins)
-        batch = batch_streams(n_bins, seeds, probe_streams)
-        windows = (
-            [(acceptance_limit(n_balls, n_bins, self.offset), n_balls)]
-            if n_balls
-            else []
-        )
-        return run_staged_batch(
-            self,
-            n_balls,
-            n_bins,
-            batch,
-            windows,
-            block_size=self.block_size,
-            # The untraced session fills a single window with one flat probe
-            # total and no checkpoints; mirror that cost model.
-            checkpoint_stages=False,
         )
 
 

@@ -23,25 +23,26 @@ Five weighted protocols are provided, mirroring the unit-weight family:
 * :func:`run_weighted_memory` — the (d,k)-memory rule on weighted loads
   (``d`` fresh draws plus the ``k`` least weighted-loaded remembered bins).
 
-All three run through chunked exact vectorised engines — the moving
+All five run through chunked exact vectorised engines — the moving
 threshold is bracketed per chunk by the engine of
-:mod:`repro.core.weighted_engine`, and the d-choice rule reuses the
+:mod:`repro.core.weighted_engine`, the d-choice rules reuse the
 conflict-free commit engine of :mod:`repro.baselines.engine` with weighted
-increments.  The original ball-by-ball loops are kept as
-``reference_weighted_*`` (mirroring :mod:`repro.baselines.reference`) so the
-test-suite can certify bit-identical replay equivalence, and every probe
-loop is capped by ``max_probes`` (raising
+increments, and the memory rule drives the chunk-drawn scalar commit of
+:mod:`repro.baselines.memory_engine`.  The original ball-by-ball loops are
+kept as ``reference_weighted_*`` (mirroring :mod:`repro.baselines.reference`)
+so the test-suite can certify bit-identical replay equivalence, and every
+ADAPTIVE/THRESHOLD probe loop is capped by ``max_probes`` (raising
 :class:`~repro.errors.SimulationError` instead of spinning forever on a
 probe source that never offers an acceptable bin).
 
-The registry names ``"weighted-adaptive"``, ``"weighted-threshold"``,
-``"weighted-greedy"``, ``"weighted-left"`` and ``"weighted-memory"`` run
-the same rules as streaming
-:class:`~repro.core.protocol.AllocationProtocol` sessions over the same
-engines.  They draw their weights from a named family of
-:data:`repro.stats.distributions.WEIGHT_DISTRIBUTIONS` (Pareto, exponential,
-bimodal, …) via the stream's auxiliary generator, so experiment
-configurations stay serialisable and replay-deterministic.
+Each rule is one streaming :class:`~repro.core.protocol.AllocationProtocol`
+registered as ``"weighted-adaptive"``, ``"weighted-threshold"``,
+``"weighted-greedy"``, ``"weighted-left"`` or ``"weighted-memory"``, and
+each runner above is that protocol's session on the caller's weights (its
+``begin_weights``), run to completion.  Registry runs draw their weights
+from a named family of :data:`repro.stats.distributions.WEIGHT_DISTRIBUTIONS`
+(Pareto, exponential, bimodal, …) via the stream's auxiliary generator, so
+experiment configurations stay serialisable and replay-deterministic.
 """
 
 from __future__ import annotations
@@ -51,9 +52,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.baselines.engine import chunked_argmin_commit, matrix_source
 from repro.baselines.greedy import DChoiceSession
-from repro.baselines.left import replay_group_map, seeded_group_choices
+from repro.baselines.left import left_source, replay_group_map, seeded_group_choices
 from repro.baselines.memory_engine import chunked_weighted_memory_commit
 from repro.core.protocol import AllocationProtocol, register_protocol
 from repro.core.result import RunResult, register_record_kind
@@ -110,8 +110,10 @@ class WeightedRunResult(RunResult):
     weighted_loads:
         Final per-bin total weight (the weighted load vector).
     w_max_used:
-        The weight bound the acceptance thresholds were computed with
-        (``None`` for rules that use no bound, e.g. weighted greedy).
+        The weight bound of the run: the one the ADAPTIVE/THRESHOLD
+        acceptance thresholds were computed with, and the weights' maximum
+        (``1.0`` with no balls) for the rules that use no bound.  The
+        ball-by-ball d-choice references leave it ``None``.
     """
 
     weights: np.ndarray | None = None
@@ -203,6 +205,8 @@ def weighted_gap_bound(weights: np.ndarray, n_bins: int) -> float:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 1 or weights.size == 0:
         raise ConfigurationError("weights must be a non-empty 1-D array")
+    if not np.isfinite(weights).all():
+        raise ConfigurationError("weights must be finite")
     if np.any(weights <= 0):
         raise ConfigurationError("weights must be positive")
     if n_bins <= 0:
@@ -217,10 +221,16 @@ def _validate_weighted_run(
     probe_stream: ProbeStream | None,
     w_max: float | None,
 ) -> tuple[np.ndarray, ProbeStream, float]:
-    """Shared validation of the weighted runners; returns the resolved trio."""
+    """Shared validation of the weighted sessions and references.
+
+    Returns the resolved ``(weights, stream, w_max)``; runs before any probe
+    is drawn.
+    """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 1:
         raise ConfigurationError("weights must be a 1-D array")
+    if not np.isfinite(weights).all():
+        raise ConfigurationError("weights must be finite")
     if weights.size and np.any(weights <= 0):
         raise ConfigurationError("weights must be positive")
     if n_bins <= 0:
@@ -278,7 +288,8 @@ def run_weighted_adaptive(
 ) -> WeightedRunResult:
     """Allocate weighted balls with the generalised ADAPTIVE rule.
 
-    Runs through the chunked vectorised engine of
+    This is :class:`WeightedAdaptiveProtocol`'s session on ``weights``, run
+    to completion through the chunked vectorised engine of
     :mod:`repro.core.weighted_engine`; the result (loads, counts and probe
     consumption) is bit-identical to :func:`reference_weighted_adaptive` for
     the same probe stream.
@@ -286,7 +297,7 @@ def run_weighted_adaptive(
     Parameters
     ----------
     weights:
-        Positive ball weights, processed in order.
+        Positive, finite ball weights, processed in order.
     n_bins:
         Number of bins.
     seed / probe_stream:
@@ -300,25 +311,12 @@ def run_weighted_adaptive(
         Per-ball probe cap; exceeding it raises
         :class:`~repro.errors.SimulationError`.
     """
-    weights, stream, w_max = _validate_weighted_run(
-        weights, n_bins, seed, probe_stream, w_max
-    )
-    loads = np.zeros(n_bins, dtype=np.float64)
-    probes = 0
-    assignments = np.empty(weights.size, dtype=np.int64)
-    if weights.size:
-        thresholds = adaptive_weighted_thresholds(weights, n_bins, w_max)
-        probes = chunked_weighted_assign(
-            loads,
-            weights,
-            thresholds,
-            stream,
-            chunk_size=chunk_size,
-            assignments=assignments,
-            max_probes=max_probes,
+    protocol = WeightedAdaptiveProtocol(w_max=w_max, chunk_size=chunk_size)
+    return _run(
+        protocol.begin_weights(
+            weights, n_bins, seed, probe_stream=probe_stream, max_probes=max_probes
         )
-    counts = np.bincount(assignments, minlength=n_bins).astype(np.int64)
-    return _result("weighted-adaptive", weights, loads, counts, probes, w_max)
+    )
 
 
 def reference_weighted_adaptive(
@@ -376,28 +374,16 @@ def run_weighted_threshold(
     Requires the full weight vector up front (as the unit-weight THRESHOLD
     requires ``m``).  The bound always leaves at least one bin acceptable
     (if every bin reached ``W/n + w_max`` the total placed weight would
-    exceed ``W``), so the rule terminates for any fair probe source.
+    exceed ``W``), so the rule terminates for any fair probe source.  This
+    is :class:`WeightedThresholdProtocol`'s session on ``weights``, run to
+    completion; the keywords are :func:`run_weighted_adaptive`'s.
     """
-    weights, stream, w_max = _validate_weighted_run(
-        weights, n_bins, seed, probe_stream, w_max
-    )
-    loads = np.zeros(n_bins, dtype=np.float64)
-    probes = 0
-    assignments = np.empty(weights.size, dtype=np.int64)
-    if weights.size:
-        bound = fixed_weighted_threshold(weights, n_bins, w_max)
-        thresholds = np.full(weights.size, bound)
-        probes = chunked_weighted_assign(
-            loads,
-            weights,
-            thresholds,
-            stream,
-            chunk_size=chunk_size,
-            assignments=assignments,
-            max_probes=max_probes,
+    protocol = WeightedThresholdProtocol(w_max=w_max, chunk_size=chunk_size)
+    return _run(
+        protocol.begin_weights(
+            weights, n_bins, seed, probe_stream=probe_stream, max_probes=max_probes
         )
-    counts = np.bincount(assignments, minlength=n_bins).astype(np.int64)
-    return _result("weighted-threshold", weights, loads, counts, probes, w_max)
+    )
 
 
 def reference_weighted_threshold(
@@ -442,42 +428,16 @@ def run_weighted_greedy(
 ) -> WeightedRunResult:
     """Weighted greedy[d]: place into the least-*weighted* of ``d`` draws.
 
-    Reuses the chunked conflict-free commit engine of
-    :mod:`repro.baselines.engine` with weighted increments; the replay
+    This is :class:`WeightedGreedyProtocol`'s session on ``weights``, run to
+    completion: the chunked conflict-free commit engine of
+    :mod:`repro.baselines.engine` with weighted increments.  The replay
     contract (one ``(m, d)`` probe matrix in ball order, tie-break priorities
     from ``stream.derive_generator(seed)``) matches the unit-weight
     greedy[d] exactly, and with all-equal weights the per-bin *counts*
     reproduce the unit protocol's loads.
     """
-    if d < 1:
-        raise ConfigurationError(f"d must be at least 1, got {d}")
-    if tie_break not in ("random", "first"):
-        raise ConfigurationError(
-            f"tie_break must be 'random' or 'first', got {tie_break!r}"
-        )
-    weights, stream, _ = _validate_weighted_run(
-        weights, n_bins, seed, probe_stream, None
-    )
-    loads = np.zeros(n_bins, dtype=np.float64)
-    counts = np.zeros(n_bins, dtype=np.int64)
-    m = weights.size
-    assignments = np.empty(m, dtype=np.int64)
-    if m:
-        priorities = None
-        if tie_break == "random":
-            priorities = stream.derive_generator(seed).random(size=(m, d))
-        chunked_argmin_commit(
-            loads,
-            lambda start, count: stream.take_matrix(count, d),
-            m,
-            d,
-            priorities=priorities,
-            chunk_size=chunk_size,
-            assignments=assignments,
-            weights=weights,
-        )
-        counts = np.bincount(assignments, minlength=n_bins).astype(np.int64)
-    return _result("weighted-greedy", weights, loads, counts, m * d)
+    protocol = WeightedGreedyProtocol(d=d, tie_break=tie_break, chunk_size=chunk_size)
+    return _run(protocol.begin_weights(weights, n_bins, seed, probe_stream=probe_stream))
 
 
 def reference_weighted_greedy(
@@ -539,43 +499,18 @@ def run_weighted_left(
     """Weighted left[d]: one bin per group, leftmost least-*weighted* wins.
 
     Vöcking's asymmetric tie break is exactly the first-minimum rule of the
-    chunked conflict-free commit engine, here with weighted increments.  The
-    replay contract matches the unit left[d]: with a ``probe_stream`` the
-    groups must be of equal size and the ``g``-th probe of a ball maps to
-    ``g·(n/d) + probe mod (n/d)``; seeded runs draw the one-per-group
-    choices from an up-front float-offset matrix (any group sizes), via
-    :func:`repro.baselines.left.seeded_group_choices`.  With all-equal
+    chunked conflict-free commit engine, here with weighted increments; this
+    is :class:`WeightedLeftProtocol`'s session on ``weights``, run to
+    completion.  The replay contract matches the unit left[d]: with a
+    ``probe_stream`` the groups must be of equal size and the ``g``-th probe
+    of a ball maps to ``g·(n/d) + probe mod (n/d)``; seeded runs draw the
+    one-per-group choices from an up-front float-offset matrix (any group
+    sizes), via :func:`repro.baselines.left.left_source`.  With all-equal
     weights the per-bin counts reproduce the unit protocol's loads
     probe-for-probe.
     """
-    if d < 1:
-        raise ConfigurationError(f"d must be at least 1, got {d}")
-    weights, stream, _ = _validate_weighted_run(
-        weights, n_bins, seed, probe_stream, None
-    )
-    loads = np.zeros(n_bins, dtype=np.float64)
-    counts = np.zeros(n_bins, dtype=np.int64)
-    m = weights.size
-    assignments = np.empty(m, dtype=np.int64)
-    if probe_stream is not None:
-        group_base, size = replay_group_map(n_bins, d)  # validates equal groups
-        source = (
-            lambda start, count: group_base + stream.take_matrix(count, d) % size
-        )
-    elif m:
-        source = matrix_source(seeded_group_choices(n_bins, d, m, stream.generator))
-    if m:
-        chunked_argmin_commit(
-            loads,
-            source,
-            m,
-            d,
-            chunk_size=chunk_size,
-            assignments=assignments,
-            weights=weights,
-        )
-        counts = np.bincount(assignments, minlength=n_bins).astype(np.int64)
-    return _result("weighted-left", weights, loads, counts, m * d)
+    protocol = WeightedLeftProtocol(d=d, chunk_size=chunk_size)
+    return _run(protocol.begin_weights(weights, n_bins, seed, probe_stream=probe_stream))
 
 
 def reference_weighted_left(
@@ -639,31 +574,11 @@ def run_weighted_memory(
     continuous load values cannot ride the integer provisional scan; see
     the engine module for the honest cost accounting.  With all-equal
     weights the per-bin counts reproduce the unit protocol probe-for-probe.
+    This is :class:`WeightedMemoryProtocol`'s session on ``weights``, run to
+    completion.
     """
-    if d < 1:
-        raise ConfigurationError(f"d must be at least 1, got {d}")
-    if k < 0:
-        raise ConfigurationError(f"k must be non-negative, got {k}")
-    weights, stream, _ = _validate_weighted_run(
-        weights, n_bins, seed, probe_stream, None
-    )
-    loads = np.zeros(n_bins, dtype=np.float64)
-    counts = np.zeros(n_bins, dtype=np.int64)
-    m = weights.size
-    assignments = np.empty(m, dtype=np.int64)
-    if m:
-        chunked_weighted_memory_commit(
-            stream,
-            loads,
-            [],
-            weights,
-            d,
-            k,
-            assignments=assignments,
-            chunk_size=chunk_size,
-        )
-        counts = np.bincount(assignments, minlength=n_bins).astype(np.int64)
-    return _result("weighted-memory", weights, loads, counts, m * d)
+    protocol = WeightedMemoryProtocol(d=d, k=k, chunk_size=chunk_size)
+    return _run(protocol.begin_weights(weights, n_bins, seed, probe_stream=probe_stream))
 
 
 def reference_weighted_memory(
@@ -707,8 +622,37 @@ def reference_weighted_memory(
 
 
 # --------------------------------------------------------------------- #
-# Registry protocols
+# Registry protocols and their sessions
 # --------------------------------------------------------------------- #
+def _run(session: ProtocolSession) -> WeightedRunResult:
+    """A runner's record: its session run to completion.
+
+    The runner's caller gave the weights instead of a weight distribution,
+    so the record carries no registry parameters.
+    """
+    run = session.result()
+    run.params = {}
+    return run
+
+
+def _finish(session) -> WeightedRunResult:
+    """The record every weighted session finishes with.
+
+    It carries the protocol's registry parameters and the weight bound the
+    session resolved.
+    """
+    run = _result(
+        session.protocol.name,
+        session._weights,
+        session.weighted_loads,
+        _counts(session.assignments, session.n_bins),
+        session.probes,
+        session.w_max,
+    )
+    run.params = session.protocol.params()
+    return run
+
+
 class _WeightedProtocolBase(AllocationProtocol):
     """Shared scaffolding of the weighted registry protocols.
 
@@ -756,24 +700,6 @@ class _WeightedProtocolBase(AllocationProtocol):
             **self.dist_params,
         }
 
-    def _draw_weights(
-        self, n_balls: int, stream: ProbeStream, seed: SeedLike
-    ) -> np.ndarray:
-        return make_weights(
-            self.weight_dist, n_balls, stream.derive_generator(seed), **self.dist_params
-        )
-
-    def _stamp(self, run: WeightedRunResult) -> WeightedRunResult:
-        """Add registry-level provenance (name, params, resolved weight bound)."""
-        run.protocol = self.name
-        run.params = self.params()
-        if run.w_max_used is None:
-            used = self.w_max
-            if used is None and run.weights is not None and run.weights.size:
-                used = float(run.weights.max())
-            run.w_max_used = 1.0 if used is None else used
-        return run
-
     def begin(
         self,
         n_balls: int,
@@ -789,40 +715,52 @@ class _WeightedProtocolBase(AllocationProtocol):
             raise ConfigurationError(
                 "probe_stream.n_bins does not match the requested n_bins"
             )
-        weights = self._draw_weights(n_balls, stream, seed)
-        return self._begin_session(weights, n_bins, stream, seed)
+        weights = make_weights(
+            self.weight_dist, n_balls, stream.derive_generator(seed), **self.dist_params
+        )
+        if probe_stream is None:
+            # Keep the generator the weights were spawned from: a fresh one
+            # seeded from ``seed`` would spawn the weights' child again for
+            # the greedy tie priorities.
+            seed = stream.generator
+        return self.begin_weights(weights, n_bins, seed, probe_stream=probe_stream)
 
-    def _begin_session(
-        self, weights: np.ndarray, n_bins: int, stream: ProbeStream, seed: SeedLike
+    def begin_weights(
+        self,
+        weights: np.ndarray,
+        n_bins: int,
+        seed: SeedLike = None,
+        *,
+        probe_stream: ProbeStream | None = None,
     ) -> ProtocolSession:
+        """Start this rule's session placing ``weights``, in order.
+
+        :meth:`begin` draws the weights and calls this; the
+        ``run_weighted_*`` runners call it on their caller's weights.
+        ``seed`` and ``probe_stream`` follow the unit-weight conventions.
+        """
         raise NotImplementedError
 
-class _WeightedEngineSession(ProtocolSession):
-    """Streaming weighted ADAPTIVE/THRESHOLD via the chunked engine.
 
-    The full weight vector and the per-ball thresholds are fixed up front
-    (exactly as in :func:`run_weighted_adaptive`), so each :meth:`place`
-    call simply drives
-    :func:`~repro.core.weighted_engine.chunked_weighted_assign` over the
-    next slice — the engine's chunk invariance makes any split of the
-    placement bit-identical.
+class _WeightedSession(ProtocolSession):
+    """A weighted session over a fixed weight vector.
+
+    Each ball's bin lands in ``assignments``, from which the per-bin ball
+    counts are tallied; ``w_max`` is the weight bound the session resolved.
     """
 
     def __init__(
         self,
-        protocol: "_WeightedProtocolBase",
+        protocol: _WeightedProtocolBase,
         n_bins: int,
         stream: ProbeStream,
         weights: np.ndarray,
-        thresholds: np.ndarray,
         w_max: float,
     ) -> None:
         super().__init__(protocol, int(weights.size), n_bins, stream)
         self._weights = weights
-        self._thresholds = thresholds
-        self._w_max = w_max
+        self.w_max = w_max
         self._wloads = np.zeros(n_bins, dtype=np.float64)
-        self._probes = 0
         self.assignments = np.empty(weights.size, dtype=np.int64)
 
     @property
@@ -832,6 +770,35 @@ class _WeightedEngineSession(ProtocolSession):
     @property
     def weighted_loads(self) -> np.ndarray:
         return self._wloads
+
+    def _finalize(self) -> WeightedRunResult:
+        return _finish(self)
+
+
+class _WeightedEngineSession(_WeightedSession):
+    """Streaming weighted ADAPTIVE/THRESHOLD via the chunked engine.
+
+    The full weight vector and the per-ball thresholds are fixed up front,
+    so each :meth:`place` call simply drives
+    :func:`~repro.core.weighted_engine.chunked_weighted_assign` over the
+    next slice — the engine's chunk invariance makes any split of the
+    placement bit-identical.  ``max_probes`` is the runners' per-ball cap.
+    """
+
+    def __init__(
+        self,
+        protocol: _WeightedProtocolBase,
+        n_bins: int,
+        stream: ProbeStream,
+        weights: np.ndarray,
+        w_max: float,
+        thresholds: np.ndarray,
+        max_probes: int | None,
+    ) -> None:
+        super().__init__(protocol, n_bins, stream, weights, w_max)
+        self._thresholds = thresholds
+        self._max_probes = max_probes
+        self._probes = 0
 
     @property
     def probes(self) -> int:
@@ -846,18 +813,8 @@ class _WeightedEngineSession(ProtocolSession):
             self.stream,
             chunk_size=self.protocol.chunk_size,
             assignments=self.assignments[start : start + k],
+            max_probes=self._max_probes,
         )
-
-    def _finalize(self) -> WeightedRunResult:
-        run = _result(
-            self.protocol.name,
-            self._weights,
-            self._wloads,
-            _counts(self.assignments, self.n_bins),
-            self._probes,
-            self._w_max,
-        )
-        return self.protocol._stamp(run)
 
 
 @register_protocol
@@ -867,18 +824,22 @@ class WeightedAdaptiveProtocol(_WeightedProtocolBase):
     name = "weighted-adaptive"
     streaming = True
 
-    def _begin_session(
-        self, weights: np.ndarray, n_bins: int, stream: ProbeStream, seed: SeedLike
+    def begin_weights(
+        self,
+        weights: np.ndarray,
+        n_bins: int,
+        seed: SeedLike = None,
+        *,
+        probe_stream: ProbeStream | None = None,
+        max_probes: int | None = None,
     ) -> _WeightedEngineSession:
         weights, stream, w_max = _validate_weighted_run(
-            weights, n_bins, None, stream, self.w_max
+            weights, n_bins, seed, probe_stream, self.w_max
         )
-        thresholds = (
-            adaptive_weighted_thresholds(weights, n_bins, w_max)
-            if weights.size
-            else np.empty(0, dtype=np.float64)
+        thresholds = adaptive_weighted_thresholds(weights, n_bins, w_max)
+        return _WeightedEngineSession(
+            self, n_bins, stream, weights, w_max, thresholds, max_probes
         )
-        return _WeightedEngineSession(self, n_bins, stream, weights, thresholds, w_max)
 
 
 @register_protocol
@@ -888,18 +849,28 @@ class WeightedThresholdProtocol(_WeightedProtocolBase):
     name = "weighted-threshold"
     streaming = True
 
-    def _begin_session(
-        self, weights: np.ndarray, n_bins: int, stream: ProbeStream, seed: SeedLike
+    def begin_weights(
+        self,
+        weights: np.ndarray,
+        n_bins: int,
+        seed: SeedLike = None,
+        *,
+        probe_stream: ProbeStream | None = None,
+        max_probes: int | None = None,
     ) -> _WeightedEngineSession:
         weights, stream, w_max = _validate_weighted_run(
-            weights, n_bins, None, stream, self.w_max
+            weights, n_bins, seed, probe_stream, self.w_max
         )
-        if weights.size:
-            bound = fixed_weighted_threshold(weights, n_bins, w_max)
-            thresholds = np.full(weights.size, bound)
-        else:
-            thresholds = np.empty(0, dtype=np.float64)
-        return _WeightedEngineSession(self, n_bins, stream, weights, thresholds, w_max)
+        bound = fixed_weighted_threshold(weights, n_bins, w_max)
+        return _WeightedEngineSession(
+            self,
+            n_bins,
+            stream,
+            weights,
+            w_max,
+            np.full(weights.size, bound),
+            max_probes,
+        )
 
 
 class _WeightedDChoiceSession(DChoiceSession):
@@ -911,15 +882,31 @@ class _WeightedDChoiceSession(DChoiceSession):
     increments; only the finished record differs.
     """
 
-    def _finalize(self) -> WeightedRunResult:
-        run = _result(
-            self.protocol.name,
-            self._weights,
-            self._loads,
-            _counts(self.assignments, self.n_bins),
-            self.n_balls * self.d,
+    def __init__(
+        self,
+        protocol: _WeightedProtocolBase,
+        n_bins: int,
+        stream: ProbeStream,
+        weights: np.ndarray,
+        w_max: float,
+        source,
+        priorities: np.ndarray | None = None,
+    ) -> None:
+        super().__init__(
+            protocol,
+            int(weights.size),
+            n_bins,
+            stream,
+            d=protocol.d,
+            source=source,
+            priorities=priorities,
+            weights=weights,
+            chunk_size=protocol.chunk_size,
         )
-        return self.protocol._stamp(run)
+        self.w_max = w_max
+
+    def _finalize(self) -> WeightedRunResult:
+        return _finish(self)
 
 
 @register_protocol
@@ -928,28 +915,6 @@ class WeightedGreedyProtocol(_WeightedProtocolBase):
 
     name = "weighted-greedy"
     streaming = True
-
-    def _begin_session(
-        self, weights: np.ndarray, n_bins: int, stream: ProbeStream, seed: SeedLike
-    ) -> ProtocolSession:
-        weights, stream, _ = _validate_weighted_run(
-            weights, n_bins, None, stream, None
-        )
-        m, d = int(weights.size), self.d
-        priorities = None
-        if m and self.tie_break == "random":
-            priorities = stream.derive_generator(seed).random(size=(m, d))
-        return _WeightedDChoiceSession(
-            self,
-            m,
-            n_bins,
-            stream,
-            d=d,
-            source=lambda start, count: stream.take_matrix(count, d),
-            priorities=priorities,
-            weights=weights,
-            chunk_size=self.chunk_size,
-        )
 
     def __init__(
         self,
@@ -975,6 +940,31 @@ class WeightedGreedyProtocol(_WeightedProtocolBase):
         params = super().params()
         params.pop("w_max", None)
         return {"d": self.d, "tie_break": self.tie_break, **params}
+
+    def begin_weights(
+        self,
+        weights: np.ndarray,
+        n_bins: int,
+        seed: SeedLike = None,
+        *,
+        probe_stream: ProbeStream | None = None,
+    ) -> _WeightedDChoiceSession:
+        weights, stream, w_max = _validate_weighted_run(
+            weights, n_bins, seed, probe_stream, None
+        )
+        m, d = int(weights.size), self.d
+        priorities = None
+        if m and self.tie_break == "random":
+            priorities = stream.derive_generator(seed).random(size=(m, d))
+        return _WeightedDChoiceSession(
+            self,
+            n_bins,
+            stream,
+            weights,
+            w_max,
+            source=lambda start, count: stream.take_matrix(count, d),
+            priorities=priorities,
+        )
 
 
 @register_protocol
@@ -1009,49 +999,24 @@ class WeightedLeftProtocol(_WeightedProtocolBase):
         params.pop("w_max", None)
         return {"d": self.d, **params}
 
-    def _source(self, n_balls: int, n_bins: int, stream, replay: bool):
-        if replay:
-            group_base, size = replay_group_map(n_bins, self.d)
-            return (
-                lambda start, count: group_base
-                + stream.take_matrix(count, self.d) % size
-            )
-        return matrix_source(
-            seeded_group_choices(n_bins, self.d, n_balls, stream.generator)
-        )
-
-    def begin(
+    def begin_weights(
         self,
-        n_balls: int,
+        weights: np.ndarray,
         n_bins: int,
         seed: SeedLike = None,
         *,
         probe_stream: ProbeStream | None = None,
-        record_trace: bool = False,
-    ) -> ProtocolSession:
-        self.validate_size(n_balls, n_bins)
-        stream = probe_stream or RandomProbeStream(n_bins, seed)
-        if stream.n_bins != n_bins:
-            raise ConfigurationError(
-                "probe_stream.n_bins does not match the requested n_bins"
-            )
-        weights = self._draw_weights(n_balls, stream, seed)
-        weights, stream, _ = _validate_weighted_run(
-            weights, n_bins, None, stream, None
+    ) -> _WeightedDChoiceSession:
+        weights, stream, w_max = _validate_weighted_run(
+            weights, n_bins, seed, probe_stream, None
         )
-        return _WeightedDChoiceSession(
-            self,
-            int(weights.size),
-            n_bins,
-            stream,
-            d=self.d,
-            source=self._source(n_balls, n_bins, stream, probe_stream is not None),
-            weights=weights,
-            chunk_size=self.chunk_size,
+        source = left_source(
+            n_bins, self.d, weights.size, stream, replay=probe_stream is not None
         )
+        return _WeightedDChoiceSession(self, n_bins, stream, weights, w_max, source)
 
 
-class _WeightedMemorySession(ProtocolSession):
+class _WeightedMemorySession(_WeightedSession):
     """Streaming weighted (d,k)-memory: remembered set persists across steps.
 
     The weight vector is fixed up front and each ``place`` call drives the
@@ -1060,20 +1025,9 @@ class _WeightedMemorySession(ProtocolSession):
     bit-identical.
     """
 
-    def __init__(self, protocol, n_bins, stream, weights) -> None:
-        super().__init__(protocol, int(weights.size), n_bins, stream)
-        self._weights = weights
-        self._wloads = np.zeros(n_bins, dtype=np.float64)
+    def __init__(self, protocol, n_bins, stream, weights, w_max) -> None:
+        super().__init__(protocol, n_bins, stream, weights, w_max)
         self._memory: list[int] = []
-        self.assignments = np.empty(weights.size, dtype=np.int64)
-
-    @property
-    def loads(self) -> np.ndarray:
-        return _counts(self.assignments[: self.placed], self.n_bins)
-
-    @property
-    def weighted_loads(self) -> np.ndarray:
-        return self._wloads
 
     @property
     def probes(self) -> int:
@@ -1091,16 +1045,6 @@ class _WeightedMemorySession(ProtocolSession):
             assignments=self.assignments[start : start + k],
             chunk_size=self.protocol.chunk_size,
         )
-
-    def _finalize(self) -> WeightedRunResult:
-        run = _result(
-            self.protocol.name,
-            self._weights,
-            self._wloads,
-            _counts(self.assignments, self.n_bins),
-            self.n_balls * self.protocol.d,
-        )
-        return self.protocol._stamp(run)
 
 
 @register_protocol
@@ -1133,10 +1077,15 @@ class WeightedMemoryProtocol(_WeightedProtocolBase):
         params.pop("w_max", None)
         return {"d": self.d, "k": self.k, **params}
 
-    def _begin_session(
-        self, weights: np.ndarray, n_bins: int, stream: ProbeStream, seed: SeedLike
-    ) -> ProtocolSession:
-        weights, stream, _ = _validate_weighted_run(
-            weights, n_bins, None, stream, None
+    def begin_weights(
+        self,
+        weights: np.ndarray,
+        n_bins: int,
+        seed: SeedLike = None,
+        *,
+        probe_stream: ProbeStream | None = None,
+    ) -> _WeightedMemorySession:
+        weights, stream, w_max = _validate_weighted_run(
+            weights, n_bins, seed, probe_stream, None
         )
-        return _WeightedMemorySession(self, n_bins, stream, weights)
+        return _WeightedMemorySession(self, n_bins, stream, weights, w_max)

@@ -10,8 +10,10 @@ derived per-trial seeds are identical either way — and identical to what
 Trials run in-process through the protocol's
 :meth:`~repro.core.protocol.AllocationProtocol.allocate_batch`, in
 memory-bounded blocks of :func:`default_trial_block` trials: one 2-D
-trial-axis computation for the protocols that batch natively, the exact
-per-trial loop for those that honestly don't.  A backend without the
+trial-axis computation for the protocols that batch natively (ADAPTIVE and
+the unit greedy[d], left[d] and single-choice baselines), the exact
+per-trial loop for the rest — THRESHOLD among them, since its trial is one
+window the single-run engine fills as fast.  A backend without the
 vectorised engines (``"scalar"``) runs one trial at a time instead; the
 results are bit-identical either way.  Sweeps fan out only through the
 :mod:`repro.cluster` coordinator (``workers > 1``), which runs each spec as

@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.baselines.engine import chunked_argmin_commit
-from repro.baselines.left import replay_group_map
+from repro.baselines.left import left_source, replay_group_map
 from repro.baselines.memory_engine import chunked_memory_commit, memory_hand_off
 from repro.core.backend import resolve_backend, use_backend
 from repro.core.result import RunResult, register_record_kind
@@ -394,6 +394,7 @@ class Dispatcher:
         k = int(sizes.size)
         if k == 0:
             return np.empty(0, dtype=np.int64)
+        self.validate_sizes(sizes)
 
         if self._use_small_burst(k):
             assignments, probes = self._assign_small_burst(sizes, total_jobs)
@@ -501,21 +502,20 @@ class Dispatcher:
     def _dispatch_weighted_left(self, sizes: np.ndarray) -> np.ndarray:
         """Weighted left[d]: probes map to server groups, least work wins.
 
-        The probe-to-group mapping is the shared
-        :func:`~repro.baselines.left.replay_group_map` contract and the
+        The candidates come from the shared replay source
+        :func:`~repro.baselines.left.left_source` and the
         engine's first-minimum rule is Vöcking's asymmetric tie-break, here
         over the accumulated work vector with weighted increments — the
         engine maintains ``self.work`` in place in exact sequential
         per-server order, so both dispatch entry points skip their own
         work accounting (as for the ``"weighted"`` policy).
         """
-        group_base, size = replay_group_map(self.n_servers, self.d)
-        assignments = np.empty(sizes.size, dtype=np.int64)
+        k = int(sizes.size)
+        assignments = np.empty(k, dtype=np.int64)
         chunked_argmin_commit(
             self.work,
-            lambda start, count: group_base
-            + self._stream.take_matrix(count, self.d) % size,
-            int(sizes.size),
+            left_source(self.n_servers, self.d, k, self._stream, replay=True),
+            k,
             self.d,
             chunk_size=self.block_size,
             assignments=assignments,
@@ -531,12 +531,19 @@ class Dispatcher:
         call — nothing more — without touching any dispatcher state, so
         admission layers (the service micro-batcher) can reject one bad
         submission on its own instead of failing whatever batch it was
-        coalesced into.  Policies that accept arbitrary sizes accept
-        everything here too.
+        coalesced into.  The work-balancing policies need finite sizes, and
+        ``"weighted"`` also needs them positive and within ``w_max``;
+        policies that accept arbitrary sizes accept everything here too.
         """
-        if self.policy != "weighted":
+        if self.policy not in ("weighted", "weighted-left"):
             return
         sizes = np.asarray(sizes, dtype=np.float64).ravel()
+        if not np.isfinite(sizes).all():
+            raise ConfigurationError(
+                f"the {self.policy} policy needs finite job sizes"
+            )
+        if self.policy != "weighted":
+            return
         if sizes.size and sizes.min() <= 0:
             raise ConfigurationError(
                 "the weighted policy needs strictly positive job sizes"
@@ -553,10 +560,10 @@ class Dispatcher:
         cumulative work (the batch cumsum is seeded with the stream's running
         total, so batch splits cannot perturb the float accumulation) and
         ``w_max_i`` either the fixed ``w_max`` parameter or the running
-        maximum of all sizes seen.  Validation precedes every state update,
-        so a rejected batch leaves the dispatcher untouched.
+        maximum of all sizes seen.  :meth:`_assign_batch` validates the
+        sizes before any state update, so a rejected batch leaves the
+        dispatcher untouched.
         """
-        self.validate_sizes(sizes)
         cumulative = np.cumsum(np.concatenate(([self.weight_dispatched], sizes)))[1:]
         if self.w_max is not None:
             bounds = np.full(sizes.size, self.w_max)
@@ -750,17 +757,15 @@ class Dispatcher:
     def _dispatch_left(self, k: int) -> np.ndarray:
         """Left[d]: probes map to equal server groups, leftmost minimum wins.
 
-        The probe-to-group mapping comes from the shared
-        :func:`~repro.baselines.left.replay_group_map` contract; the
+        The candidates come from the shared replay source
+        :func:`~repro.baselines.left.left_source`; the
         engine's first-minimum rule is exactly Vöcking's asymmetric
         tie-break.
         """
-        group_base, size = replay_group_map(self.n_servers, self.d)
         assignments = np.empty(k, dtype=np.int64)
         chunked_argmin_commit(
             self.job_counts,
-            lambda start, count: group_base
-            + self._stream.take_matrix(count, self.d) % size,
+            left_source(self.n_servers, self.d, k, self._stream, replay=True),
             k,
             self.d,
             chunk_size=self.block_size,

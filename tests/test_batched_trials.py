@@ -40,7 +40,6 @@ from repro.runtime.rng import trial_seed, trial_seed_table
 #: Protocols with a native trial-axis batched engine.
 BATCHED_PROTOCOLS = [
     ("adaptive", {}),
-    ("threshold", {}),
     ("greedy", {"d": 2, "tie_break": "random"}),
     ("greedy", {"d": 3, "tie_break": "first"}),
     ("left", {"d": 2}),
@@ -49,6 +48,7 @@ BATCHED_PROTOCOLS = [
 
 #: Protocols that honestly fall back to the base-class per-trial loop.
 FALLBACK_PROTOCOLS = [
+    ("threshold", {}),
     ("memory", {"d": 1, "k": 1}),
     ("rebalancing", {"d": 2}),
     ("weighted-greedy", {"d": 2}),
@@ -111,7 +111,7 @@ class TestSeededBitIdentity:
             )
             _assert_results_identical(result, single, (name, params, i))
 
-    @pytest.mark.parametrize("name,params", BATCHED_PROTOCOLS)
+    @pytest.mark.parametrize("name,params", BATCHED_PROTOCOLS + [("threshold", {})])
     def test_zero_balls(self, name, params):
         results = make_protocol(name, **params).allocate_batch(
             0, 32, _fresh_seeds(1, 3)

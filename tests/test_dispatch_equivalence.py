@@ -263,6 +263,35 @@ class TestWeightedPolicy:
         with pytest.raises(ConfigurationError):
             dispatcher.dispatch_batch(np.array([1.0, 3.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("small_burst", [None, 0])
+    @pytest.mark.parametrize("policy", ["weighted", "weighted-left"])
+    def test_non_finite_sizes_leave_dispatcher_untouched(
+        self, policy, small_burst, bad
+    ):
+        """A NaN or infinite size is refused before any state changes."""
+        from repro.errors import ConfigurationError
+
+        def dispatcher():
+            d = Dispatcher(
+                N_SERVERS, policy=policy, small_burst=small_burst, seed=5
+            )
+            d.dispatch_batch(np.full(6, 1.5))
+            return d
+
+        refused, control = dispatcher(), dispatcher()
+        before = refused.state_dict()
+        with pytest.raises(ConfigurationError):
+            refused.validate_sizes([1.0, bad])
+        with pytest.raises(ConfigurationError):
+            refused.dispatch_batch(np.array([1.0, bad, 2.0]))
+        assert refused.state_dict() == before
+        sizes = np.linspace(0.5, 3.0, 40)
+        assert np.array_equal(
+            refused.dispatch_batch(sizes), control.dispatch_batch(sizes)
+        )
+        assert refused.state_dict() == control.state_dict()
+
     def test_reset_clears_weighted_state(self):
         dispatcher = Dispatcher(10, policy="weighted", seed=0)
         dispatcher.dispatch_batch(np.full(40, 2.5))

@@ -10,13 +10,37 @@ from repro.core.protocol import available_protocols, make_protocol
 from repro.core.weighted import (
     WeightedRunResult,
     reference_weighted_adaptive,
+    reference_weighted_greedy,
+    reference_weighted_left,
+    reference_weighted_memory,
+    reference_weighted_threshold,
     run_weighted_adaptive,
     run_weighted_greedy,
+    run_weighted_left,
+    run_weighted_memory,
     run_weighted_threshold,
     weighted_gap_bound,
 )
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime.probes import FixedProbeStream, ProbeStream
+
+#: Every weighted rule: registry name, runner, and the parameters both take.
+RULES = [
+    ("weighted-adaptive", run_weighted_adaptive, {}),
+    ("weighted-threshold", run_weighted_threshold, {}),
+    ("weighted-greedy", run_weighted_greedy, {"d": 2, "tie_break": "first"}),
+    ("weighted-left", run_weighted_left, {"d": 3}),
+    ("weighted-memory", run_weighted_memory, {"d": 2, "k": 1}),
+]
+
+#: Every function that validates a weight vector through the shared check.
+WEIGHT_VALIDATORS = [runner for _, runner, _ in RULES] + [
+    reference_weighted_adaptive,
+    reference_weighted_threshold,
+    reference_weighted_greedy,
+    reference_weighted_left,
+    reference_weighted_memory,
+]
 
 
 class TestValidation:
@@ -41,6 +65,22 @@ class TestValidation:
             weighted_gap_bound(np.array([1.0]), 0)
         with pytest.raises(ConfigurationError):
             weighted_gap_bound(np.array([0.0]), 5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gap_bound_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ConfigurationError):
+            weighted_gap_bound(np.array([1.0, bad]), 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "run", WEIGHT_VALIDATORS, ids=lambda run: run.__name__
+    )
+    def test_non_finite_weights_rejected_before_any_probe(self, run, bad):
+        """A NaN or infinite weight used to be placed (or to fail late)."""
+        stream = FixedProbeStream(4, np.random.default_rng(1).integers(0, 4, 1000))
+        with pytest.raises(ConfigurationError):
+            run(np.array([1.0, bad, 2.0]), 4, probe_stream=stream)
+        assert stream.consumed == 0
 
 
 class TestAllocation:
@@ -248,6 +288,21 @@ class TestRegistryProtocols:
         b = protocol.allocate(400, 16, seed=9)
         assert np.array_equal(a.weighted_loads, b.weighted_loads)
         assert np.array_equal(a.weights, b.weights)
+
+    @pytest.mark.parametrize(
+        "name,run,params", RULES, ids=[name for name, _, _ in RULES]
+    )
+    def test_runner_reproduces_registry_run(self, name, run, params):
+        """A runner is its rule's registry session on the given weights."""
+        registry = make_protocol(name, weight_dist="exponential", **params).allocate(
+            900, 62, seed=12
+        )
+        runner = run(registry.weights, 62, seed=12, **params)
+        assert np.array_equal(runner.loads, registry.loads)
+        assert np.array_equal(runner.weighted_loads, registry.weighted_loads)
+        assert runner.allocation_time == registry.allocation_time
+        assert runner.w_max_used == registry.w_max_used
+        assert runner.params == {}
 
     def test_unknown_weight_dist_rejected(self):
         with pytest.raises(ConfigurationError):
