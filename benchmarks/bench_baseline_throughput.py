@@ -50,15 +50,14 @@ MIN_SPEEDUP = 10.0
 #: per chunk (left[2]'s reference is also unusually cheap per ball), so CI
 #: only checks that the advantage is unambiguous, not the full-scale factor.
 SMOKE_SPEEDUP = 3.0
-#: Required advantage of the (d,k)-memory provisional engine over the PR-4
-#: hand-off loop (the plain-int sequential commit it replaced).  The issue
-#: targeted >=5x at the acceptance scale; this container — a single-vCPU
-#: Xeon whose NumPy per-call overhead is ~3x a desktop's while its pure
-#: Python loops run comparatively fast — measures a 3.9-4.8x band (median
-#: ~4.3x), so the gate is pinned below that band and the honest measured
-#: number is printed and recorded in the JSON for the regression tracker.
+#: Required advantage of (1,1)-memory, which runs its own two-candidate
+#: loop, over the general (d,k) hand-off loop at d = k = 1 (the same bulk
+#: fresh draws feeding the plain-int rule, which builds, deduplicates and
+#: sorts each ball's candidate list).  The gate predates the two-candidate
+#: loop and is kept; the measured number is printed and recorded in the
+#: JSON for the regression tracker.
 MIN_MEMORY_SPEEDUP = 3.5
-#: Smoke-scale memory bar (100k balls / 1k bins measures ~1.7-1.9x here).
+#: Smoke-scale memory bar (100k balls / 1k bins).
 SMOKE_MEMORY_SPEEDUP = 1.3
 
 _PROTOCOLS = {
@@ -78,9 +77,10 @@ _PROTOCOLS = {
         lambda m, n: RebalancingProtocol(d=2).allocate(m, n, seed=BENCH_SEED),
         lambda m, n: reference_rebalancing(m, n, seed=BENCH_SEED, d=2),
     ),
-    # The tentpole comparison of the provisional-simulation engine: the
-    # baseline here is NOT the per-ball NumPy reference (as above) but the
-    # previous generation's hot path — the chunked plain-int hand-off loop.
+    # The (1,1) loop against the general hand-off loop: the baseline here
+    # is NOT the per-ball NumPy reference (as above) but
+    # chunked_memory_hand_off, the plain-int loop every other (d,k)
+    # configuration runs.
     "memory-engine(1,1)": (
         lambda m, n: MemoryProtocol(d=1, k=1).allocate(m, n, seed=BENCH_SEED),
         lambda m, n: _hand_off_loop(m, n),
@@ -89,8 +89,8 @@ _PROTOCOLS = {
 
 
 def _hand_off_loop(m: int, n: int) -> None:
-    """The PR-4 (d,k)-memory hot path, verbatim: bulk fresh draws feeding
-    the sequential plain-int commit loop."""
+    """The general (d,k)-memory loop at d = k = 1: bulk fresh draws feeding
+    the sequential plain-int rule."""
     counts = [0] * n
     chunked_memory_hand_off(
         RandomProbeStream(n, BENCH_SEED), counts, [], m, 1, 1
@@ -102,7 +102,7 @@ def measure_backend_scenarios(n_balls: int, n_bins: int) -> list[dict]:
     """Report-only: the deliberately-scalar memory(2,2) regime, scalar backend.
 
     This is the regime the ROADMAP kept scalar because every vectorised
-    treatment measured slower (on numpy it *is* the scalar fallback path).
+    treatment measured slower (on numpy it runs the same scalar loop).
     No regression floor — the number lands in the JSON and the printed
     table.
     """
@@ -176,22 +176,18 @@ def test_speedup_smoke_scale():
 
 
 def test_memory_engine_speedup_full_scale():
-    """The provisional engine beats the PR-4 hand-off loop at 1M/10k.
-
-    See :data:`MIN_MEMORY_SPEEDUP` for the honest container-measured band
-    versus the 5x issue target.
-    """
+    """The (1,1) loop beats the general hand-off loop at 1M/10k."""
     stats = measure_speedup("memory-engine(1,1)", FULL_BALLS, FULL_BINS)
     assert stats["speedup"] >= MIN_MEMORY_SPEEDUP, (
-        f"memory engine only {stats['speedup']:.1f}x faster than the "
-        f"hand-off loop (required {MIN_MEMORY_SPEEDUP:.1f}x)"
+        f"(1,1) loop only {stats['speedup']:.1f}x faster than the "
+        f"general hand-off loop (required {MIN_MEMORY_SPEEDUP:.1f}x)"
     )
 
 
 def test_memory_engine_speedup_smoke_scale():
     stats = measure_speedup("memory-engine(1,1)", QUICK_BALLS, QUICK_BINS)
     assert stats["speedup"] >= SMOKE_MEMORY_SPEEDUP, (
-        f"memory engine: {stats['speedup']:.1f}x < {SMOKE_MEMORY_SPEEDUP:.1f}x"
+        f"(1,1) loop: {stats['speedup']:.1f}x < {SMOKE_MEMORY_SPEEDUP:.1f}x"
     )
 
 
@@ -254,9 +250,9 @@ def main() -> None:
     memory_measured = acceptance["memory-engine(1,1)"]
     memory_verdict = "PASS" if memory_measured >= memory_required else "FAIL"
     print(
-        f"acceptance (memory engine vs PR-4 hand-off loop >= "
+        f"acceptance ((1,1) loop vs general hand-off loop >= "
         f"{memory_required:.1f}x): {memory_verdict} ({memory_measured:.1f}x "
-        "measured; issue target 5x — see MIN_MEMORY_SPEEDUP)"
+        "measured)"
     )
     if verdict == "FAIL" or memory_verdict == "FAIL":
         raise SystemExit(1)

@@ -75,9 +75,8 @@ _RUNNERS = {
         lambda w, n, **kw: run_weighted_left(w, n, d=2, **kw),
         lambda w, n, **kw: reference_weighted_left(w, n, d=2, **kw),
     ),
-    # Honest note: weighted (d,k)-memory's sequential float dependency
-    # cannot ride the integer provisional scan, so its engine is the
-    # chunk-drawn scalar commit — reported, never held to a speedup bar.
+    # Weighted (d,k)-memory runs the chunk-drawn scalar commit, like the
+    # unweighted rule — reported, never held to a speedup bar.
     "memory(1,1)": (
         lambda w, n, **kw: run_weighted_memory(w, n, d=1, k=1, **kw),
         lambda w, n, **kw: reference_weighted_memory(w, n, d=1, k=1, **kw),

@@ -53,7 +53,12 @@ from typing import Callable
 import numpy as np
 
 from repro.core.backend import active_backend
-from repro.core.window import _check_writeable, _conflict_free_rows_numpy
+from repro.core.window import (
+    _check_assignments,
+    _check_covers,
+    _check_writeable,
+    _conflict_free_rows_numpy,
+)
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -201,14 +206,6 @@ def _commit_chunk_numpy(
             wblock = wblock[spilled]
 
 
-def _check_covers(name: str, values, n_balls: int) -> None:
-    """Reject a per-ball input that stops short of the ``n_balls`` placed."""
-    if values is not None and len(values) < n_balls:
-        raise ConfigurationError(
-            f"{name} covers {len(values)} balls but {n_balls} are placed"
-        )
-
-
 def matrix_source(choices: np.ndarray) -> Callable[[int, int], np.ndarray]:
     """Adapt a precomputed ``(m, d)`` candidate matrix to a chunk source."""
 
@@ -249,6 +246,7 @@ def chunked_argmin_commit(
     _check_writeable(loads)
     _check_covers("priorities", priorities, n_balls)
     _check_covers("weights", weights, n_balls)
+    _check_assignments(assignments, n_balls)
     chunk = chunk_size or default_chunk_size(loads.size, d)
     done = 0
     while done < n_balls:

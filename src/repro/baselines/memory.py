@@ -17,15 +17,14 @@ several memory slots with the same bin and silently shrink the effective
 analysis assumes (``tests/test_memory.py`` carries the regression).
 
 The hand-off makes every decision depend on the previous ball's full
-candidate set, but the per-ball loop is gone for the common configurations:
-placements run through the chunked provisional-simulation engine of
-:mod:`repro.baselines.memory_engine` (guess the placements, reconstruct
-every candidate load under the guess, replay the remembered-bin recurrence
-in closed form, certify-and-iterate to a fixpoint) — bit-identical to the
-sequential rule, which is kept as
-:func:`repro.baselines.reference.reference_memory` (the per-ball oracle) and
-:func:`~repro.baselines.memory_engine.memory_hand_off` (the scalar
-spill/fallback rule shared with the dispatcher's small-burst path).
+candidate set, so placements run through
+:func:`~repro.baselines.memory_engine.chunked_memory_commit`: bulk fresh
+draws feeding a plain-int sequential loop, with its own two-candidate loop
+for ``d = k = 1`` (:func:`~repro.core.backend.memory11_hand_off`) and
+greedy[d]'s engine for ``k = 0``.  It is bit-identical to
+:func:`repro.baselines.reference.reference_memory` (the per-ball oracle)
+and to :func:`~repro.baselines.memory_engine.memory_hand_off` (the general
+rule, shared with the dispatcher's small-burst path).
 
 With ``record_trace=True`` the run records one
 :class:`~repro.runtime.trace.StageRecord` per stage of ``n`` balls — load
@@ -80,11 +79,11 @@ class MemoryProtocol(AllocationProtocol):
     Notes
     -----
     ``batches`` stays ``False``: each ball's remembered bins chain through
-    every previous placement (a sequential data dependence the provisional
-    engine resolves per trial, and the d>1/k>=2 regimes are deliberately
-    scalar per the roadmap), so multi-trial batches honestly run through the
-    base-class per-trial :meth:`~repro.core.protocol.AllocationProtocol.allocate_batch`
-    loop rather than a second trial-axis engine.
+    every previous placement (a sequential data dependence every
+    configuration resolves with a scalar loop, per the roadmap), so
+    multi-trial batches run through the base-class per-trial
+    :meth:`~repro.core.protocol.AllocationProtocol.allocate_batch` loop
+    rather than a second trial-axis engine.
     """
 
     name = "memory"
@@ -118,10 +117,10 @@ class MemoryProtocol(AllocationProtocol):
 class _MemorySession(ProtocolSession):
     """Streaming (d,k)-memory: the remembered set persists across steps.
 
-    Each ``place`` call drives the provisional-simulation engine over the
-    next slice; the engine's state between calls is exactly the sequential
-    protocol's (loads plus the remembered set), so any split of the balls
-    into steps is bit-identical.  In trace mode the
+    Each ``place`` call drives :func:`chunked_memory_commit` over the next
+    slice; its state between calls is exactly the sequential protocol's
+    (loads plus the remembered set), so any split of the balls into steps
+    is bit-identical.  In trace mode the
     slices are aligned to the stage boundaries of ``n`` balls, so stepped
     runs record the same :class:`~repro.runtime.trace.StageRecord` rows.
     """

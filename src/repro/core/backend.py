@@ -14,8 +14,7 @@ Two backends ship:
 
 * ``"numpy"`` (default) — the chunked vectorised kernels the engines have
   always used; the only backend supporting the vectorised engines that
-  bypass the kernel methods (the trial-axis batched engines and the
-  provisional (1,1)-memory fixpoint).
+  bypass the kernel methods (the trial-axis batched engines).
 * ``"scalar"`` — the literal per-ball loops, single-homed here: the
   reference the numpy kernels are checked against.  (The per-ball
   *reference oracles* in :mod:`repro.baselines.reference` implement whole
@@ -61,6 +60,7 @@ __all__ = [
     "describe_backends",
     "validate_backend_name",
     "memory_hand_off",
+    "memory11_hand_off",
     "chunked_memory_hand_off",
     "weighted_memory_hand_off",
 ]
@@ -90,10 +90,10 @@ def memory_hand_off(
     followed by the remembered bins; the first least-loaded candidate wins,
     and the ``k`` least loaded *distinct* candidate bins (stable order:
     candidate order breaks load ties) are remembered for the next ball.
-    This is the spill rule of
-    :func:`repro.baselines.memory_engine.chunked_memory_commit` and the
-    scalar small-burst path of the dispatcher's ``memory`` policy, so every
-    execution strategy shares one implementation of the literal rule.
+    This is the rule of :meth:`KernelBackend.memory_fallback` for every
+    ``(d, k)`` but ``(1, 1)`` (which runs :func:`memory11_hand_off`) and
+    the scalar small-burst path of the dispatcher's ``memory`` policy, so
+    every execution strategy shares one implementation of the literal rule.
     """
     for row in fresh_rows:
         candidates = row + memory
@@ -116,6 +116,53 @@ def memory_hand_off(
     return memory
 
 
+def memory11_hand_off(
+    counts,
+    fresh: list[int],
+    memory: list[int],
+    assignments: list[int] | None = None,
+) -> list[int]:
+    """:func:`memory_hand_off` at ``d = k = 1``: two candidates per ball.
+
+    ``fresh`` is the flat list of each ball's one fresh bin ``f``; the
+    remembered bin ``m`` and its load ``v`` live in locals.  The candidates
+    are ``[f, m]``: the first least-loaded one wins, so ``f`` wins a tie,
+    and after placement the less loaded of the distinct candidates is
+    remembered, ``f`` again on a tie.  The first ball of a run
+    (``memory == []``) has only its fresh bin.  Reads ``memory[0]`` only;
+    ``counts`` (and ``assignments``) are mutated in place exactly as the
+    general rule mutates them, and the new remembered set is returned.
+    """
+    balls = iter(fresh)
+    if memory:
+        m = memory[0]
+    else:
+        m = next(balls, None)
+        if m is None:
+            return memory
+        counts[m] += 1
+        if assignments is not None:
+            assignments.append(m)
+    v = counts[m]
+    for f in balls:
+        a = counts[f]
+        if v < a or f == m:
+            if assignments is not None:
+                assignments.append(m)
+            v += 1
+            counts[m] = v
+            if a == v:  # never when f == m: a is then the load before placement
+                m = f
+        else:
+            if assignments is not None:
+                assignments.append(f)
+            a += 1
+            counts[f] = a
+            if a <= v:
+                m, v = f, a
+    return [m]
+
+
 def chunked_memory_hand_off(
     stream: "ProbeStream",
     counts: list[int],
@@ -129,11 +176,12 @@ def chunked_memory_hand_off(
 
     Each chunk's ``d`` fresh choices come from one bulk
     :meth:`~repro.runtime.probes.ProbeStream.take_matrix` call (consumption
-    order identical to a per-ball loop).  This is the scalar fallback of
-    :func:`repro.baselines.memory_engine.chunked_memory_commit` (``k >= 2``
-    and untabulatable chunks) and the speedup baseline of
-    ``bench_baseline_throughput.py``.  Returns the new remembered set;
-    ``counts`` (and ``assignments``) are mutated in place.
+    order identical to a per-ball loop).  This is the general loop of
+    :meth:`KernelBackend.memory_fallback` (``d > 1`` or ``k >= 2``) and the
+    baseline the ``memory-engine(1,1)`` row of
+    ``bench_baseline_throughput.py`` measures the (1,1) loop against.
+    Returns the new remembered set; ``counts`` (and ``assignments``) are
+    mutated in place.
     """
     placed = 0
     while placed < n_balls:
@@ -363,9 +411,9 @@ class KernelBackend:
 
     Subclasses implement the kernel methods; the base class carries the
     single-homed scalar memory rules (shared verbatim by the numpy and
-    scalar backends — the NumPy engines deliberately keep those regimes
-    scalar, see the ROADMAP standing constraint) and the capability flag
-    the drivers consult.
+    scalar backends — every (d,k)-memory configuration runs a scalar loop,
+    see the ROADMAP standing constraint) and the capability flag the trial
+    runner consults.
 
     Every kernel must be **bit-identical** to the reference semantics —
     same loads, same assignments, same probe consumption.  Backends are an
@@ -377,10 +425,9 @@ class KernelBackend:
 
     #: Whether the vectorised engines that bypass the kernel methods — the
     #: trial-axis batched engines (``fill_window_batch``,
-    #: ``batched_argmin_commit``) and the provisional (1,1)-memory fixpoint
-    #: — may run under this backend.  When false the runner falls back to
-    #: the per-trial loop and the d=1,k=1 memory configuration to
-    #: :meth:`memory_fallback` (results are identical either way).
+    #: ``batched_argmin_commit``) — may run under this backend.  When false
+    #: the runner falls back to the per-trial loop (results are identical
+    #: either way).
     vectorised: bool = False
 
     # -- engine kernels (subclasses implement) -------------------------- #
@@ -479,18 +526,30 @@ class KernelBackend:
     ) -> list[int]:
         """Place ``n_balls`` (d,k)-memory balls with the sequential rule.
 
-        The fallback regime of
-        :func:`repro.baselines.memory_engine.chunked_memory_commit` (``d > 1``
-        or ``k >= 2``, where every NumPy decomposition measured slower than
-        the loop).  ``loads`` is int64, updated in place; returns the new
-        remembered set.  ``chunk_size`` only bounds the bulk fresh draws and
-        cannot affect results.
+        The commit path of
+        :func:`repro.baselines.memory_engine.chunked_memory_commit` for
+        every ``k >= 1``: ``d = k = 1`` runs the two-candidate loop
+        :func:`memory11_hand_off` over blocks of ``chunk_size`` fresh bins,
+        every other configuration the general
+        :func:`chunked_memory_hand_off` (every NumPy decomposition of the
+        rule measured slower than these loops).  ``loads`` is int64,
+        updated in place; returns the new remembered set.  ``chunk_size``
+        only bounds the bulk fresh draws and cannot affect results.
         """
         counts = loads.tolist()
         out: list[int] | None = [] if assignments is not None else None
-        memory = chunked_memory_hand_off(
-            stream, counts, memory, n_balls, d, k, assignments=out
-        )
+        if d == 1 and k == 1:
+            chunk = int(chunk_size) if chunk_size else _FRESH_CHUNK
+            placed = 0
+            while placed < n_balls:
+                count = min(chunk, n_balls - placed)
+                fresh = stream.take_matrix(count, 1).ravel().tolist()
+                memory = memory11_hand_off(counts, fresh, memory, assignments=out)
+                placed += count
+        else:
+            memory = chunked_memory_hand_off(
+                stream, counts, memory, n_balls, d, k, assignments=out
+            )
         loads[:] = counts
         if assignments is not None:
             assignments[:n_balls] = out

@@ -66,7 +66,7 @@ import math
 import numpy as np
 
 from repro.core.backend import active_backend
-from repro.core.window import _bin_sort_keys, _check_writeable
+from repro.core.window import _bin_sort_keys, _check_assignments, _check_writeable
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime.probes import ProbeStream
 
@@ -303,6 +303,7 @@ def chunked_weighted_assign(
             "loads must be a 1-D vector matching the probe stream's n_bins"
         )
     m = weights.size
+    _check_assignments(assignments, m)
     if m == 0:
         return 0
     if chunk_size is not None and chunk_size < 1:

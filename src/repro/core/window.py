@@ -204,6 +204,25 @@ def _check_writeable(array, name: str = "loads") -> None:
         )
 
 
+def _check_covers(name: str, values, n_balls: int) -> None:
+    """Reject a per-ball input that stops short of the ``n_balls`` placed."""
+    if values is not None and len(values) < n_balls:
+        raise ConfigurationError(
+            f"{name} covers {len(values)} balls but {n_balls} are placed"
+        )
+
+
+def _check_assignments(assignments, n_balls: int) -> None:
+    """Reject an ``assignments`` output that cannot take every ball placed.
+
+    Checked before the first probe is drawn, so a bad output never leaves
+    balls placed with their bins lost.
+    """
+    if assignments is not None:
+        _check_writeable(assignments, "assignments")
+        _check_covers("assignments", assignments, n_balls)
+
+
 def _run_window(
     loads: np.ndarray,
     acceptance_limit: int,

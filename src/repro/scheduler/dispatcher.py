@@ -586,10 +586,10 @@ class Dispatcher:
         disables).  The automatic rule encodes the measured crossovers: the
         scalar path wins when the burst is tiny relative to the vectorised
         engines' per-call setup, with policy-dependent constants (the
-        memory policy's provisional engine pays a fixed sort-and-scaffold
-        cost worth about a hundred scalar jobs at any fleet size, so every
-        sub-cap burst goes scalar; the weighted scalar loop is the most
-        expensive per job, so it only pays off for the tiniest bursts).
+        memory policy's vector path pays an O(n_servers) list round trip of
+        the counts, so every sub-cap burst goes scalar; the weighted scalar
+        loop is the most expensive per job, so it only pays off for the
+        tiniest bursts).
         """
         if self.small_burst is not None:
             return k < self.small_burst
@@ -601,10 +601,11 @@ class Dispatcher:
         if self.policy == "single":
             return k * 1024 < n
         if self.policy == "memory":
-            # The provisional-simulation engine pays a fixed per-call setup
-            # (sort, warm fold, fixpoint scaffolding) worth about a hundred
-            # scalar jobs regardless of n — re-measured crossover ~60-200
-            # jobs across 1k-10k servers, so every sub-cap burst goes scalar.
+            # The vector path copies job_counts to a list and back on every
+            # call, O(n_servers).  Bursts of 10-99 jobs measured 89-244 µs
+            # scalar vs 469-660 µs vector at 10,000 servers; at 1,000 the
+            # vector path leads only from ~64 jobs (264 vs 243 µs), so every
+            # sub-cap burst goes scalar.
             return True
         return k * 64 < n  # adaptive, threshold, greedy, left
 
@@ -774,13 +775,14 @@ class Dispatcher:
         return assignments
 
     def _dispatch_memory(self, k: int) -> np.ndarray:
-        """(d,k)-memory through the chunked provisional-simulation engine.
+        """(d,k)-memory through the chunk-drawn scalar hand-off.
 
         The remembered set persists across :meth:`dispatch_batch` calls (it
         is part of the protocol state, like ``job_counts``) and holds
-        distinct servers; the engine and its spill rule are shared with
+        distinct servers; the commit function and its rules are shared with
         :class:`~repro.baselines.memory.MemoryProtocol`, and ``job_counts``
-        is updated in place like every other policy.
+        is updated in place like every other policy (through one list round
+        trip per call, the fixed cost of this path).
         """
         assignments = np.empty(k, dtype=np.int64)
         self._memory = chunked_memory_commit(
@@ -920,7 +922,17 @@ class Dispatcher:
         dispatcher._w_max_seen = float(state["w_max_seen"])
         total = state["threshold_total"]
         dispatcher._threshold_total = None if total is None else int(total)
-        dispatcher._memory = [int(s) for s in state["memory"]]
+        memory = [int(s) for s in state["memory"]]
+        if (
+            len(memory) > dispatcher.k
+            or len(set(memory)) < len(memory)
+            or not all(0 <= s < dispatcher.n_servers for s in memory)
+        ):
+            raise ConfigurationError(
+                f"dispatcher-state memory {memory} is not a set of at most "
+                f"k={dispatcher.k} distinct servers in [0, {dispatcher.n_servers})"
+            )
+        dispatcher._memory = memory
         return dispatcher
 
     @classmethod

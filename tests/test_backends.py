@@ -363,10 +363,11 @@ class TestChunkInvariancePerBackend:
         assert np.array_equal(states[0][1], states[1][1])
 
     @pytest.mark.parametrize("backend_name", ALL_BACKENDS)
+    @pytest.mark.parametrize("d,k", [(2, 2), (1, 1)])
     @settings(max_examples=20, deadline=None)
     @given(chunk_size=st.integers(1, 500), seed=st.integers(0, 2**31))
-    def test_memory_commit_chunk_invariance(self, backend_name, chunk_size, seed):
-        m, n, d, k = 400, 16, 2, 2
+    def test_memory_commit_chunk_invariance(self, backend_name, d, k, chunk_size, seed):
+        m, n = 400, 16
         choices = np.random.default_rng(seed).integers(
             0, n, size=m * d, dtype=np.int64
         )

@@ -5,7 +5,8 @@ be copied (the placement is lost) and a read-only array must not be written
 through (``np.add.at`` does not check the flag), so every entry point
 rejects both with :class:`~repro.errors.ConfigurationError` before it draws
 a single probe.  Per-ball inputs (``priorities``, ``weights``,
-``placement``) must cover every ball placed.
+``placement``) must cover every ball placed, and an ``assignments`` output
+must be a writeable array with a slot for every ball.
 """
 
 from __future__ import annotations
@@ -45,13 +46,21 @@ UNWRITEABLE = {
 }
 
 
+#: Assignments outputs no engine can fill: one slot short, or read-only.
+#: Either used to fail only after every probe was drawn and placed.
+BAD_ASSIGNMENTS = {
+    "short-assignments": lambda: np.empty(BALLS - 1, dtype=np.int64),
+    "read-only-assignments": lambda: _frozen(BALLS, np.int64),
+}
+
+
 def _source(stream: RandomProbeStream, d: int):
     return lambda start, count: stream.take_matrix(count, d)
 
 
 class TestArgminCommitInputs:
     @pytest.mark.parametrize(
-        "case", [*UNWRITEABLE, "short-priorities", "short-weights"]
+        "case", [*UNWRITEABLE, "short-priorities", "short-weights", *BAD_ASSIGNMENTS]
     )
     def test_chunked_argmin_commit(self, case):
         loads = UNWRITEABLE[case]() if case in UNWRITEABLE else np.zeros(1000)
@@ -61,6 +70,8 @@ class TestArgminCommitInputs:
             kwargs["priorities"] = np.zeros((BALLS - 1, 2))
         elif case == "short-weights":
             kwargs["weights"] = np.ones(BALLS - 1)
+        elif case in BAD_ASSIGNMENTS:
+            kwargs["assignments"] = BAD_ASSIGNMENTS[case]()
         with pytest.raises(ConfigurationError):
             chunked_argmin_commit(loads, _source(stream, 2), BALLS, 2, **kwargs)
         assert stream.consumed == 0
@@ -119,34 +130,55 @@ class TestArgminCommitInputs:
 
 
 class TestMemoryAndWeightedInputs:
-    @pytest.mark.parametrize("case", UNWRITEABLE)
+    @pytest.mark.parametrize("case", [*UNWRITEABLE, *BAD_ASSIGNMENTS])
     @pytest.mark.parametrize("d,k", [(2, 0), (1, 1), (2, 2)])
     def test_chunked_memory_commit(self, case, d, k):
-        loads = UNWRITEABLE[case]()
+        if case in BAD_ASSIGNMENTS:
+            loads = np.zeros(1000, dtype=np.int64)
+            assignments = BAD_ASSIGNMENTS[case]()
+        else:
+            loads, assignments = UNWRITEABLE[case](), None
         stream = RandomProbeStream(len(loads), seed=1)
         with pytest.raises(ConfigurationError):
-            chunked_memory_commit(stream, loads, [], BALLS, d, k)
+            chunked_memory_commit(
+                stream, loads, [], BALLS, d, k, assignments=assignments
+            )
         assert stream.consumed == 0
         assert not np.any(loads)
 
-    @pytest.mark.parametrize("case", UNWRITEABLE)
+    @pytest.mark.parametrize("case", [*UNWRITEABLE, *BAD_ASSIGNMENTS])
     def test_chunked_weighted_memory_commit(self, case):
-        loads = UNWRITEABLE[case]()
+        if case in BAD_ASSIGNMENTS:
+            loads, assignments = np.zeros(1000), BAD_ASSIGNMENTS[case]()
+        else:
+            loads, assignments = UNWRITEABLE[case](), None
         stream = RandomProbeStream(len(loads), seed=1)
         with pytest.raises(ConfigurationError):
-            chunked_weighted_memory_commit(stream, loads, [], np.ones(BALLS), 2, 1)
+            chunked_weighted_memory_commit(
+                stream, loads, [], np.ones(BALLS), 2, 1, assignments=assignments
+            )
         assert stream.consumed == 0
         assert not np.any(loads)
 
-    @pytest.mark.parametrize("case", [*UNWRITEABLE, "bytes"])
+    @pytest.mark.parametrize("case", [*UNWRITEABLE, "bytes", *BAD_ASSIGNMENTS])
     def test_chunked_weighted_assign(self, case):
         data = bytes(32)
-        # np.frombuffer views the immutable bytes object as four float bins.
-        loads = np.frombuffer(data) if case == "bytes" else UNWRITEABLE[case]()
+        assignments = None
+        if case == "bytes":
+            # np.frombuffer views the immutable bytes object as four float bins.
+            loads = np.frombuffer(data)
+        elif case in BAD_ASSIGNMENTS:
+            loads, assignments = np.zeros(1000), BAD_ASSIGNMENTS[case]()
+        else:
+            loads = UNWRITEABLE[case]()
         stream = RandomProbeStream(len(loads), seed=1)
         with pytest.raises(ConfigurationError):
             chunked_weighted_assign(
-                loads, np.ones(BALLS), np.full(BALLS, 4.0), stream
+                loads,
+                np.ones(BALLS),
+                np.full(BALLS, 4.0),
+                stream,
+                assignments=assignments,
             )
         assert stream.consumed == 0
         assert not np.any(loads)

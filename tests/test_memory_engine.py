@@ -1,16 +1,16 @@
-"""Replay-stream certification of the (d,k)-memory provisional engine.
+"""Replay-stream certification of the (d,k)-memory chunked commit.
 
-The chunked provisional-simulation engine of
-:mod:`repro.baselines.memory_engine` and the ball-by-ball
-:func:`~repro.baselines.reference.reference_memory` are fed the same
-pre-computed choice vector through two
+:func:`~repro.baselines.memory_engine.chunked_memory_commit` and the
+ball-by-ball :func:`~repro.baselines.reference.reference_memory` are fed the
+same pre-computed choice vector through two
 :class:`~repro.runtime.probes.FixedProbeStream` instances; loads, per-ball
 assignments, remembered sets and probe consumption must be **bit-identical**
-for every ``(d, k)`` configuration — including the scalar-fallback regimes
-(``k >= 2``, untabulatable load bands) — and for every chunk size.  A second
-group certifies that the rewired :class:`~repro.baselines.memory.MemoryProtocol`
-is exactly the engine (one-shot, streamed through ``Simulation.step`` with
-any split, and via ``repro.simulate``).
+for every ``(d, k)`` configuration — the ``k = 0`` d-choice engine, the
+two-candidate ``(1, 1)`` loop and the general loop — and for every chunk
+size.  A second group certifies that the rewired
+:class:`~repro.baselines.memory.MemoryProtocol` is exactly that commit
+(one-shot, streamed through ``Simulation.step`` with any split, and via
+``repro.simulate``).
 """
 
 from __future__ import annotations
@@ -21,10 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import Simulation, SimulationSpec, simulate
 from repro.baselines.memory import MemoryProtocol, memory_hand_off, run_memory
-from repro.baselines.memory_engine import (
-    chunked_memory_commit,
-    default_memory_chunk_size,
-)
+from repro.baselines.memory_engine import chunked_memory_commit
 from repro.baselines.reference import reference_memory
 from repro.errors import ConfigurationError
 from repro.runtime.probes import FixedProbeStream
@@ -113,8 +110,8 @@ class TestEngineReplayEquivalence:
 
     def test_adversarial_wide_band_falls_back_scalar(self):
         """A replay stream that piles the early balls onto few bins spreads
-        loads far beyond the tabulatable band; the engine must spill to the
-        scalar rule and stay exact."""
+        the loads far apart before it turns uniform; the (1,1) loop must
+        stay exact across the skew."""
         n = 24
         rng = np.random.default_rng(0)
         skew = np.concatenate(
@@ -126,12 +123,13 @@ class TestEngineReplayEquivalence:
         loads, _, _, _ = engine_run(1600, n, 1, 1, skew)
         assert np.array_equal(loads, ref_loads)
 
-    def test_streamed_state_hand_off(self):
+    @pytest.mark.parametrize("d,k", [(2, 1), (1, 1)])
+    def test_streamed_state_hand_off(self, d, k):
         """Splitting the balls across engine calls carries the remembered
         set exactly (the dispatcher's streaming contract)."""
-        choices = choice_vector(N_BALLS, 2)
+        choices = choice_vector(N_BALLS, d)
         full_loads, full_assign, full_memory, _ = engine_run(
-            N_BALLS, N_BINS, 2, 1, choices
+            N_BALLS, N_BINS, d, k, choices
         )
         loads = np.zeros(N_BINS, dtype=np.int64)
         assignments = np.empty(N_BALLS, dtype=np.int64)
@@ -141,7 +139,7 @@ class TestEngineReplayEquivalence:
         for step in (1, 7, 130, 400, N_BALLS):
             count = min(step, N_BALLS - placed)
             memory = chunked_memory_commit(
-                stream, loads, memory, count, 2, 1,
+                stream, loads, memory, count, d, k,
                 assignments=assignments[placed : placed + count],
             )
             placed += count
@@ -160,8 +158,6 @@ class TestEngineReplayEquivalence:
             chunked_memory_commit(stream, loads, [], 1, 1, -1)
         with pytest.raises(ConfigurationError):
             chunked_memory_commit(stream, loads, [], 1, 1, 1, chunk_size=0)
-        with pytest.raises(ConfigurationError):
-            default_memory_chunk_size(0)
 
 
 class TestChunkSizeInvariance:

@@ -198,6 +198,24 @@ class TestCheckpointErrors:
         with pytest.raises(ConfigurationError, match="do not match n_servers"):
             Dispatcher.from_state(state)
 
+    @pytest.mark.parametrize(
+        "k,memory",
+        [
+            (1, [-1]),  # a negative id would alias server n - 1
+            (1, [8]),  # past the last server: IndexError on the next batch
+            (1, [0, 1, 2]),  # more servers than the policy remembers
+            (2, [3, 3]),  # the remembered set holds distinct servers
+        ],
+        ids=["negative", "past-last-server", "more-than-k", "repeated"],
+    )
+    def test_bad_remembered_set_rejected(self, k, memory):
+        dispatcher = Dispatcher(8, policy="memory", k=k, seed=3)
+        dispatcher.dispatch_batch(np.full(5, 1.0))
+        state = dispatcher.state_dict()
+        state["memory"] = memory
+        with pytest.raises(ConfigurationError, match="memory"):
+            Dispatcher.from_state(roundtrip(state))
+
 
 # --------------------------------------------------------------------- #
 # Service-level kill + restore
