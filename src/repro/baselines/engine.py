@@ -28,18 +28,33 @@ Each sub-phase decides with one loop over the ``d`` candidate columns
 vectorised over rows, so every row of the block gets its first least-loaded
 bin from ``d`` 1-D gathers and compares.  The commit and the move sweep
 share that selection and the conflict rule
-(:func:`repro.core.window._conflict_free_rows_numpy`).
+(:func:`repro.core.window._conflict_free_rows_numpy`).  The spilled rows,
+with their priorities and weights, are compacted through one index array
+per sub-phase (``take`` along rows), and the same array tracks each row's
+original position in the chunk.
 
 The first uncommitted ball of a chunk is always conflict-free, so every
 sub-phase makes progress and the sub-phase loop terminates.  The expected
 spill fraction of a chunk of ``b`` balls is about ``b·d²/(2n)``; the default
 chunk size of about ``n/d²`` (~50% spill, shrinking geometrically across
 sub-phases) is the measured sweet spot between per-call NumPy overhead and
-conflict-driven sub-phases.  The result — final loads, per-ball
+conflict-driven sub-phases.  Each sub-phase pays a fixed ~20 µs of NumPy
+calls however few rows it holds, so once at most ``_TAIL_ROWS`` rows are
+pending the chunk finishes them in ball order with the scalar kernel's
+per-ball rule (:func:`repro.core.backend._commit_chunk_scalar`), whose cost
+follows the rows.  Committing the pending rows in order is the sequential
+process: every later row already committed was conflict-free, so it placed
+into bins no pending row reads.  The result — final loads, per-ball
 assignments and probe-stream consumption — is **bit-identical** to the
 per-ball loops (kept verbatim in :mod:`repro.baselines.reference`), which
 ``tests/test_baseline_equivalence.py`` certifies under shared
 :class:`~repro.runtime.probes.FixedProbeStream` replay.
+
+The trial-axis commit (:func:`batched_argmin_commit`) stages every chunk
+in place: one ball-major ``(chunk · trials, d)`` buffer, plus one for
+priorities and one for weights when given, is allocated per call, and
+trial ``t``'s rows are written straight into its strided view
+``buffer[t::trials]`` with the trial's bin offset added on the way.
 
 The same machinery powers the ``greedy``/``left`` policies of the batched
 :class:`~repro.scheduler.dispatcher.Dispatcher`, so streamed workloads ride
@@ -52,10 +67,11 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.backend import active_backend
+from repro.core.backend import _commit_chunk_scalar, active_backend
 from repro.core.window import (
     _check_assignments,
     _check_covers,
+    _check_weighted,
     _check_writeable,
     _conflict_free_rows_numpy,
 )
@@ -74,6 +90,10 @@ __all__ = [
 #: overhead, huge chunks conflict so often that sub-phases degenerate.
 _MIN_CHUNK = 32
 _MAX_CHUNK = 1 << 14
+
+#: Pending rows a chunk finishes with the per-ball rule instead of another
+#: conflict-free sub-phase (each of which costs ~20 µs of NumPy calls).
+_TAIL_ROWS = 16
 
 
 def default_chunk_size(n_bins: int, d: int) -> int:
@@ -126,7 +146,8 @@ def commit_chunk(
     :mod:`repro.core.backend`); :func:`_commit_chunk_numpy` is the default
     conflict-free sub-phase engine described above: each sub-phase picks
     every row's target with the column loop of :func:`_first_least_loaded`
-    and commits the conflict-free rows.
+    and commits the conflict-free rows, and the chunk's last few pending
+    rows commit per ball.
     """
     active_backend().commit_chunk(
         loads,
@@ -140,30 +161,34 @@ def commit_chunk(
 
 def _first_least_loaded(
     loads: np.ndarray, block: np.ndarray, priorities: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's first least-loaded candidate and its load, column by column.
+) -> np.ndarray:
+    """Each row's first least-loaded candidate, column by column.
 
     The per-ball rule of :func:`~repro.core.backend._commit_chunk_scalar`
     vectorised over rows: column 0 is the best so far, and column ``j``
     replaces it when strictly less loaded — or, with ``priorities``, equally
     loaded with a strictly smaller priority.  That is the lexicographic
     minimum over (load, priority, position), so ties keep the earlier
-    position.
+    position.  The running best load and priority are only updated while a
+    later column still reads them.
     """
+    d = block.shape[1]
     targets = block[:, 0]
     best = loads[targets]
     best_p = None if priorities is None else priorities[:, 0]
-    for j in range(1, block.shape[1]):
+    for j in range(1, d):
         cand = block[:, j]
         cand_loads = loads[cand]
         better = cand_loads < best
         if best_p is not None:
             p = priorities[:, j]
             better |= (cand_loads == best) & (p < best_p)
-            best_p = np.where(better, p, best_p)
         targets = np.where(better, cand, targets)
-        best = np.minimum(best, cand_loads)
-    return targets, best
+        if j + 1 < d:
+            best = np.minimum(best, cand_loads)
+            if best_p is not None:
+                best_p = np.where(better, p, best_p)
+    return targets
 
 
 def _commit_chunk_numpy(
@@ -174,7 +199,15 @@ def _commit_chunk_numpy(
     base: int = 0,
     weights: np.ndarray | None = None,
 ) -> None:
-    """The conflict-free sub-phase commit engine (see :func:`commit_chunk`)."""
+    """The conflict-free sub-phase commit engine (see :func:`commit_chunk`).
+
+    Sub-phases run while more than :data:`_TAIL_ROWS` rows are pending; the
+    spilled rows, their priorities and weights are compacted through one
+    index array per sub-phase.  The last pending rows (at most
+    ``_TAIL_ROWS``, in ball order) are finished by the scalar kernel's
+    per-ball rule, which costs O(rows) where another sub-phase would pay
+    the fixed cost of a dozen NumPy calls.
+    """
     n_bins = loads.size
     block = rows
     pblock = priorities
@@ -182,10 +215,10 @@ def _commit_chunk_numpy(
     # Original in-chunk positions of `block`'s rows; None = identity (saves a
     # gather on the first sub-phase, which handles ~all of the chunk).
     indices: np.ndarray | None = None
-    while block.shape[0]:
+    while block.shape[0] > _TAIL_ROWS:
         free = _conflict_free_rows_numpy(block, n_bins)
         # Every row of the block decides; only the conflict-free ones commit.
-        targets = _first_least_loaded(loads, block, pblock)[0][free]
+        targets = _first_least_loaded(loads, block, pblock)[free]
         if wblock is not None:
             np.add.at(loads, targets, wblock[free])
         elif targets.size * 16 >= n_bins:
@@ -195,15 +228,20 @@ def _commit_chunk_numpy(
         if assignments is not None:
             ready = np.flatnonzero(free) if indices is None else indices[free]
             assignments[base + ready] = targets
-        spilled = ~free
-        if not spilled.any():
-            break
-        indices = np.flatnonzero(spilled) if indices is None else indices[spilled]
-        block = block[spilled]
+        if targets.size == free.size:  # every row was conflict-free
+            return
+        spill = np.flatnonzero(~free)
+        indices = spill if indices is None else indices.take(spill)
+        block = block.take(spill, axis=0)
         if pblock is not None:
-            pblock = pblock[spilled]
+            pblock = pblock.take(spill, axis=0)
         if wblock is not None:
-            wblock = wblock[spilled]
+            wblock = wblock.take(spill)
+    if block.shape[0]:
+        chosen = _commit_chunk_scalar(loads, block, pblock, weights=wblock)
+        if assignments is not None:
+            ready = np.arange(len(chosen)) if indices is None else indices
+            assignments[base + ready] = chosen
 
 
 def matrix_source(choices: np.ndarray) -> Callable[[int, int], np.ndarray]:
@@ -244,6 +282,8 @@ def chunked_argmin_commit(
     if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be positive, got {chunk_size}")
     _check_writeable(loads)
+    if weights is not None:
+        _check_weighted(loads)
     _check_covers("priorities", priorities, n_balls)
     _check_covers("weights", weights, n_balls)
     _check_assignments(assignments, n_balls)
@@ -280,23 +320,26 @@ def batched_argmin_commit(
     ``t * n_bins`` into one flat ``(trials * n_bins)``-bin load vector, and
     each chunk's per-trial candidate rows are interleaved **ball-major**
     (ball 0 of every trial, then ball 1, …) into a single ``(count * trials,
-    d)`` matrix committed by the ordinary :func:`commit_chunk` — no second
-    commit engine.  Bins of different trials never collide, so the sequential
-    semantics of the combined instance restricted to trial ``t``'s rows *is*
-    trial ``t``'s sequential process: per-trial loads (and weighted float
+    d)`` matrix, staged in place in a buffer allocated once per call and
+    committed by the ordinary NumPy commit kernel — no second commit engine.
+    Bins of different trials never collide, so the sequential semantics of
+    the combined instance restricted to trial ``t``'s rows *is* trial
+    ``t``'s sequential process: per-trial loads (and weighted float
     accumulation order) are bit-identical to single-trial runs, which the
     test-suite certifies.
 
     Parameters
     ----------
     loads:
-        ``(trials, n_bins)`` load matrix, modified in place (float when
+        ``(trials, n_bins)`` load matrix, modified in place (float64 when
         ``weights`` is given, exactly as in the single-trial engine).
     sources:
         One chunk source per trial; ``sources[t](start, count)`` returns the
         ``(count, d)`` candidate rows of balls ``start … start+count-1`` of
         trial ``t`` (a per-trial ``take_matrix`` draw or matrix slice, so
-        each trial's probe consumption order is unchanged).
+        each trial's probe consumption order is unchanged).  A block of
+        another shape, or with a bin outside ``[0, n_bins)``, raises
+        :class:`~repro.errors.ConfigurationError` before its chunk commits.
     priorities / weights:
         Optional per-trial lists of the full ``(n_balls, d)`` tie-break /
         ``(n_balls,)`` weight arrays, drawn up front per trial exactly as
@@ -316,39 +359,48 @@ def batched_argmin_commit(
         raise ConfigurationError(
             f"got {len(sources)} chunk sources for {n_trials} trial rows"
         )
-    for name, per_trial in (("priorities", priorities), ("weights", weights)):
-        if per_trial is None:
-            continue
-        if len(per_trial) != n_trials:
-            raise ConfigurationError(
-                f"got {len(per_trial)} {name} for {n_trials} trial rows"
-            )
-        for values in per_trial:
-            _check_covers(name, values, n_balls)
+    priorities = _per_trial("priorities", priorities, n_trials, n_balls, (d,))
+    weights = _per_trial("weights", weights, n_trials, n_balls, ())
+    if weights is not None:
+        _check_weighted(loads)
     flat_loads = loads.reshape(-1)
-    offsets = (np.arange(n_trials, dtype=np.int64) * n_bins)[:, None, None]
     chunk = chunk_size or default_chunk_size(n_bins, d)
+    # Ball-major staging buffers, written in place chunk by chunk: trial t's
+    # ball i is row i * n_trials + t, so trial t fills the strided view
+    # buffer[t::n_trials].  Priorities and weights keep the per-trial
+    # arrays' common dtype, so the commit compares and adds the same values.
+    width = min(chunk, n_balls) * n_trials
+    staged = np.empty((width, d), dtype=np.int64)
+    staged_p = None
+    if priorities is not None:
+        staged_p = np.empty((width, d), dtype=np.result_type(*priorities))
+    staged_w = None
+    if weights is not None:
+        staged_w = np.empty(width, dtype=np.result_type(*weights))
     done = 0
     while done < n_balls:
         count = min(chunk, n_balls - done)
-        stacked = np.stack(
-            [np.asarray(source(done, count)) for source in sources]
-        )
-        combined = (stacked + offsets).swapaxes(0, 1).reshape(count * n_trials, d)
+        size = count * n_trials
+        combined = staged[:size]
+        # Column by column: a 2-D strided copy would run NumPy's inner loop
+        # over the d entries of one row, once per row.
+        for t, source in enumerate(sources):
+            block = _checked_block(source(done, count), count, d, n_bins)
+            rows = combined[t::n_trials]
+            for j in range(d):
+                np.add(block[:, j], t * n_bins, out=rows[:, j])
         big_priorities = None
-        if priorities is not None:
-            big_priorities = (
-                np.stack([p[done : done + count] for p in priorities])
-                .swapaxes(0, 1)
-                .reshape(count * n_trials, d)
-            )
+        if staged_p is not None:
+            big_priorities = staged_p[:size]
+            for t, p in enumerate(priorities):
+                rows = big_priorities[t::n_trials]
+                for j in range(d):
+                    rows[:, j] = p[done : done + count, j]
         big_weights = None
-        if weights is not None:
-            big_weights = (
-                np.stack([w[done : done + count] for w in weights])
-                .swapaxes(0, 1)
-                .reshape(count * n_trials)
-            )
+        if staged_w is not None:
+            big_weights = staged_w[:size]
+            for t, w in enumerate(weights):
+                big_weights[t::n_trials] = w[done : done + count]
         # The combined-instance embedding is itself a vectorisation strategy,
         # so it always runs the NumPy commit kernel directly (drivers route
         # non-batching backends to the per-trial engines instead).
@@ -356,6 +408,51 @@ def batched_argmin_commit(
             flat_loads, combined, priorities=big_priorities, weights=big_weights
         )
         done += count
+
+
+def _per_trial(
+    name: str, per_trial, n_trials: int, n_balls: int, row_shape: tuple
+) -> "list[np.ndarray] | None":
+    """Per-trial priorities or weights as arrays, checked against the batch.
+
+    Each array must cover ``n_balls`` rows of ``row_shape``: staging writes
+    them into strided views, which would broadcast a narrower row silently.
+    """
+    if per_trial is None:
+        return None
+    if len(per_trial) != n_trials:
+        raise ConfigurationError(
+            f"got {len(per_trial)} {name} for {n_trials} trial rows"
+        )
+    arrays = [np.asarray(values) for values in per_trial]
+    for values in arrays:
+        _check_covers(name, values, n_balls)
+        if values.shape[1:] != row_shape:
+            raise ConfigurationError(
+                f"{name} rows have shape {values.shape[1:]}, expected {row_shape}"
+            )
+    return arrays
+
+
+def _checked_block(block, count: int, d: int, n_bins: int) -> np.ndarray:
+    """A source's ``(count, d)`` candidate block, checked before it is staged.
+
+    Offset into the combined instance, a bin outside ``[0, n_bins)`` would
+    land in another trial's bins, so one reduction checks the range: viewed
+    as unsigned, a negative bin is larger than any valid one.
+    """
+    block = np.asarray(block)
+    if block.shape != (count, d) or block.dtype.kind not in "iu":
+        raise ConfigurationError(
+            f"a chunk source returned a {block.dtype} block of shape "
+            f"{block.shape}; expected ({count}, {d}) integer bins"
+        )
+    block = block.astype(np.int64, copy=False)
+    if block.size and block.view(np.uint64).max() >= n_bins:
+        raise ConfigurationError(
+            f"a chunk source returned a bin outside [0, {n_bins})"
+        )
+    return block
 
 
 def chunked_move_sweep(
@@ -402,8 +499,8 @@ def _move_sweep_numpy(
             block = rows[pending]
             free = _conflict_free_rows_numpy(block, loads.size)
             ready = pending[free]
-            best, best_load = _first_least_loaded(loads, block)
-            best, best_load = best[free], best_load[free]
+            best = _first_least_loaded(loads, block)[free]
+            best_load = loads[best]
             current = placement[start + ready]
             move = best_load + 2 <= loads[current]
             if move.any():

@@ -42,7 +42,7 @@ from repro.core.backend import (  # noqa: F401  (re-exported scalar rules)
     memory_hand_off,
     weighted_memory_hand_off,
 )
-from repro.core.window import _check_assignments, _check_writeable
+from repro.core.window import _check_assignments, _check_weighted, _check_writeable
 from repro.errors import ConfigurationError
 from repro.runtime.probes import ProbeStream
 
@@ -88,6 +88,7 @@ def chunked_weighted_memory_commit(
     if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be positive, got {chunk_size}")
     _check_writeable(weighted_loads, "weighted_loads")
+    _check_weighted(weighted_loads, "weighted_loads")
     _check_assignments(assignments, n_balls)
     memory = [int(b) for b in memory]
     if not n_balls:

@@ -302,26 +302,30 @@ def _commit_chunk_scalar(
     assignments: np.ndarray | None = None,
     base: int = 0,
     weights: np.ndarray | None = None,
-) -> None:
+) -> list[int]:
     """The per-ball argmin commit: first least-loaded candidate wins.
 
     With ``priorities``, the smallest priority among the least-loaded
     positions wins (first position on a priority tie).  The vectorised
     commit's column loop applies this same comparison to every row at
-    once.  Weighted commits
-    add each ball's weight with one scalar ``+`` in ball order, the same
-    IEEE operation sequence as the engine's element-wise ``np.add.at``.
+    once, and hands its last few pending rows to this function.  Weighted
+    commits add each ball's weight with one scalar ``+`` in ball order, the
+    same IEEE operation sequence as the engine's element-wise ``np.add.at``.
+
+    ``loads`` is read and written one element at a time, so a call costs
+    O(rows), not O(bins).  Returns the chosen bins in row order.
     """
-    counts = loads.tolist()
+    item = loads.item
     row_list = rows.tolist()
     pri_list = priorities.tolist() if priorities is not None else None
     weight_list = weights.tolist() if weights is not None else None
+    chosen: list[int] = []
     for i, row in enumerate(row_list):
         best = row[0]
-        best_load = counts[best]
+        best_load = item(best)
         if pri_list is None:
             for cand in row[1:]:
-                load = counts[cand]
+                load = item(cand)
                 if load < best_load:
                     best, best_load = cand, load
         else:
@@ -329,13 +333,14 @@ def _commit_chunk_scalar(
             best_pri = prow[0]
             for pos in range(1, len(row)):
                 cand = row[pos]
-                load = counts[cand]
+                load = item(cand)
                 if load < best_load or (load == best_load and prow[pos] < best_pri):
                     best, best_load, best_pri = cand, load, prow[pos]
-        counts[best] = best_load + (1 if weight_list is None else weight_list[i])
-        if assignments is not None:
-            assignments[base + i] = best
-    loads[:] = counts
+        loads[best] = best_load + (1 if weight_list is None else weight_list[i])
+        chosen.append(best)
+    if assignments is not None:
+        assignments[base : base + len(chosen)] = chosen
+    return chosen
 
 
 def _move_sweep_scalar(

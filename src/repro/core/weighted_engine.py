@@ -66,7 +66,12 @@ import math
 import numpy as np
 
 from repro.core.backend import active_backend
-from repro.core.window import _bin_sort_keys, _check_assignments, _check_writeable
+from repro.core.window import (
+    _bin_sort_keys,
+    _check_assignments,
+    _check_weighted,
+    _check_writeable,
+)
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime.probes import ProbeStream
 
@@ -298,6 +303,7 @@ def chunked_weighted_assign(
             "weights and thresholds must be 1-D arrays of equal length"
         )
     _check_writeable(loads)
+    _check_weighted(loads)
     if loads.ndim != 1 or loads.size != stream.n_bins:
         raise ConfigurationError(
             "loads must be a 1-D vector matching the probe stream's n_bins"

@@ -204,6 +204,18 @@ def _check_writeable(array, name: str = "loads") -> None:
         )
 
 
+def _check_weighted(loads, name: str = "loads") -> None:
+    """Reject loads that cannot hold weights: an integer vector truncates them.
+
+    Every weighted in-place engine entry point calls this (after
+    :func:`_check_writeable`) before drawing a probe.
+    """
+    if loads.dtype != np.float64:
+        raise ConfigurationError(
+            f"{name} must be float64 to take ball weights, got {loads.dtype}"
+        )
+
+
 def _check_covers(name: str, values, n_balls: int) -> None:
     """Reject a per-ball input that stops short of the ``n_balls`` placed."""
     if values is not None and len(values) < n_balls:

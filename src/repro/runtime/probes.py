@@ -139,29 +139,6 @@ class ProbeStream(ABC):
         """
         return None
 
-    def prefetch(self, count: int) -> None:
-        """Pre-draw probes into the pending buffer (a pure optimisation).
-
-        Ensures at least ``count`` probe values are buffered so the next
-        :meth:`take` calls are served by cheap slicing instead of one
-        generator call each.  Fresh draws are appended to the *back* of the
-        buffer, which :meth:`take` serves strictly before drawing again, so
-        the logical probe sequence is exactly the one a non-prefetching
-        consumer would see (the same prefix-stability of block draws the
-        give-back contract relies on).  No-op on finite replay streams,
-        whose exhaustion errors must keep reflecting real consumption.
-        """
-        if count < 0:
-            raise ConfigurationError(f"count must be non-negative, got {count}")
-        if self.available is not None:
-            return
-        deficit = int(count) - self._pending.size
-        if deficit > 0:
-            if self._pending.size:
-                self._pending = np.concatenate([self._pending, self._draw(deficit)])
-            else:
-                self._pending = self._draw(deficit)
-
     def give_back(self, values: np.ndarray) -> None:
         """Return unconsumed probe *values* to the front of the stream.
 
@@ -438,17 +415,6 @@ class BatchedProbeStream:
     def give_back(self, index: int, values: np.ndarray) -> None:
         """Return an unread row tail to child ``index`` (see ProbeStream)."""
         self.children[index].give_back(values)
-
-    def prefetch(self, indices: np.ndarray, count: int) -> None:
-        """Buffer ``count`` probes ahead in each requested child (perf only).
-
-        Engines call this once per window with the expected total draw so
-        each child serves the window's passes from one bulk generator call;
-        see :meth:`ProbeStream.prefetch` for why the probe sequence is
-        unaffected.
-        """
-        for i in np.asarray(indices, dtype=np.int64).ravel():
-            self.children[int(i)].prefetch(count)
 
     def min_available(self, indices: np.ndarray) -> int | None:
         """Smallest ``available`` among the requested children (None = unbounded)."""

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import DispatchSpec, Simulation, SimulationSpec, WorkloadSpec, simulate
-from repro.baselines.engine import chunked_argmin_commit, matrix_source
+from repro.baselines.engine import _TAIL_ROWS, chunked_argmin_commit, matrix_source
 from repro.baselines.memory_engine import (
     chunked_memory_commit,
     chunked_weighted_memory_commit,
@@ -46,8 +46,12 @@ from repro.runtime.probes import FixedProbeStream
 from repro.scheduler.dispatcher import Dispatcher
 
 #: (n_balls, n_bins) grid shared with the per-engine equivalence suites:
-#: tiny, square, heavily loaded (m >> n), sparse (n > m), empty.
-SIZES = [(0, 6), (1, 4), (24, 24), (400, 12), (2000, 8), (60, 240), (500, 100)]
+#: tiny, square, heavily loaded (m >> n), sparse (n > m), empty, and one
+#: whose default d-choice chunks (n/d² balls) start above the per-ball tail.
+SIZES = [
+    (0, 6), (1, 4), (24, 24), (400, 12), (2000, 8), (60, 240), (500, 100),
+    (3000, 1000),
+]
 
 ALL_BACKENDS = backend_names()
 
@@ -239,7 +243,7 @@ class TestCrossBackendEquivalence:
     @given(
         d=st.integers(1, 4),
         n=st.integers(1, 12),
-        b=st.integers(0, 40),
+        b=st.integers(0, 8 * _TAIL_ROWS),
         base=st.integers(0, 5),
         with_priorities=st.booleans(),
         with_weights=st.booleans(),
@@ -249,7 +253,10 @@ class TestCrossBackendEquivalence:
         self, d, n, b, base, with_priorities, with_weights, seed
     ):
         # Few bins make in-row repeats and load ties common; priorities from
-        # {0, 0.5, 1} make exact priority ties common too.
+        # {0, 0.5, 1} make exact priority ties common too.  Chunks of more
+        # than _TAIL_ROWS rows run conflict-free sub-phases and hand their
+        # last pending rows, no longer contiguous in the chunk, to the
+        # per-ball finish.
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, n, size=(b, d))
         priorities = rng.choice([0.0, 0.5, 1.0], size=(b, d)) if with_priorities else None

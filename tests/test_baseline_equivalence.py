@@ -41,8 +41,12 @@ from repro.errors import ConfigurationError
 from repro.runtime.probes import FixedProbeStream
 
 #: (n_balls, n_bins) grid: tiny, square, heavily loaded (m >> n), sparse
-#: (n > m), empty.
-SIZES = [(0, 6), (1, 4), (24, 24), (400, 12), (2000, 8), (60, 240), (500, 100)]
+#: (n > m), empty, and one whose default chunks (n/d² balls: 1,000, 250 and
+#: 111 at d = 1, 2, 3) start above the engine's per-ball tail.
+SIZES = [
+    (0, 6), (1, 4), (24, 24), (400, 12), (2000, 8), (60, 240), (500, 100),
+    (3000, 1000),
+]
 
 
 def choice_vector(m: int, n: int, d: int, seed: int = 99) -> np.ndarray:
@@ -92,7 +96,9 @@ class TestGreedyEquivalence:
 
 
 class TestLeftEquivalence:
-    @pytest.mark.parametrize("size", [(0, 6), (1, 4), (24, 24), (400, 12), (2000, 8)])
+    @pytest.mark.parametrize(
+        "size", [(0, 6), (1, 4), (24, 24), (400, 12), (2000, 8), (3000, 1000)]
+    )
     @pytest.mark.parametrize("d", [1, 2, 4])
     def test_replay_bit_identical(self, size, d):
         m, n = size

@@ -6,7 +6,10 @@ through (``np.add.at`` does not check the flag), so every entry point
 rejects both with :class:`~repro.errors.ConfigurationError` before it draws
 a single probe.  Per-ball inputs (``priorities``, ``weights``,
 ``placement``) must cover every ball placed, and an ``assignments`` output
-must be a writeable array with a slot for every ball.
+must be a writeable array with a slot for every ball.  Weighted balls need
+float64 loads: integer loads would truncate every weight.  The trial-axis
+commit also checks each source block before it offsets the block into the
+combined instance, where a bad bin would land in another trial's bins.
 """
 
 from __future__ import annotations
@@ -54,13 +57,30 @@ BAD_ASSIGNMENTS = {
 }
 
 
+#: Fractional weights integer loads would truncate (total 6.3 over 6 balls).
+FRACTIONAL = np.array([0.5, 1.7, 0.2, 2.9, 0.5, 0.5, 0.5, 1.7, 0.2, 2.9])
+
+
+#: Source blocks the trial-axis commit must refuse, by the trial returning
+#: them: with 1,000 bins, trial 0's bin 1,000 would be trial 1's bin 0 and
+#: trial 1's bin -1 trial 0's bin 999; a (count, 1) block would broadcast
+#: across both candidate columns.
+BAD_BLOCKS = {
+    "bin-past-the-end": (0, lambda count: np.full((count, 2), 1000)),
+    "negative-bin": (1, lambda count: np.full((count, 2), -1)),
+    "narrow-block": (0, lambda count: np.zeros((count, 1), np.int64)),
+}
+
+
 def _source(stream: RandomProbeStream, d: int):
     return lambda start, count: stream.take_matrix(count, d)
 
 
 class TestArgminCommitInputs:
     @pytest.mark.parametrize(
-        "case", [*UNWRITEABLE, "short-priorities", "short-weights", *BAD_ASSIGNMENTS]
+        "case",
+        [*UNWRITEABLE, "short-priorities", "short-weights", *BAD_ASSIGNMENTS,
+         "int-loads"],
     )
     def test_chunked_argmin_commit(self, case):
         loads = UNWRITEABLE[case]() if case in UNWRITEABLE else np.zeros(1000)
@@ -72,6 +92,9 @@ class TestArgminCommitInputs:
             kwargs["weights"] = np.ones(BALLS - 1)
         elif case in BAD_ASSIGNMENTS:
             kwargs["assignments"] = BAD_ASSIGNMENTS[case]()
+        elif case == "int-loads":
+            loads = np.zeros(1000, dtype=np.int64)
+            kwargs["weights"] = FRACTIONAL
         with pytest.raises(ConfigurationError):
             chunked_argmin_commit(loads, _source(stream, 2), BALLS, 2, **kwargs)
         assert stream.consumed == 0
@@ -80,15 +103,18 @@ class TestArgminCommitInputs:
     @pytest.mark.parametrize(
         "case",
         [*UNWRITEABLE, "short-priorities", "short-weights",
-         "priorities-per-trial", "weights-per-trial"],
+         "priorities-per-trial", "weights-per-trial", "int-loads", *BAD_BLOCKS],
     )
     def test_batched_argmin_commit(self, case):
         if case in UNWRITEABLE:
             row = UNWRITEABLE[case]()
             loads = [list(row)] * 2 if isinstance(row, list) else _frozen((2, len(row)))
+        elif case == "int-loads":
+            loads = np.zeros((2, 1000), dtype=np.int64)
         else:
             loads = np.zeros((2, 1000))
         streams = [RandomProbeStream(len(loads[0]), seed=s) for s in (1, 2)]
+        sources = [_source(s, 2) for s in streams]
         kwargs = {}
         if case == "short-priorities":
             kwargs["priorities"] = [np.zeros((BALLS, 2)), np.zeros((BALLS - 1, 2))]
@@ -98,10 +124,14 @@ class TestArgminCommitInputs:
             kwargs["priorities"] = [np.zeros((BALLS, 2))]
         elif case == "weights-per-trial":
             kwargs["weights"] = [np.ones(BALLS)] * 3
+        elif case == "int-loads":
+            kwargs["weights"] = [FRACTIONAL, FRACTIONAL]
+        elif case in BAD_BLOCKS:
+            trial, block = BAD_BLOCKS[case]
+            sources = [lambda start, count: np.zeros((count, 2), np.int64)] * 2
+            sources[trial] = lambda start, count: block(count)
         with pytest.raises(ConfigurationError):
-            batched_argmin_commit(
-                loads, [_source(s, 2) for s in streams], BALLS, 2, **kwargs
-            )
+            batched_argmin_commit(loads, sources, BALLS, 2, **kwargs)
         assert [s.consumed for s in streams] == [0, 0]
         assert not np.any(loads)
 
@@ -146,21 +176,25 @@ class TestMemoryAndWeightedInputs:
         assert stream.consumed == 0
         assert not np.any(loads)
 
-    @pytest.mark.parametrize("case", [*UNWRITEABLE, *BAD_ASSIGNMENTS])
+    @pytest.mark.parametrize("case", [*UNWRITEABLE, *BAD_ASSIGNMENTS, "int-loads"])
     def test_chunked_weighted_memory_commit(self, case):
         if case in BAD_ASSIGNMENTS:
             loads, assignments = np.zeros(1000), BAD_ASSIGNMENTS[case]()
+        elif case == "int-loads":
+            loads, assignments = np.zeros(1000, dtype=np.int64), None
         else:
             loads, assignments = UNWRITEABLE[case](), None
         stream = RandomProbeStream(len(loads), seed=1)
         with pytest.raises(ConfigurationError):
             chunked_weighted_memory_commit(
-                stream, loads, [], np.ones(BALLS), 2, 1, assignments=assignments
+                stream, loads, [], FRACTIONAL, 2, 1, assignments=assignments
             )
         assert stream.consumed == 0
         assert not np.any(loads)
 
-    @pytest.mark.parametrize("case", [*UNWRITEABLE, "bytes", *BAD_ASSIGNMENTS])
+    @pytest.mark.parametrize(
+        "case", [*UNWRITEABLE, "bytes", *BAD_ASSIGNMENTS, "int-loads"]
+    )
     def test_chunked_weighted_assign(self, case):
         data = bytes(32)
         assignments = None
@@ -169,13 +203,15 @@ class TestMemoryAndWeightedInputs:
             loads = np.frombuffer(data)
         elif case in BAD_ASSIGNMENTS:
             loads, assignments = np.zeros(1000), BAD_ASSIGNMENTS[case]()
+        elif case == "int-loads":
+            loads = np.zeros(1000, dtype=np.int64)
         else:
             loads = UNWRITEABLE[case]()
         stream = RandomProbeStream(len(loads), seed=1)
         with pytest.raises(ConfigurationError):
             chunked_weighted_assign(
                 loads,
-                np.ones(BALLS),
+                FRACTIONAL,
                 np.full(BALLS, 4.0),
                 stream,
                 assignments=assignments,

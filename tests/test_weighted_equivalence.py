@@ -193,6 +193,21 @@ class TestGreedyReplay:
         )
         assert_identical(engine, reference)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bit_identical_above_the_tail(self, family):
+        # At 1,000 bins the default chunks hold 250 balls, so each chunk runs
+        # conflict-free sub-phases before its per-ball tail.
+        m, n = 3000, 1000
+        weights = weight_family(family, m)
+        choices = choice_vector(m, n)
+        engine = run_weighted_greedy(
+            weights, n, probe_stream=FixedProbeStream(n, choices)
+        )
+        reference = reference_weighted_greedy(
+            weights, n, probe_stream=FixedProbeStream(n, choices)
+        )
+        assert_identical(engine, reference)
+
     def test_bit_identical_first_ties(self):
         weights = weight_family("equal", N_BALLS)
         choices = choice_vector(N_BALLS)
