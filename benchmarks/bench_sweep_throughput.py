@@ -8,10 +8,11 @@ whole-cell throughput on representative Table-1 cells two ways —
 index (the ``looped`` rows) — and records both as a
 ``BENCH_sweep_throughput.json`` regression baseline.
 
-Inside ``run_trials`` ADAPTIVE runs its trial-axis 2-D engine, while
+Inside ``run_trials`` ADAPTIVE fills each stage window for a block of
+trials with the single-run engine, one trial's row at a time, while
 THRESHOLD runs the per-trial loop: a THRESHOLD trial is one window, which
-the single-run engine fills as fast as a trial-axis one.  The THRESHOLD
-``batched`` rows therefore time ``run_trials``' own loop, and no speedup
+the single-run engine fills as fast as a trial-axis one.  The ``batched``
+rows therefore time ``run_trials``' own trial-block loops, and no speedup
 gate is asserted.
 
 Run it directly: ``python benchmarks/bench_sweep_throughput.py --quick``.

@@ -7,10 +7,10 @@ single-choice) on the same problem size, and prints the measured allocation
 time, probes per ball, maximum load and smoothness next to the asymptotic
 expressions the paper lists in Table 1.
 
-The sweep runs through :func:`~repro.experiments.runner.run_trials`, whose
-trial-axis batched engines make averaging over many trials cheap; the
-script ends by timing one ADAPTIVE cell against a ``run_trial`` call per
-trial index and printing the measured batched/looped throughput ratio.
+The sweep runs through :func:`~repro.experiments.runner.run_trials`, which
+runs each cell's trials in memory-bounded blocks; the script ends by timing
+one ADAPTIVE cell against a ``run_trial`` call per trial index and printing
+the measured batched/looped throughput ratio.
 
 Run it with ``python examples/table1_comparison.py [--scale 0.25]``.
 """
@@ -98,8 +98,8 @@ def main() -> None:
         "two-choice baselines)."
     )
 
-    # Time one ADAPTIVE cell two ways: the trial-axis batched engine (what
-    # the table above used) against the exact per-trial loop.
+    # Time one ADAPTIVE cell two ways: run_trials' trial blocks (what the
+    # table above used) against one run_trial call per trial index.
     bench = TrialConfig(
         protocol="adaptive",
         n_balls=n_balls,
@@ -110,7 +110,7 @@ def main() -> None:
     batched = _cell_rate(bench, batch=True)
     looped = _cell_rate(bench, batch=False)
     print(
-        f"\nBatched trial-axis sweep: {batched:,.0f} trials/s vs "
+        f"\nBatched run_trials sweep: {batched:,.0f} trials/s vs "
         f"{looped:,.0f} trials/s for the per-trial loop on the ADAPTIVE "
         f"cell ({bench.trials} trials, bit-identical results): "
         f"batched/looped ratio {batched / looped:.2f}."

@@ -255,9 +255,9 @@ def simulate(
       corresponding legacy ``run_*`` entry point for the same seed.
     * :class:`SimulationSpec` with ``trials > 1`` → a list of results, one
       per trial, seeded exactly as ``repro.experiments.run_trials`` (which
-      executes the batch — through the trial-axis batched engines for
-      protocols that support them, bit-identical to trial-by-trial
-      ``Simulation`` runs either way).
+      executes the batch in trial blocks through each protocol's
+      ``allocate_batch``, bit-identical to trial-by-trial ``Simulation``
+      runs).
     * :class:`DispatchSpec` (with a workload) → a
       :class:`~repro.scheduler.dispatcher.DispatchResult`, bit-identical to
       constructing the :class:`~repro.scheduler.Dispatcher` by hand.

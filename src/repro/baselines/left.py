@@ -106,11 +106,21 @@ def seeded_group_choices(
     works for any group sizes.  This is the single home of the seeded
     left[d] sampling, used through :func:`left_source` and by the per-ball
     references.
+
+    Each column is scaled and offset on its own: a broadcast against the
+    length-``d`` sizes runs NumPy's inner loop over ``d`` elements at a
+    time.  The products are non-negative, so the int64 cast truncates to
+    the same integer as ``np.floor``.
     """
     boundaries = group_boundaries(n_bins, d)
     sizes = np.diff(boundaries)
     offsets = generator.random(size=(n_balls, d))
-    return (boundaries[:-1] + np.floor(offsets * sizes)).astype(np.int64)
+    choices = np.empty((n_balls, d), dtype=np.int64)
+    for g in range(d):
+        column = choices[:, g]
+        column[...] = offsets[:, g] * float(sizes[g])
+        column += boundaries[g]
+    return choices
 
 
 def left_source(

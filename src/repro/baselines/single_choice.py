@@ -14,13 +14,10 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.protocol import (
-    AllocationProtocol,
-    batch_streams,
-    register_protocol,
-)
+from repro.core.protocol import AllocationProtocol, register_protocol
 from repro.core.result import AllocationResult
 from repro.core.session import ProtocolSession
+from repro.core.window import _BATCH_ELEMENT_BUDGET
 from repro.runtime.costs import CostModel
 from repro.runtime.probes import ProbeStream, RandomProbeStream
 from repro.runtime.rng import SeedLike
@@ -34,7 +31,6 @@ class SingleChoiceProtocol(AllocationProtocol):
 
     name = "single-choice"
     streaming = True
-    batches = True
 
     def __init__(self) -> None:
         # No parameters; keep an explicit __init__ so the registry-based
@@ -57,43 +53,6 @@ class SingleChoiceProtocol(AllocationProtocol):
         stream = probe_stream or RandomProbeStream(n_bins, seed)
         return _SingleChoiceSession(self, n_balls, n_bins, stream)
 
-    def allocate_batch(
-        self,
-        n_balls: int,
-        n_bins: int,
-        seeds=None,
-        *,
-        probe_streams=None,
-        record_trace: bool = False,
-    ) -> "list[AllocationResult]":
-        self.validate_size(n_balls, n_bins)
-        batch = batch_streams(n_bins, seeds, probe_streams)
-        n_trials = batch.trials
-        loads = np.zeros((n_trials, n_bins), dtype=np.int64)
-        flat = loads.reshape(-1)
-        offsets = (np.arange(n_trials, dtype=np.int64) * n_bins)[:, None]
-        indices = np.arange(n_trials, dtype=np.int64)
-        # Bound the transient block to ~32 MB of int64 regardless of trials.
-        chunk = max(1, (1 << 22) // n_trials)
-        done = 0
-        while done < n_balls:
-            count = min(chunk, n_balls - done)
-            block = batch.take_batch(indices, count) + offsets
-            flat += np.bincount(block.reshape(-1), minlength=flat.size)
-            done += count
-        return [
-            AllocationResult(
-                protocol=self.name,
-                n_balls=n_balls,
-                n_bins=n_bins,
-                loads=loads[t].copy(),
-                allocation_time=n_balls,
-                costs=CostModel(probes=n_balls),
-                params=self.params(),
-            )
-            for t in range(n_trials)
-        ]
-
 
 class _SingleChoiceSession(ProtocolSession):
     """Streaming single-choice: one uniform probe per ball."""
@@ -111,7 +70,11 @@ class _SingleChoiceSession(ProtocolSession):
         return self.placed
 
     def _place(self, k: int) -> None:
-        self._loads += np.bincount(self.stream.take(k), minlength=self.n_bins)
+        # Passes of at most the window engine's pass cap keep the transient
+        # probe block bounded however many balls a run places.
+        for start in range(0, k, _BATCH_ELEMENT_BUDGET):
+            count = min(_BATCH_ELEMENT_BUDGET, k - start)
+            self._loads += np.bincount(self.stream.take(count), minlength=self.n_bins)
 
     def _finalize(self) -> AllocationResult:
         return AllocationResult(

@@ -13,8 +13,8 @@ one the engines see.
 Two backends ship:
 
 * ``"numpy"`` (default) — the chunked vectorised kernels the engines have
-  always used; the only backend supporting the vectorised engines that
-  bypass the kernel methods (the trial-axis batched engines).
+  always used; the only backend supporting the vectorised engine that
+  bypasses the kernel methods (the trial-axis d-choice commit).
 * ``"scalar"`` — the literal per-ball loops, single-homed here: the
   reference the numpy kernels are checked against.  (The per-ball
   *reference oracles* in :mod:`repro.baselines.reference` implement whole
@@ -428,11 +428,10 @@ class KernelBackend:
     #: Registry name; subclasses override.
     name: str = "abstract"
 
-    #: Whether the vectorised engines that bypass the kernel methods — the
-    #: trial-axis batched engines (``fill_window_batch``,
-    #: ``batched_argmin_commit``) — may run under this backend.  When false
-    #: the runner falls back to the per-trial loop (results are identical
-    #: either way).
+    #: Whether the vectorised engine that bypasses the kernel methods — the
+    #: trial-axis d-choice commit ``batched_argmin_commit`` — may run under
+    #: this backend.  When false the runner falls back to the per-trial loop
+    #: (results are identical either way).
     vectorised: bool = False
 
     # -- engine kernels (subclasses implement) -------------------------- #

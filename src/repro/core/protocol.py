@@ -31,10 +31,16 @@ __all__ = [
 
 
 def _normalize_batch_args(
+    n_bins: int,
     seeds: Sequence[SeedLike] | None,
     probe_streams: Sequence[ProbeStream] | None,
 ) -> tuple[Sequence[SeedLike] | None, int]:
-    """Shared validation for ``allocate_batch``: one of seeds/streams, its length."""
+    """Shared validation for ``allocate_batch``: one of seeds/streams, its length.
+
+    Each trial consumes its own stream over ``n_bins`` bins, so a stream
+    over other bins, or one stream object given for two trials, is rejected
+    here, before any trial draws a probe.
+    """
     if (seeds is None) == (probe_streams is None):
         raise ConfigurationError(
             "allocate_batch needs exactly one of seeds or probe_streams"
@@ -43,6 +49,15 @@ def _normalize_batch_args(
     trials = len(source)  # type: ignore[arg-type]
     if trials < 1:
         raise ConfigurationError("allocate_batch needs at least one trial")
+    if probe_streams is not None:
+        if len({id(s) for s in probe_streams}) < trials:
+            raise ConfigurationError(
+                "probe_streams must be distinct objects: each trial consumes its own"
+            )
+        if any(stream.n_bins != n_bins for stream in probe_streams):
+            raise ConfigurationError(
+                "probe_stream.n_bins does not match the requested n_bins"
+            )
     return seeds, trials
 
 
@@ -58,13 +73,8 @@ def batch_streams(
     with ``seeds[i]``, or the caller's explicit ``probe_streams[i]``
     (replay/testing).  Shared by every ``batches = True`` protocol.
     """
-    _normalize_batch_args(seeds, probe_streams)
+    _normalize_batch_args(n_bins, seeds, probe_streams)
     if probe_streams is not None:
-        for stream in probe_streams:
-            if stream.n_bins != n_bins:
-                raise ConfigurationError(
-                    "probe_stream.n_bins does not match the requested n_bins"
-                )
         return BatchedProbeStream(list(probe_streams))
     return BatchedProbeStream.from_seeds(n_bins, list(seeds))
 
@@ -133,13 +143,15 @@ class AllocationProtocol:
     #: Whether :meth:`begin` is implemented (sequential per-ball placement).
     streaming: bool = False
 
-    #: Whether :meth:`allocate_batch` runs trials as one 2-D computation.
-    #: ``False`` means the base-class per-trial loop — protocols whose
-    #: placement is inherently data-dependent across probes (the remembered
-    #: -bin chain of the memory protocols, the weighted commit regimes) stay
-    #: on it honestly rather than growing a second engine, and so does
-    #: THRESHOLD, whose trial is one window the single-run engine fills as
-    #: fast as a trial-axis one would.
+    #: Whether :meth:`allocate_batch` overrides the base-class per-trial
+    #: loop.  The unit greedy[d] and left[d] baselines run their trials as
+    #: one combined commit instance; ADAPTIVE fills each stage window for
+    #: the whole block with one :func:`~repro.core.window.fill_window_batch`
+    #: call, which runs the single-run engine per trial.  ``False`` means the
+    #: base-class loop: THRESHOLD and single-choice, whose single-run
+    #: engines are as fast as a trial axis, and the protocols whose
+    #: placement is data-dependent across probes (the memory chain, the
+    #: weighted commit regimes).
     batches: bool = False
 
     def allocate_batch(
@@ -157,10 +169,10 @@ class AllocationProtocol:
         same probe counts, same cost checkpoints) to
         ``allocate(n_balls, n_bins, seeds[i])`` — certified by the
         test-suite for every protocol.  Protocols with ``batches = True``
-        (ADAPTIVE and the unit d-choice and single-choice baselines)
-        override this with a trial-axis vectorised engine; this default
-        simply loops ``allocate`` per trial, so every protocol exposes the
-        same batch API regardless of whether batching pays off for it.
+        (ADAPTIVE and the unit greedy[d] and left[d] baselines) override
+        this; this default simply loops ``allocate`` per trial, so every
+        protocol exposes the same batch API regardless of whether batching
+        pays off for it.
 
         Parameters
         ----------
@@ -174,7 +186,7 @@ class AllocationProtocol:
             Forwarded to each trial's run.
         """
         self.validate_size(n_balls, n_bins)
-        seeds, trials = _normalize_batch_args(seeds, probe_streams)
+        seeds, trials = _normalize_batch_args(n_bins, seeds, probe_streams)
         return [
             self.allocate(
                 n_balls,

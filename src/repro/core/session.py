@@ -56,12 +56,13 @@ def run_staged_batch(
     *,
     block_size: int | None,
 ) -> list[RunResult]:
-    """Run every trial of the batched ADAPTIVE path as one 2-D computation.
+    """Run a block of ADAPTIVE trials stage window by stage window.
 
     ``windows`` yields ``(acceptance_limit, count)`` pairs — the stage
     decomposition of the single-trial session, which depends only on the
-    ball index, so all trials share it — and each window is filled for all
-    trials at once with :func:`~repro.core.window.fill_window_batch`.  Each
+    ball index, so all trials share it — and each window is filled for
+    every trial with one :func:`~repro.core.window.fill_window_batch` call,
+    which runs the single-run counting engine on each trial's row.  Each
     trial's cost model logs one checkpoint per stage, exactly as the
     session builds it.  Trial ``t`` of the returned list is bit-identical
     to the single-trial run on ``batch.children[t]``.  THRESHOLD fills one

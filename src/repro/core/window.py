@@ -183,7 +183,7 @@ def _predicted_need(remaining, n_bins: int, unsaturated):
 
     The acceptance probability right now is exactly the fraction of
     unsaturated bins; it only declines as slots fill, so ``remaining /
-    p_now`` slightly underestimates.  Works elementwise on per-trial arrays.
+    p_now`` slightly underestimates.
     """
     return remaining * (float(n_bins) / np.maximum(unsaturated, 1))
 
@@ -263,7 +263,10 @@ def _run_window(
     if n_balls == 0:
         return 0, []
 
-    total_capacity = int(np.maximum(acceptance_limit + 1 - loads, 0).sum())
+    # sum(max(cap - load, 0)) == n_bins * cap - sum(min(load, cap)): one
+    # temporary instead of two.
+    cap = acceptance_limit + 1
+    total_capacity = int(loads.size * cap - np.minimum(loads, cap).sum())
     if total_capacity < n_balls:
         raise ProtocolError(
             f"window capacity {total_capacity} is smaller than the {n_balls} "
@@ -382,19 +385,11 @@ def fill_window(
     return WindowOutcome(placed=n_balls, probes=probes)
 
 
-#: Cap on the total elements of one batched pass (rows x block columns); keeps
-#: the transient block memory of a many-trial window bounded (~32 MB of int64)
-#: independently of the trial count.  A single-run pass may also take up to
-#: four load vectors' worth.
+#: Cap on the probes of one window pass (~32 MB of int64), so a pass's
+#: transient block stays bounded however many balls the window places.  A
+#: pass may also take up to four load vectors' worth.  Single-choice runs
+#: draw in passes of the same cap.
 _BATCH_ELEMENT_BUDGET = 1 << 22
-
-#: When the best-placed trial's predicted probe need drops to this many
-#: draws, batched passes switch from undershooting (whole blocks consumed,
-#: pure counting) to overshooting (everyone finishes, exact per-row cutoffs).
-#: Overshooting is cheap — unread tails are given back and were already in
-#: the window matrix — while every undershot pass costs a full fold, so the
-#: switch comes early.
-_ENDGAME_DRAWS = 2048
 
 
 def _exact_cutoff(
@@ -420,7 +415,7 @@ def _exact_cutoff(
     added in one extrapolation jump; landing inside the trailing rejected
     run is corrected exactly by the final backward walk.
 
-    Returns ``(taken, prefix_counts)``.  ``taken > size`` means the trial
+    Returns ``(taken, prefix_counts)``.  ``taken > size`` means the window
     does not finish inside the block: it consumes the block whole, and
     ``prefix_counts`` are then the full-block counts (``size - (taken -
     goal)`` of which are accepted).
@@ -473,37 +468,18 @@ def fill_window_batch(
     *,
     block_size: int | None = None,
 ) -> np.ndarray:
-    """Fill the same constant-limit window for every trial of a batch at once.
+    """Fill the same constant-limit window for every trial of a batch.
 
-    The trial-axis counterpart of :func:`fill_window`: ``loads`` is a
+    The multi-trial counterpart of :func:`fill_window`: ``loads`` is a
     ``(trials, n_bins)`` matrix (modified in place), ``batch`` bundles one
-    probe stream per trial, and each trial places ``n_balls`` balls under
-    ``acceptance_limit`` exactly as its own single-trial window would.
-
-    The key fold is *counting*, not ranking: when a trial consumes a whole
-    pass block (it does not reach its ``n_balls``-th acceptance inside it),
-    the number of probes it accepts into bin ``j`` is exactly
-    ``min(count_j, free_j)`` where ``free_j = max(cap_j - seen_j, 0)`` — the
-    first ``free_j`` same-bin probes are accepted and the rest rejected,
-    regardless of their interleaving.  Each trial's upcoming probes live in
-    its child stream's own draw block (taken once per window, never
-    copied); active rows consume those blocks in lockstep, so a bulk pass
-    is one per-row :func:`numpy.bincount` over a contiguous slice view into
-    a maintained ``(trials, n_bins)`` counts matrix plus one flat
-    elementwise minimum against the maintained free capacities — no stable
-    sort, no per-probe rank, no index offsetting.  Only a trial whose pass
-    block contains its final acceptance needs the exact probe-order
-    resolution; those (few) rows resolve their cutoff with the sort-free
-    prefix-counting fixpoint (:func:`_exact_cutoff`), give their unread
-    tail back to their child stream, and drop out of subsequent passes.
-    Per-trial loads *and* probe counts are therefore bit-identical to the
-    single-trial engine (the block-partitioning invariance the test-suite
-    certifies).
-
-    Pass sizes adapt to each window's observed acceptance rate (aiming to
-    finish most trials in a small constant number of passes) unless
-    ``block_size`` pins them; sizing only moves work between passes and
-    never changes results.
+    probe stream per trial, and row ``t`` places ``n_balls`` balls under
+    ``acceptance_limit`` through the active backend's ``run_window`` on
+    ``batch.children[t]`` — the counting engine every single-run window
+    uses — so each row's loads and probe count are bit-identical to
+    :func:`fill_window` on that child.  The whole batch is validated before
+    any trial draws a probe: a short row (window capacity below
+    ``n_balls``) raises :class:`~repro.errors.ProtocolError` with every
+    child untouched.
 
     Returns the per-trial probe counts as an int64 array of length ``trials``.
     """
@@ -512,9 +488,6 @@ def fill_window_batch(
     _check_writeable(loads)
     if loads.ndim != 2 or loads.size == 0:
         raise ConfigurationError("loads must be a non-empty 2-D (trials x bins) array")
-    if not loads.flags.c_contiguous:
-        # The flat fold below must alias the caller's matrix, not a copy.
-        raise ConfigurationError("loads must be C-contiguous")
     n_trials, n_bins = loads.shape
     if n_trials != batch.trials:
         raise ConfigurationError(
@@ -528,190 +501,20 @@ def fill_window_batch(
     if n_balls == 0:
         return probes
 
-    capacities = np.maximum(acceptance_limit + 1 - loads, 0).astype(np.int64)
-    short = np.flatnonzero(capacities.sum(axis=1) < n_balls)
+    # The capacity sum of :func:`_run_window`, per row.
+    cap = acceptance_limit + 1
+    capacities = n_bins * cap - np.minimum(loads, cap).sum(axis=1)
+    short = np.flatnonzero(capacities < n_balls)
     if short.size:
         raise ProtocolError(
             f"window capacity of trial {int(short[0])} is smaller than the "
             f"{n_balls} balls to place; the protocol cannot terminate"
         )
-
-    flat_loads = loads.reshape(-1)
-    # Maintained free capacities: free[t*n + j] = max(cap_j - seen_j, 0) for
-    # trial t, updated in place as probes land (free -= accepted is exact:
-    # accepted = min(counts, free) can never push free below zero).
-    free = capacities.reshape(-1)
-    free_rows = free.reshape(n_trials, n_bins)
-    remaining = np.full(n_trials, n_balls, dtype=np.int64)
-    active = np.arange(n_trials, dtype=np.int64)
-
-    # Per-trial probe rows: ``rows[r]`` holds the upcoming probes of the
-    # ``r``-th active trial — usually the child's own draw block, taken once
-    # per window, never copied.  Active rows consume in lockstep (every pass
-    # takes ``size`` probes from each), so one shared cursor suffices; a
-    # finishing row hands its unread tail back to its child stream and drops
-    # out.  Bulk passes bincount each row's contiguous slice view directly
-    # into a maintained per-trial counts matrix — no 2-D materialisation,
-    # no index offsetting, no per-pass copies at all.
-    rows: list[np.ndarray] = []
-    width = 0
-    cur = 0
-    counts_rows = np.zeros((n_trials, n_bins), dtype=np.int64)
-    counts = counts_rows.reshape(-1)
-
-    while active.size:
-        rem = remaining[active]
-        endgame = False
-        if block_size is not None:
-            size = block_size
-            want = size
-        else:
-            # The predicted need slightly underestimates, which keeps the
-            # bulk undershoot safe.
-            unsat = (
-                np.count_nonzero(free_rows, axis=1)[active]
-                if active.size == n_trials
-                else np.count_nonzero(free_rows[active], axis=1)
-            )
-            need = _predicted_need(rem, n_bins, unsat)
-            min_need = float(need.min())
-            endgame = min_need <= _ENDGAME_DRAWS
-            if endgame:
-                # Close to done: overshoot so (almost) every trial finishes
-                # this pass; the exact per-row cutoff handles the overshoot.
-                size = _overshoot_size(need.max())
-            else:
-                # Bulk regime: undershoot so whole blocks are consumed and
-                # the cheap counting fold applies to every row.
-                size = int(min_need * 0.85)
-            # Refills aim past the worst row's predicted remaining need so
-            # the whole window is usually one generator call per child.
-            want = int(float(need.max()) * 1.125) + 64
-        size = max(1, min(size, _BATCH_ELEMENT_BUDGET // active.size))
-        avail = width - cur
-        if endgame and size > avail >= min(size, int(min_need * 1.2) + 32):
-            # The matrix leftover is a little short of the desired overshoot
-            # but still comfortably covers the best-placed rows: consume it
-            # to the end rather than refilling (stragglers — if any — get a
-            # cheap small pass of their own).
-            size = avail
-        if avail < size:
-            fresh = max(size, want) - avail
-            bound = batch.min_available(active)
-            if bound is not None:
-                # Finite replay streams: never request more than they can
-                # serve; when nothing is left, request one probe so the
-                # child raises its exhaustion error exactly as a direct
-                # take would.
-                fresh = min(fresh, bound)
-                if fresh <= 0:
-                    fresh = 0 if avail else 1
-                size = min(size, avail + fresh)
-            if fresh > 0:
-                children = batch.children
-                if avail:
-                    rows = [
-                        np.concatenate([rows[r][cur:width], children[trial].take(fresh)])
-                        for r, trial in enumerate(active)
-                    ]
-                else:
-                    rows = [children[trial].take(fresh) for trial in active]
-                width = avail + fresh
-                cur = 0
-
-        if endgame:
-            # Every row is expected to finish, so skip the global fold and
-            # resolve each row with the prefix-counting fixpoint directly;
-            # a row whose fixpoint exceeds the block size did not finish
-            # (its full-block counts fall out of the same computation).
-            end = cur + size
-            for r in range(active.size):
-                trial = int(active[r])
-                base = trial * n_bins
-                vals = rows[r][cur:end]
-                free_row = free[base : base + n_bins]
-                goal = int(rem[r])
-                taken, prefix_counts = _exact_cutoff(
-                    vals, free_row, goal, size, hint=int(need[r] * 1.2) + 8
-                )
-                accepted_row = np.minimum(prefix_counts, free_row)
-                flat_loads[base : base + n_bins] += accepted_row
-                free_row -= accepted_row
-                if taken <= size:
-                    tail = rows[r][cur + taken : width]
-                    if tail.size:
-                        batch.give_back(trial, tail)
-                    probes[trial] += taken
-                    remaining[trial] = 0
-                    counts_rows[trial].fill(0)
-                else:
-                    # Fixpoint ran past the block: the row consumed it whole
-                    # and places only its accepted count this pass.
-                    newly = size - (taken - goal)
-                    probes[trial] += size
-                    remaining[trial] -= newly
-            cur = end
-            keep = remaining[active] > 0
-            if not keep.all():
-                rows = [rows[r] for r in np.flatnonzero(keep)]
-                active = active[keep]
-            continue
-
-        end = cur + size
-        for r in range(active.size):
-            counts_rows[active[r]] = np.bincount(rows[r][cur:end], minlength=n_bins)
-        accepted = np.minimum(counts, free)
-        accepted_view = accepted.reshape(n_trials, n_bins)
-        totals = (
-            accepted_view.sum(axis=1)
-            if active.size == n_trials
-            else accepted_view[active].sum(axis=1)
+    run_window = active_backend().run_window
+    for t, child in enumerate(batch.children):
+        probes[t], _ = run_window(
+            loads[t], acceptance_limit, n_balls, child, block_size, False
         )
-        finishing = totals >= rem
-        fin_rows = np.flatnonzero(finishing)
-        for r in fin_rows:
-            # This row's n_balls-th acceptance lies inside the block; find
-            # its exact position with the sort-free prefix-counting
-            # fixpoint (see :func:`_exact_cutoff`).
-            trial = int(active[r])
-            base = trial * n_bins
-            vals = rows[r][cur:end]
-            free_row = free[base : base + n_bins]
-            goal = int(rem[r])
-            taken, prefix_counts = _exact_cutoff(
-                vals,
-                free_row,
-                goal,
-                size,
-                hint=0 if block_size is not None else int(need[r] * 1.1) + 8,
-            )
-            tail = rows[r][cur + taken : width]
-            if tail.size:
-                batch.give_back(trial, tail)
-            accepted_row = np.minimum(prefix_counts, free_row)
-            flat_loads[base : base + n_bins] += accepted_row
-            free_row -= accepted_row
-            probes[trial] += taken
-            remaining[trial] = 0
-            # The exact prefix above replaces this row's share of the bulk
-            # fold; zero its regions so the bulk update skips it (and later
-            # passes never see stale counts).
-            counts_rows[trial].fill(0)
-            accepted[base : base + n_bins] = 0
-        if fin_rows.size < active.size:
-            # Non-finishing rows consume their whole block: the counting
-            # fold is exact, no ranks needed.
-            flat_loads += accepted
-            free -= accepted
-            nonfin = active[~finishing]
-            probes[nonfin] += size
-            remaining[nonfin] -= totals[~finishing]
-        cur = end
-        keep = remaining[active] > 0
-        if not keep.all():
-            rows = [rows[r] for r in np.flatnonzero(keep)]
-            active = active[keep]
-
     return probes
 
 

@@ -9,12 +9,13 @@ derived per-trial seeds are identical either way — and identical to what
 
 Trials run in-process through the protocol's
 :meth:`~repro.core.protocol.AllocationProtocol.allocate_batch`, in
-memory-bounded blocks of :func:`default_trial_block` trials: one 2-D
-trial-axis computation for the protocols that batch natively (ADAPTIVE and
-the unit greedy[d], left[d] and single-choice baselines), the exact
-per-trial loop for the rest — THRESHOLD among them, since its trial is one
-window the single-run engine fills as fast.  A backend without the
-vectorised engines (``"scalar"``) runs one trial at a time instead; the
+memory-bounded blocks of :func:`default_trial_block` trials.  The unit
+greedy[d] and left[d] baselines commit a block's trials as one combined
+instance; ADAPTIVE fills each stage window for the whole block, running the
+single-run counting engine on each trial's row; the rest run the exact
+per-trial loop — THRESHOLD and single-choice among them, whose single-run
+engines are as fast as a trial axis.  A backend without the vectorised
+d-choice commit (``"scalar"``) runs one trial at a time instead; the
 results are bit-identical either way.  Sweeps fan out only through the
 :mod:`repro.cluster` coordinator (``workers > 1``), which runs each spec as
 one shard through this same runner.
@@ -60,10 +61,10 @@ _TRIAL_BLOCK_MEMORY_BUDGET = 256 << 20
 def default_trial_block(n_balls: int, n_bins: int, trials: int | None = None) -> int:
     """Trials per batched block, auto-sized from the problem's footprint.
 
-    A batched trial holds a handful of ``n_bins``-long int64 rows (loads,
-    capacities, seen counts plus engine transients) and — for the d-choice
-    protocols — up-front candidate/priority matrices of a few ``n_balls``
-    entries, so the per-trial footprint is estimated as
+    A batched trial holds its ``n_bins``-long int64 loads row plus engine
+    transients of a few rows more and — for the d-choice protocols —
+    up-front candidate/priority matrices of a few ``n_balls`` entries, so
+    the per-trial footprint is estimated as
     ``8 * (8 * n_bins + 4 * n_balls)`` bytes and the block sized to keep a
     block under :data:`_TRIAL_BLOCK_MEMORY_BUDGET`, capped at ``trials``.
     """
@@ -156,8 +157,8 @@ def run_trials(
                 _run_trial_block(spec, start, min(start + block, spec.trials))
             )
     else:
-        # The batched engines bypass the kernel methods, so a backend
-        # without them runs the exact per-trial loop.
+        # The trial-axis d-choice commit bypasses the kernel methods, so a
+        # backend without it runs the exact per-trial loop.
         results = [run_trial(spec, i) for i in range(spec.trials)]
     if as_records:
         return [r.as_record() for r in results]

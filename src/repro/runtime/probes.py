@@ -93,24 +93,6 @@ class ProbeStream(ABC):
         self.consumed += count
         return block.astype(np.int64, copy=False)
 
-    def take_into(self, out: np.ndarray) -> None:
-        """Consume ``out.size`` probes directly into a caller-owned buffer.
-
-        Semantically identical to ``out[:] = self.take(out.size)`` (pending
-        values first, then fresh draws) but skips the intermediate block the
-        hot batched path would immediately copy again.
-        """
-        count = out.size
-        if count == 0:
-            return
-        served = min(self._pending.size, count)
-        if served:
-            out[:served] = self._pending[:served]
-            self._pending = self._pending[served:]
-        if served < count:
-            out[served:] = self._draw(count - served)
-        self.consumed += count
-
     def take_one(self) -> int:
         """Consume and return a single probe."""
         return int(self.take(1)[0])
@@ -350,17 +332,15 @@ def probe_stream_from_state(state: dict) -> ProbeStream:
 
 
 class BatchedProbeStream:
-    """A bundle of per-trial probe streams drawn together, one row per trial.
+    """A bundle of per-trial probe streams, one child per trial.
 
-    The trial-axis batched engines run ``T`` independent trials as one 2-D
-    computation; each trial still consumes its *own* probe sequence (the same
+    The batched ``allocate_batch`` paths run ``T`` independent trials
+    together; each trial still consumes its *own* probe sequence (the same
     one the single-trial engine with the same seed would consume, which is
     what makes batched runs bit-identical per trial).  This class holds the
-    ``T`` child streams and serves a ``(rows, count)`` block per engine pass:
-    row ``j`` of :meth:`take_batch` is the next ``count`` probes of the
-    ``j``-th *requested* trial.  Unused row tails go back to the owning child
-    via :meth:`give_back`, so — exactly as for a single stream — results are
-    independent of how the engine partitions its draws into blocks.
+    ``T`` child streams: the greedy[d] and left[d] commit draws each
+    trial's candidates from its child, and ADAPTIVE fills each trial's
+    window from its child.
 
     The children are ordinary :class:`ProbeStream` objects and remain fully
     usable individually (``children[i].consumed`` is trial ``i``'s allocation
@@ -395,36 +375,3 @@ class BatchedProbeStream:
     @property
     def trials(self) -> int:
         return len(self.children)
-
-    def take_batch(self, indices: np.ndarray, count: int) -> np.ndarray:
-        """Consume ``count`` probes from each requested child.
-
-        Returns a ``(len(indices), count)`` int64 matrix whose row ``j``
-        holds the next ``count`` probes of child ``indices[j]``.  One cheap
-        C-level draw per child; everything downstream is 2-D.
-        """
-        indices = np.asarray(indices, dtype=np.int64).ravel()
-        if count < 0:
-            raise ConfigurationError(f"count must be non-negative, got {count}")
-        out = np.empty((indices.size, count), dtype=np.int64)
-        children = self.children
-        for j, i in enumerate(indices):
-            children[i].take_into(out[j])
-        return out
-
-    def give_back(self, index: int, values: np.ndarray) -> None:
-        """Return an unread row tail to child ``index`` (see ProbeStream)."""
-        self.children[index].give_back(values)
-
-    def min_available(self, indices: np.ndarray) -> int | None:
-        """Smallest ``available`` among the requested children (None = unbounded)."""
-        bounds = [
-            self.children[int(i)].available
-            for i in np.asarray(indices, dtype=np.int64).ravel()
-        ]
-        finite = [b for b in bounds if b is not None]
-        return min(finite) if finite else None
-
-    def consumed(self) -> np.ndarray:
-        """Per-child consumed counters as an int64 array (per-trial probes)."""
-        return np.array([child.consumed for child in self.children], dtype=np.int64)

@@ -1,6 +1,6 @@
-"""Certification of the trial-axis batched engines.
+"""Certification of the batched ``allocate_batch`` paths.
 
-The batched engines promise *per-trial bit-identity*: running ``T`` trials
+The batched paths promise *per-trial bit-identity*: running ``T`` trials
 through :meth:`~repro.core.protocol.AllocationProtocol.allocate_batch` yields,
 for every trial, exactly the loads, allocation time and probe checkpoints of
 the single-trial engine with the same seed (or the same replayed choice
@@ -34,21 +34,25 @@ from repro.experiments.runner import (
     run_trial,
     run_trials,
 )
-from repro.runtime.probes import BatchedProbeStream, FixedProbeStream
+from repro.runtime.probes import (
+    BatchedProbeStream,
+    FixedProbeStream,
+    RandomProbeStream,
+)
 from repro.runtime.rng import trial_seed, trial_seed_table
 
-#: Protocols with a native trial-axis batched engine.
+#: Protocols that override allocate_batch (``batches = True``).
 BATCHED_PROTOCOLS = [
     ("adaptive", {}),
     ("greedy", {"d": 2, "tie_break": "random"}),
     ("greedy", {"d": 3, "tie_break": "first"}),
     ("left", {"d": 2}),
-    ("single-choice", {}),
 ]
 
 #: Protocols that honestly fall back to the base-class per-trial loop.
 FALLBACK_PROTOCOLS = [
     ("threshold", {}),
+    ("single-choice", {}),
     ("memory", {"d": 1, "k": 1}),
     ("rebalancing", {"d": 2}),
     ("weighted-greedy", {"d": 2}),
@@ -111,7 +115,10 @@ class TestSeededBitIdentity:
             )
             _assert_results_identical(result, single, (name, params, i))
 
-    @pytest.mark.parametrize("name,params", BATCHED_PROTOCOLS + [("threshold", {})])
+    @pytest.mark.parametrize(
+        "name,params",
+        BATCHED_PROTOCOLS + [("threshold", {}), ("single-choice", {})],
+    )
     def test_zero_balls(self, name, params):
         results = make_protocol(name, **params).allocate_batch(
             0, 32, _fresh_seeds(1, 3)
@@ -147,6 +154,30 @@ class TestSeededBitIdentity:
             )
         with pytest.raises(ConfigurationError):
             protocol.allocate_batch(10, 4, [])
+
+    @pytest.mark.parametrize("case", ["same-stream", "other-bins"])
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("adaptive", {}),
+            ("greedy", {"d": 2}),
+            ("left", {"d": 2}),
+            ("threshold", {}),
+            ("single-choice", {}),
+        ],
+    )
+    def test_bad_probe_streams_rejected_before_any_draw(self, name, params, case):
+        # Entry i must equal a run on probe_streams[i]: a stream shared by
+        # two trials cannot be consumed by both, and a stream over other
+        # bins fails before trial 0 draws from its own.
+        stream = RandomProbeStream(64, seed=5)
+        second = stream if case == "same-stream" else RandomProbeStream(65, seed=6)
+        match = "distinct" if case == "same-stream" else "n_bins"
+        with pytest.raises(ConfigurationError, match=match):
+            make_protocol(name, **params).allocate_batch(
+                600, 64, probe_streams=[stream, second]
+            )
+        assert stream.consumed == 0
 
 
 class TestReplayBitIdentity:
@@ -187,10 +218,6 @@ class TestReplayBitIdentity:
         n = 16
         batch = BatchedProbeStream.from_seeds(n, _fresh_seeds(3, 4))
         assert batch.trials == 4
-        block = batch.take_batch(np.array([0, 2]), 5)
-        assert block.shape == (2, 5)
-        batch.give_back(2, block[1, 3:])
-        assert batch.consumed().tolist() == [5, 0, 3, 0]
         with pytest.raises(ConfigurationError):
             BatchedProbeStream([])
         with pytest.raises(ConfigurationError):
@@ -200,19 +227,6 @@ class TestReplayBitIdentity:
                     FixedProbeStream(8, np.zeros(1, dtype=np.int64)),
                 ]
             )
-
-    def test_min_available_bounds_finite_replay(self):
-        n = 8
-        batch = BatchedProbeStream(
-            [
-                FixedProbeStream(n, np.zeros(10, dtype=np.int64)),
-                FixedProbeStream(n, np.zeros(4, dtype=np.int64)),
-            ]
-        )
-        assert batch.min_available(np.array([0, 1])) == 4
-        assert batch.min_available(np.array([0])) == 10
-        seeded = BatchedProbeStream.from_seeds(n, _fresh_seeds(0, 2))
-        assert seeded.min_available(np.array([0, 1])) is None
 
 
 class TestSeedSingleHoming:

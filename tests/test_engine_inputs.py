@@ -137,7 +137,13 @@ class TestArgminCommitInputs:
 
     @pytest.mark.parametrize(
         "case",
-        [*UNWRITEABLE, "list-placement", "read-only-placement", "short-placement"],
+        [
+            *UNWRITEABLE,
+            "list-placement",
+            "read-only-placement",
+            "short-placement",
+            "placement-outside-row",
+        ],
     )
     def test_chunked_move_sweep(self, case):
         # Every ball sits in bin 0 with a free alternative: a sweep would move.
@@ -150,6 +156,11 @@ class TestArgminCommitInputs:
             placement = [0, 0, 0, 0]
         elif case == "read-only-placement":
             placement = _frozen(4, np.int64)
+        elif case == "placement-outside-row":
+            # Ball 2 sits in bin 1, which is not one of its candidates: the
+            # conflict-free rule would read a bin another ball writes.
+            placement[2] = 1
+            loads = np.array([3, 1, 0, 0], dtype=np.int64)
         else:
             placement = np.zeros(3, dtype=np.int64)
         before = (np.array(loads), np.array(placement))

@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.left import LeftProtocol, group_boundaries, run_left
+from repro.baselines.left import (
+    LeftProtocol,
+    group_boundaries,
+    run_left,
+    seeded_group_choices,
+)
 from repro.errors import ConfigurationError
 from repro.runtime.probes import RandomProbeStream
 
@@ -30,6 +35,31 @@ class TestGroupBoundaries:
             group_boundaries(5, 0)
         with pytest.raises(ConfigurationError):
             group_boundaries(1, 2)
+
+
+class TestSeededGroupChoices:
+    @pytest.mark.parametrize(
+        "n_bins,d",
+        [(10_000, 1), (10_000, 2), (10_001, 3), (7, 2), (10_000, 4), (11, 4)],
+    )
+    def test_equals_broadcast_floor(self, n_bins, d):
+        # The per-ball references call the same function, so the
+        # equivalence suites cannot see a drift; the seed formula can.
+        n_balls = 5_000
+        choices = seeded_group_choices(
+            n_bins, d, n_balls, np.random.default_rng(n_bins + d)
+        )
+        boundaries = group_boundaries(n_bins, d)
+        offsets = np.random.default_rng(n_bins + d).random(size=(n_balls, d))
+        expected = (boundaries[:-1] + np.floor(offsets * np.diff(boundaries))).astype(
+            np.int64
+        )
+        assert choices.dtype == np.int64
+        assert np.array_equal(choices, expected)
+
+    def test_zero_balls(self):
+        choices = seeded_group_choices(8, 2, 0, np.random.default_rng(0))
+        assert choices.shape == (0, 2)
 
 
 class TestLeftProtocol:

@@ -28,6 +28,18 @@ class TestSingleChoice:
         )
         assert np.array_equal(result.loads, [1, 2, 3, 0, 1])
 
+    def test_passes_bounded_and_split_invariant(self, monkeypatch):
+        # A run longer than one pass draws in bounded passes and still
+        # counts every probe once, in order.
+        seeded = run_single_choice(30, 5, seed=9)
+        choices = np.random.default_rng(9).integers(0, 5, size=31)
+        monkeypatch.setattr("repro.baselines.single_choice._BATCH_ELEMENT_BUDGET", 7)
+        stream = FixedProbeStream(5, choices)
+        result = SingleChoiceProtocol().allocate(30, 5, probe_stream=stream)
+        assert np.array_equal(result.loads, np.bincount(choices[:30], minlength=5))
+        assert stream.consumed == 30 and stream.remaining == 1
+        assert np.array_equal(run_single_choice(30, 5, seed=9).loads, seeded.loads)
+
     def test_deterministic(self):
         a = run_single_choice(1000, 100, seed=3)
         b = run_single_choice(1000, 100, seed=3)

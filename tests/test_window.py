@@ -270,7 +270,71 @@ class TestFillWindowBatch:
         batch = BatchedProbeStream([RandomProbeStream(3, seed=s) for s in (1, 2)])
         with pytest.raises(ConfigurationError, match="writeable NumPy array"):
             fill_window_batch(loads, 1, 4, batch)
-        assert not batch.consumed().any()
+        assert [child.consumed for child in batch.children] == [0, 0]
+
+    @staticmethod
+    def _twin_children(kind: str, n_bins: int, trials: int):
+        """Two equal lists of per-trial streams: seeded or replayed."""
+        if kind == "seeded":
+            return [
+                [RandomProbeStream(n_bins, seed=100 + t) for t in range(trials)]
+                for _ in range(2)
+            ]
+        rng = np.random.default_rng(31)
+        vectors = [rng.integers(0, n_bins, size=4000) for _ in range(trials)]
+        return [[FixedProbeStream(n_bins, v) for v in vectors] for _ in range(2)]
+
+    @pytest.mark.parametrize("backend", ["numpy", "scalar"])
+    @pytest.mark.parametrize("kind", ["seeded", "fixed"])
+    def test_rows_equal_fill_window_per_row(self, backend, kind):
+        trials, n_bins, limit, n_balls = 3, 97, 6, 300
+        rng = np.random.default_rng(7)
+        start = rng.integers(0, limit + 2, size=(trials, n_bins))
+        batched_children, row_children = self._twin_children(kind, n_bins, trials)
+        batched_loads = start.copy()
+        row_loads = start.copy()
+        with use_backend(backend):
+            probes = fill_window_batch(
+                batched_loads, limit, n_balls, BatchedProbeStream(batched_children)
+            )
+            expected = [
+                fill_window(row_loads[t], limit, n_balls, row_children[t]).probes
+                for t in range(trials)
+            ]
+        assert probes.dtype == np.int64
+        assert probes.tolist() == expected
+        assert np.array_equal(batched_loads, row_loads)
+        for batched, single in zip(batched_children, row_children):
+            assert batched.consumed == single.consumed
+            assert np.array_equal(batched.take(16), single.take(16))
+
+    def test_short_row_raises_before_any_probe(self):
+        n_bins, limit = 8, 2
+        loads = np.zeros((3, n_bins), dtype=np.int64)
+        loads[1] = limit + 1  # row 1 has no free slot at all
+        before = loads.copy()
+        children = [RandomProbeStream(n_bins, seed=s) for s in range(3)]
+        with pytest.raises(ProtocolError, match="trial 1"):
+            fill_window_batch(loads, limit, 5, BatchedProbeStream(children))
+        assert [child.consumed for child in children] == [0, 0, 0]
+        assert np.array_equal(loads, before)
+
+    def test_capacity_is_exact_past_the_limit(self):
+        # Bins above the limit add no capacity (and take none away): a
+        # window of exactly the free slots fits, one more ball does not.
+        n_bins, limit = 8, 2
+        start = np.zeros((2, n_bins), dtype=np.int64)
+        start[:, ::2] = limit + 10
+        fits = (n_bins // 2) * (limit + 1)
+        loads = start.copy()
+        batch = BatchedProbeStream.from_seeds(n_bins, [3, 4])
+        fill_window_batch(loads, limit, fits, batch)
+        assert np.array_equal(loads[:, 1::2], np.full((2, n_bins // 2), limit + 1))
+        assert np.array_equal(loads[:, ::2], start[:, ::2])
+        with pytest.raises(ProtocolError, match="trial 0"):
+            fill_window_batch(
+                start.copy(), limit, fits + 1, BatchedProbeStream.from_seeds(n_bins, [3, 4])
+            )
 
 
 class TestAgainstScalarBackend:
