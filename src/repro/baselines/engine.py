@@ -191,6 +191,20 @@ def _first_least_loaded(
     return targets
 
 
+def _add_counts(loads: np.ndarray, bins: np.ndarray) -> None:
+    """Add one ball to ``loads`` per entry of ``bins``, in place.
+
+    ``np.add.at`` costs O(len(bins)) and ``bincount`` O(n_bins); integer
+    additions are exact, so both give the same loads.  The rule picks
+    ``np.add.at`` well inside its measured lead, which on NumPy 2.4 lasts
+    up to about ``len(bins) * 2 == n_bins``.
+    """
+    if bins.size * 16 < loads.size:
+        np.add.at(loads, bins, 1)
+    else:
+        loads += np.bincount(bins, minlength=loads.size)
+
+
 def _commit_chunk_numpy(
     loads: np.ndarray,
     rows: np.ndarray,
@@ -221,10 +235,8 @@ def _commit_chunk_numpy(
         targets = _first_least_loaded(loads, block, pblock)[free]
         if wblock is not None:
             np.add.at(loads, targets, wblock[free])
-        elif targets.size * 16 >= n_bins:
-            loads += np.bincount(targets, minlength=n_bins)
         else:
-            np.add.at(loads, targets, 1)
+            _add_counts(loads, targets)
         if assignments is not None:
             ready = np.flatnonzero(free) if indices is None else indices[free]
             assignments[base + ready] = targets
@@ -385,7 +397,9 @@ def batched_argmin_commit(
         # Column by column: a 2-D strided copy would run NumPy's inner loop
         # over the d entries of one row, once per row.
         for t, source in enumerate(sources):
-            block = _checked_block(source(done, count), count, d, n_bins)
+            block = _checked_block(
+                source(done, count), (count, d), n_bins, "a chunk source's block"
+            )
             rows = combined[t::n_trials]
             for j in range(d):
                 np.add(block[:, j], t * n_bins, out=rows[:, j])
@@ -434,24 +448,24 @@ def _per_trial(
     return arrays
 
 
-def _checked_block(block, count: int, d: int, n_bins: int) -> np.ndarray:
-    """A source's ``(count, d)`` candidate block, checked before it is staged.
+def _checked_block(block, shape: tuple, n_bins: int, what: str) -> np.ndarray:
+    """An integer bin array of ``shape`` (``what`` names it), as int64.
 
-    Offset into the combined instance, a bin outside ``[0, n_bins)`` would
-    land in another trial's bins, so one reduction checks the range: viewed
-    as unsigned, a negative bin is larger than any valid one.
+    Checked before it is staged or swept: offset into the combined
+    instance, a bin outside ``[0, n_bins)`` would land in another trial's
+    bins, and a move sweep would alias or index past the loads.  One
+    reduction checks the range: viewed as unsigned, a negative bin is larger
+    than any valid one.
     """
     block = np.asarray(block)
-    if block.shape != (count, d) or block.dtype.kind not in "iu":
+    if block.shape != shape or block.dtype.kind not in "iu":
         raise ConfigurationError(
-            f"a chunk source returned a {block.dtype} block of shape "
-            f"{block.shape}; expected ({count}, {d}) integer bins"
+            f"{what} is a {block.dtype} array of shape {block.shape}; "
+            f"expected {shape} integer bins"
         )
     block = block.astype(np.int64, copy=False)
     if block.size and block.view(np.uint64).max() >= n_bins:
-        raise ConfigurationError(
-            f"a chunk source returned a bin outside [0, {n_bins})"
-        )
+        raise ConfigurationError(f"{what} holds a bin outside [0, {n_bins})")
     return block
 
 
@@ -472,11 +486,16 @@ def chunked_move_sweep(
     only within its own candidate row, so conflict-free balls decide and move
     together.  Returns the number of moves; ``loads`` and ``placement`` are
     updated in place.  The sweep runs on the active kernel backend
-    (:func:`_move_sweep_numpy` is the default).  A ``placement[i]`` outside
-    ``choices[i]`` breaks that rule, so it is rejected before any change.
+    (:func:`_move_sweep_numpy` is the default).  ``choices`` must be a 2-D
+    integer array over the bins of ``loads``, and a ``placement[i]`` outside
+    ``choices[i]`` breaks the rule above; both are rejected before any
+    change.
     """
     _check_writeable(loads)
     _check_writeable(placement, "placement")
+    if not isinstance(choices, np.ndarray) or choices.ndim != 2:
+        raise ConfigurationError("choices must be a 2-D (balls x choices) NumPy array")
+    choices = _checked_block(choices, choices.shape, loads.size, "choices")
     n_balls = len(choices)
     _check_covers("placement", placement, n_balls)
     current = placement[:n_balls]

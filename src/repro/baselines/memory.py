@@ -24,7 +24,7 @@ for ``d = k = 1`` (:func:`~repro.core.backend.memory11_hand_off`) and
 greedy[d]'s engine for ``k = 0``.  It is bit-identical to
 :func:`repro.baselines.reference.reference_memory` (the per-ball oracle)
 and to :func:`~repro.baselines.memory_engine.memory_hand_off` (the general
-rule, shared with the dispatcher's small-burst path).
+rule, shared with the dispatcher's ``memory`` policy).
 
 With ``record_trace=True`` the run records one
 :class:`~repro.runtime.trace.StageRecord` per stage of ``n`` balls — load

@@ -16,9 +16,13 @@ Two backends ship:
   always used; the only backend supporting the vectorised engine that
   bypasses the kernel methods (the trial-axis d-choice commit).
 * ``"scalar"`` — the literal per-ball loops, single-homed here: the
-  reference the numpy kernels are checked against.  (The per-ball
-  *reference oracles* in :mod:`repro.baselines.reference` implement whole
-  protocols and stay deliberately independent.)
+  reference the numpy kernels are checked against, and the route the
+  :class:`~repro.scheduler.dispatcher.Dispatcher` runs small bursts on.
+  Its kernels cost what they touch: they read and write ``loads`` one
+  element at a time (the memory rules on short calls), so a call costs
+  O(balls or probes), not O(bins).  (The per-ball *reference oracles* in
+  :mod:`repro.baselines.reference` implement whole protocols and stay
+  deliberately independent.)
 
 Both backends produce **bit-identical** results on every kernel — same
 loads, same assignments, same probe consumption — which the cross-backend
@@ -91,9 +95,10 @@ def memory_hand_off(
     and the ``k`` least loaded *distinct* candidate bins (stable order:
     candidate order breaks load ties) are remembered for the next ball.
     This is the rule of :meth:`KernelBackend.memory_fallback` for every
-    ``(d, k)`` but ``(1, 1)`` (which runs :func:`memory11_hand_off`) and
-    the scalar small-burst path of the dispatcher's ``memory`` policy, so
-    every execution strategy shares one implementation of the literal rule.
+    ``(d, k)`` but ``(1, 1)`` (which runs :func:`memory11_hand_off`) on
+    both backends, and so of every (d,k)-memory run and of the
+    dispatcher's ``memory`` policy on either of its routes: every
+    execution strategy shares one implementation of the literal rule.
     """
     for row in fresh_rows:
         candidates = row + memory
@@ -165,27 +170,30 @@ def memory11_hand_off(
 
 def chunked_memory_hand_off(
     stream: "ProbeStream",
-    counts: list[int],
+    counts,
     memory: list[int],
     n_balls: int,
     d: int,
     k: int,
     assignments: list[int] | None = None,
+    chunk_size: int | None = None,
 ) -> list[int]:
     """Drive :func:`memory_hand_off` over ``n_balls`` chunked fresh draws.
 
     Each chunk's ``d`` fresh choices come from one bulk
-    :meth:`~repro.runtime.probes.ProbeStream.take_matrix` call (consumption
-    order identical to a per-ball loop).  This is the general loop of
+    :meth:`~repro.runtime.probes.ProbeStream.take_matrix` call of
+    ``chunk_size`` balls (default ``_FRESH_CHUNK``; consumption order
+    identical to a per-ball loop).  This is the general loop of
     :meth:`KernelBackend.memory_fallback` (``d > 1`` or ``k >= 2``) and the
     baseline the ``memory-engine(1,1)`` row of
     ``bench_baseline_throughput.py`` measures the (1,1) loop against.
     Returns the new remembered set; ``counts`` (and ``assignments``) are
     mutated in place.
     """
+    chunk = int(chunk_size) if chunk_size else _FRESH_CHUNK
     placed = 0
     while placed < n_balls:
-        count = min(_FRESH_CHUNK, n_balls - placed)
+        count = min(chunk, n_balls - placed)
         fresh = stream.take_matrix(count, d).tolist()
         memory = memory_hand_off(counts, fresh, memory, k, assignments=assignments)
         placed += count
@@ -270,27 +278,41 @@ def _run_window_scalar(
 ) -> tuple[int, list[np.ndarray]]:
     """The ball-by-ball window rule: probe until the bin is under the limit.
 
-    Consumes the exact probe sequence of the sequential process (one
-    :meth:`~repro.runtime.probes.ProbeStream.take_one` per probe, which the
-    give-back contract makes indistinguishable from block draws), so loads
-    and probe counts match the vectorised window bit for bit.
+    Probes are drawn in blocks a little larger than the balls still to
+    place, and the unread tail of each block is given back, so the probes
+    consumed are exactly the sequential process's and loads and probe
+    counts match the vectorised window bit for bit.  ``loads`` is read and
+    written one element at a time, so a call costs O(probes), not O(bins).
     ``block_size`` is accepted for interface parity; it cannot affect a
     per-probe loop.
     """
-    counts = loads.tolist()
+    item = loads.item
     limit = int(acceptance_limit)
     accepted: list[int] = []
     placed = 0
     probes = 0
     while placed < n_balls:
-        j = stream.take_one()
-        probes += 1
-        if counts[j] <= limit:
-            counts[j] += 1
-            placed += 1
-            if collect:
-                accepted.append(j)
-    loads[:] = counts
+        remaining = n_balls - placed
+        want = remaining + remaining // 4 + 4
+        if stream.available is not None:
+            # Finite replay streams: never request more than they can serve
+            # (requesting at least one keeps the exhaustion error meaningful).
+            want = max(1, min(want, stream.available))
+        block = stream.take(want)
+        examined = 0
+        for j in block.tolist():
+            examined += 1
+            load = item(j)
+            if load <= limit:
+                loads[j] = load + 1
+                if collect:
+                    accepted.append(j)
+                placed += 1
+                if placed == n_balls:
+                    break
+        probes += examined
+        if examined < want:
+            stream.give_back(block[examined:])
     chunks = [np.asarray(accepted, dtype=np.int64)] if accepted else []
     return probes, chunks
 
@@ -434,6 +456,10 @@ class KernelBackend:
     #: (results are identical either way).
     vectorised: bool = False
 
+    #: ``memory_fallback`` runs the rules on ``loads`` in place when a call
+    #: places fewer than one ball per this many bins; ``None`` never does.
+    _in_place_bins_per_ball: int | None = None
+
     # -- engine kernels (subclasses implement) -------------------------- #
     def occurrence_ranks(self, values: np.ndarray) -> np.ndarray:
         """Per-element count of earlier equal elements (validated 1-D input)."""
@@ -492,31 +518,6 @@ class KernelBackend:
         raise NotImplementedError
 
     # -- the scalar memory rules (shared defaults) ----------------------- #
-    def memory_hand_off(
-        self,
-        counts,
-        fresh_rows: list[list[int]],
-        memory: list[int],
-        k: int,
-        assignments: list[int] | None = None,
-    ) -> list[int]:
-        """One chunk of the sequential (d,k)-memory rule (see module fn)."""
-        return memory_hand_off(counts, fresh_rows, memory, k, assignments=assignments)
-
-    def weighted_memory_hand_off(
-        self,
-        loads,
-        fresh_rows: list[list[int]],
-        memory: list[int],
-        k: int,
-        weights: list[float],
-        assignments: list[int] | None = None,
-    ) -> list[int]:
-        """One chunk of the weighted (d,k)-memory rule (see module fn)."""
-        return weighted_memory_hand_off(
-            loads, fresh_rows, memory, k, weights, assignments=assignments
-        )
-
     def memory_fallback(
         self,
         stream: "ProbeStream",
@@ -539,8 +540,20 @@ class KernelBackend:
         rule measured slower than these loops).  ``loads`` is int64,
         updated in place; returns the new remembered set.  ``chunk_size``
         only bounds the bulk fresh draws and cannot affect results.
+
+        The loops run on a list copy of ``loads``, written back once, which
+        costs O(bins) per call.  Below one ball per
+        ``_in_place_bins_per_ball`` bins they read and write ``loads``
+        one element at a time instead, which costs O(balls) at several
+        times a list's cost per ball; that call draws all its fresh choices
+        before the first write, so a stream that runs out leaves ``loads``
+        unchanged, as it does on the round trip.
         """
-        counts = loads.tolist()
+        ratio = self._in_place_bins_per_ball
+        if ratio is not None and n_balls * ratio < loads.size:
+            counts, chunk_size = loads, n_balls
+        else:
+            counts = loads.tolist()
         out: list[int] | None = [] if assignments is not None else None
         if d == 1 and k == 1:
             chunk = int(chunk_size) if chunk_size else _FRESH_CHUNK
@@ -552,9 +565,10 @@ class KernelBackend:
                 placed += count
         else:
             memory = chunked_memory_hand_off(
-                stream, counts, memory, n_balls, d, k, assignments=out
+                stream, counts, memory, n_balls, d, k, out, chunk_size
             )
-        loads[:] = counts
+        if counts is not loads:
+            loads[:] = counts
         if assignments is not None:
             assignments[:n_balls] = out
         return memory
@@ -674,6 +688,11 @@ class ScalarBackend(KernelBackend):
     """
 
     name = "scalar"
+
+    #: Measured per ``memory_fallback`` call at 10^3, 10^4 and 10^5 bins,
+    #: in place and the list round trip break even at 22-39 bins per ball
+    #: for (2,1)- and (2,2)-memory and at 4-15 for (1,1)-memory.
+    _in_place_bins_per_ball = 32
 
     def occurrence_ranks(self, values):
         return _occurrence_ranks_scalar(values)

@@ -315,13 +315,14 @@ def chunked_weighted_assign(
     if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be positive, got {chunk_size}")
     cap = resolve_max_probes(max_probes, loads.size)
-    if chunk_size is None:
-        if thresholds[0] == thresholds[-1]:
-            chunk = _CONSTANT_THRESHOLD_CHUNK
-        else:
-            chunk = default_weighted_chunk_size(loads.size, weights)
-    else:
+    if chunk_size is not None:
         chunk = int(chunk_size)
+    elif m <= _MIN_CHUNK:
+        chunk = m  # every automatic size is at least _MIN_CHUNK: one chunk
+    elif thresholds[0] == thresholds[-1]:
+        chunk = _CONSTANT_THRESHOLD_CHUNK
+    else:
+        chunk = default_weighted_chunk_size(loads.size, weights)
 
     probes = 0
     start = 0
@@ -453,22 +454,20 @@ def _place_chunk(
         )
 
         determined = accepted[:first_amb]
-        cumulative = np.cumsum(determined)
-        n_det = int(cumulative[-1]) if first_amb else 0
+        positions = np.flatnonzero(determined)
+        n_det = positions.size
 
         if n_det >= remaining:
-            # The chunk's last ball is placed inside the determined prefix;
-            # probes after the closing acceptance belong to later chunks.
-            cutoff = int(np.searchsorted(cumulative, remaining))
-            if cutoff + 1 < block.size:
-                stream.give_back(block[cutoff + 1 :])
-            determined = determined[: cutoff + 1]
-            positions = np.flatnonzero(determined)
-            _check_ball_budgets(determined, positions, carry, max_probes)
-            _commit_determined(
-                loads, block[: cutoff + 1], positions, weights, i, assignments
-            )
-            probes += cutoff + 1
+            # The chunk's last ball is placed inside the determined prefix
+            # (at its remaining-th acceptance); probes after that closing
+            # acceptance belong to later chunks.
+            positions = positions[:remaining]
+            taken = int(positions[-1]) + 1
+            if taken < block.size:
+                stream.give_back(block[taken:])
+            _check_ball_budgets(determined[:taken], positions, carry, max_probes)
+            _commit_determined(loads, block[:taken], positions, weights, i, assignments)
+            probes += taken
             i = end
             break
 
@@ -476,7 +475,6 @@ def _place_chunk(
             # Ambiguous probe: hand the tail back so the scalar resolution
             # below re-reads it, keeping the probe sequence intact.
             stream.give_back(block[first_amb:])
-        positions = np.flatnonzero(determined)
         carry = _check_ball_budgets(determined, positions, carry, max_probes)
         _commit_determined(loads, block[:first_amb], positions, weights, i, assignments)
         probes += first_amb

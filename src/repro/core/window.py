@@ -263,15 +263,18 @@ def _run_window(
     if n_balls == 0:
         return 0, []
 
-    # sum(max(cap - load, 0)) == n_bins * cap - sum(min(load, cap)): one
-    # temporary instead of two.
-    cap = acceptance_limit + 1
-    total_capacity = int(loads.size * cap - np.minimum(loads, cap).sum())
-    if total_capacity < n_balls:
-        raise ProtocolError(
-            f"window capacity {total_capacity} is smaller than the {n_balls} "
-            "balls to place; the protocol cannot terminate"
-        )
+    # Every bin at or below the limit has a free slot, so their count is a
+    # lower bound on the window's capacity; the exact capacity
+    # sum(max(cap - load, 0)) == n_bins * cap - sum(min(load, cap)) is only
+    # summed when that bound falls short.
+    if np.count_nonzero(loads <= acceptance_limit) < n_balls:
+        cap = acceptance_limit + 1
+        total_capacity = int(loads.size * cap - np.minimum(loads, cap).sum())
+        if total_capacity < n_balls:
+            raise ProtocolError(
+                f"window capacity {total_capacity} is smaller than the {n_balls} "
+                "balls to place; the protocol cannot terminate"
+            )
     return active_backend().run_window(
         loads, acceptance_limit, n_balls, stream, block_size, collect
     )
@@ -538,7 +541,9 @@ def assign_window(
     probes, chunks = _run_window(
         loads, acceptance_limit, n_balls, stream, block_size, collect=True
     )
-    if chunks:
+    if len(chunks) == 1:
+        assignments = chunks[0]
+    elif chunks:
         assignments = np.concatenate(chunks)
     else:
         assignments = np.empty(0, dtype=np.int64)

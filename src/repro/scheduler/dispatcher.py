@@ -67,17 +67,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.engine import chunked_argmin_commit
+from repro.baselines.engine import _add_counts, chunked_argmin_commit
 from repro.baselines.left import left_source, replay_group_map
-from repro.baselines.memory_engine import chunked_memory_commit, memory_hand_off
-from repro.core.backend import resolve_backend, use_backend
+from repro.baselines.memory_engine import chunked_memory_commit
+from repro.core.backend import get_backend, resolve_backend, use_backend
 from repro.core.result import RunResult, register_record_kind
 from repro.core.thresholds import acceptance_limit
-from repro.core.weighted_engine import (
-    chunked_weighted_assign,
-    resolve_max_probes,
-    sequential_weighted_place,
-)
+from repro.core.weighted_engine import chunked_weighted_assign
 from repro.core.window import assign_window
 from repro.errors import ConfigurationError
 from repro.runtime.costs import CostModel
@@ -99,11 +95,22 @@ _POLICIES = (
     "weighted-left",
 )
 
-#: Arrival groups smaller than this ride the scalar fast path by default:
-#: the vectorised engines pay O(n_servers) setup (capacity vectors, bincount
-#: accumulators) per call, which dominates when only a handful of jobs
-#: arrive.  Measured crossover is around a hundred jobs on 10k servers.
+#: Arrival groups smaller than this run under the scalar backend by default
+#: (the ``small_burst=None`` rule of :meth:`Dispatcher._use_small_burst`):
+#: the numpy kernels pay fixed NumPy calls and O(n_servers) scratch per
+#: call, the scalar kernels cost what they touch.  Measured per
+#: ``dispatch_batch`` call, the two routes interleaved, at 1,000 and 10,000
+#: servers: the scalar route leads up to 90-200 jobs for adaptive,
+#: threshold and weighted, and for memory at every size where its scalar
+#: loop runs in place; greedy, left and weighted-left cross over at 30-45
+#: jobs (below 17 their numpy commit runs the scalar kernel anyway); single
+#: calls no kernel, so both routes run the same code.  The rule was derived
+#: at those two fleet sizes only; checked at 30 and 100 servers (1-99
+#: jobs), the scalar route led or tied for every policy it takes except
+#: threshold, which crossed over near 64 jobs and ran 1.1-1.2x slower at 99.
 DEFAULT_SMALL_BURST = 100
+
+_SCALAR = get_backend("scalar")
 
 
 @dataclass
@@ -205,19 +212,22 @@ class Dispatcher:
         also used as the chunk size of the greedy/left commit engine (mainly
         for tests; the default heuristics are fine in practice).
     small_burst:
-        Controls the scalar fast path for tiny arrival groups, which skips
-        the vectorised engines' O(n_servers) per-call setup.  ``None``
-        (default) picks automatically from a measured, policy-dependent
-        crossover rule (roughly: burst · constant < n_servers, capped at
-        ``DEFAULT_SMALL_BURST`` jobs); an explicit int forces the scalar
-        path for every group smaller than that; 0 disables it.  The
-        assignments, probe consumption and per-server state are
-        bit-identical either way (certified by the test-suite), so this is
-        purely a throughput knob for tiny-burst streaming.
+        Arrival groups smaller than this run the same engines under the
+        scalar backend, whose kernels cost what they touch, instead of
+        under ``backend`` (or the ambient selection), whose vectorised
+        kernels pay fixed NumPy calls and O(n_servers) scratch per call.
+        ``None`` (default) picks per policy from measured crossovers: below
+        ``DEFAULT_SMALL_BURST`` jobs, below 32 for greedy, left and
+        weighted-left, never for single (which calls no kernel).  An
+        explicit int routes every group smaller than that; 0 disables the
+        route.  The assignments, probe consumption and per-server state
+        are bit-identical either way (certified by the test-suite), so this
+        is purely a throughput knob for tiny-burst streaming.
     backend:
-        Kernel backend for the vectorised dispatch engines (a registered
-        name or a :class:`~repro.core.backend.KernelBackend`); ``None``
-        (default) keeps the ambient selection.  Every backend produces
+        Kernel backend for the dispatch engines on groups the small-burst
+        route does not take (a registered name or a
+        :class:`~repro.core.backend.KernelBackend`); ``None`` (default)
+        keeps the ambient selection.  Every backend produces
         bit-identical assignments — this is purely an execution strategy.
 
     The dispatcher is stateful: ``job_counts``, ``work``, ``probes`` (and the
@@ -303,13 +313,17 @@ class Dispatcher:
         """
         return self._result(np.empty(0, dtype=np.int64))
 
-    def _backend_scope(self):
-        """Kernel-backend scope for this dispatcher's engine work.
+    def _backend_scope(self, k: int):
+        """Kernel-backend scope for the engine work of one ``k``-job group.
 
+        Small bursts (:meth:`_use_small_burst`) run the scalar backend,
+        whatever the dispatcher's or the ambient selection.  Otherwise
         ``backend=None`` leaves the ambient selection in effect, so wrapping
         a call site in :func:`~repro.core.backend.use_backend` still governs
         backend-less dispatchers.
         """
+        if self._use_small_burst(k):
+            return use_backend(_SCALAR)
         if self._backend is None:
             return nullcontext()
         return use_backend(self._backend)
@@ -362,23 +376,11 @@ class Dispatcher:
             job-by-job with the same probe sequence.
         """
         sizes = np.asarray(sizes, dtype=np.float64).ravel()
-        with self._backend_scope():
-            assignments = self._assign_batch(sizes, total_jobs)
+        assignments = self._assign_batch(sizes, total_jobs)
         if assignments.size and self.policy not in ("weighted", "weighted-left"):
-            if assignments.size * 16 < self.n_servers:
-                # O(k log k) instead of O(n_servers): per-server partial sums
-                # accumulated in job order, then added once per touched server
-                # — bit-identical to the bincount-then-add below (which also
-                # sums each server's batch contribution in job order before a
-                # single addition; adding 0.0 to untouched servers is exact).
-                touched, inverse = np.unique(assignments, return_inverse=True)
-                partial = np.zeros(touched.size, dtype=np.float64)
-                np.add.at(partial, inverse, sizes)
-                self.work[touched] += partial
-            else:
-                self.work += np.bincount(
-                    assignments, weights=sizes, minlength=self.n_servers
-                )
+            self.work += np.bincount(
+                assignments, weights=sizes, minlength=self.n_servers
+            )
         return assignments
 
     def _assign_batch(self, sizes: np.ndarray, total_jobs: int | None) -> np.ndarray:
@@ -396,34 +398,33 @@ class Dispatcher:
             return np.empty(0, dtype=np.int64)
         self.validate_sizes(sizes)
 
-        if self._use_small_burst(k):
-            assignments, probes = self._assign_small_burst(sizes, total_jobs)
-        elif self.policy == "single":
-            assignments = self._stream.take(k)
-            probes = k
-            self.job_counts += np.bincount(assignments, minlength=self.n_servers)
-        elif self.policy == "greedy":
-            assignments = self._dispatch_greedy(k)
-            probes = k * self.d
-        elif self.policy == "left":
-            assignments = self._dispatch_left(k)
-            probes = k * self.d
-        elif self.policy == "memory":
-            assignments = self._dispatch_memory(k)
-            probes = k * self.d
-        elif self.policy == "threshold":
-            limit = self._threshold_limit(total_jobs, k)
-            window = assign_window(
-                self.job_counts, limit, k, self._stream, block_size=self.block_size
-            )
-            assignments, probes = window.assignments, window.probes
-        elif self.policy == "weighted":
-            assignments, probes = self._dispatch_weighted(sizes)
-        elif self.policy == "weighted-left":
-            assignments = self._dispatch_weighted_left(sizes)
-            probes = k * self.d
-        else:  # adaptive: constant acceptance limit within each stage of n jobs
-            assignments, probes = self._dispatch_adaptive(k)
+        with self._backend_scope(k):
+            if self.policy == "single":
+                assignments = self._stream.take(k)
+                probes = k
+                _add_counts(self.job_counts, assignments)
+            elif self.policy == "greedy":
+                assignments = self._dispatch_greedy(k)
+                probes = k * self.d
+            elif self.policy == "left":
+                assignments = self._dispatch_left(k)
+                probes = k * self.d
+            elif self.policy == "memory":
+                assignments = self._dispatch_memory(k)
+                probes = k * self.d
+            elif self.policy == "threshold":
+                limit = self._threshold_limit(total_jobs, k)
+                window = assign_window(
+                    self.job_counts, limit, k, self._stream, block_size=self.block_size
+                )
+                assignments, probes = window.assignments, window.probes
+            elif self.policy == "weighted":
+                assignments, probes = self._dispatch_weighted(sizes)
+            elif self.policy == "weighted-left":
+                assignments = self._dispatch_weighted_left(sizes)
+                probes = k * self.d
+            else:  # adaptive: constant acceptance limit within each stage of n jobs
+                assignments, probes = self._dispatch_adaptive(k)
 
         self.probes += probes
         self.jobs_dispatched += k
@@ -496,7 +497,7 @@ class Dispatcher:
             chunk_size=self.block_size,
             assignments=assignments,
         )
-        self.job_counts += np.bincount(assignments, minlength=self.n_servers)
+        _add_counts(self.job_counts, assignments)
         return assignments, probes
 
     def _dispatch_weighted_left(self, sizes: np.ndarray) -> np.ndarray:
@@ -521,7 +522,7 @@ class Dispatcher:
             assignments=assignments,
             weights=sizes,
         )
-        self.job_counts += np.bincount(assignments, minlength=self.n_servers)
+        _add_counts(self.job_counts, assignments)
         return assignments
 
     def validate_sizes(self, sizes) -> None:
@@ -577,162 +578,22 @@ class Dispatcher:
         return thresholds
 
     # ------------------------------------------------------------------ #
-    # Small-burst scalar fast path
+    # Small-burst route
     # ------------------------------------------------------------------ #
     def _use_small_burst(self, k: int) -> bool:
-        """Should this ``k``-job group ride the scalar fast path?
+        """Should this ``k``-job group run under the scalar backend?
 
         An explicit ``small_burst`` is an unconditional threshold (0
-        disables).  The automatic rule encodes the measured crossovers: the
-        scalar path wins when the burst is tiny relative to the vectorised
-        engines' per-call setup, with policy-dependent constants (the
-        memory policy's vector path pays an O(n_servers) list round trip of
-        the counts, so every sub-cap burst goes scalar; the weighted scalar
-        loop is the most expensive per job, so it only pays off for the
-        tiniest bursts).
+        disables).  The automatic rule encodes the measured crossovers of
+        the two routes (see :data:`DEFAULT_SMALL_BURST`).
         """
         if self.small_burst is not None:
             return k < self.small_burst
-        if k >= DEFAULT_SMALL_BURST:
+        if self.policy == "single":
             return False
-        n = self.n_servers
-        if self.policy == "weighted":
-            return k <= 8
-        if self.policy == "single":
-            return k * 1024 < n
-        if self.policy == "memory":
-            # The vector path copies job_counts to a list and back on every
-            # call, O(n_servers).  Bursts of 10-99 jobs measured 89-244 µs
-            # scalar vs 469-660 µs vector at 10,000 servers; at 1,000 the
-            # vector path leads only from ~64 jobs (264 vs 243 µs), so every
-            # sub-cap burst goes scalar.
-            return True
-        return k * 64 < n  # adaptive, threshold, greedy, left
-
-    def _assign_small_burst(
-        self, sizes: np.ndarray, total_jobs: int | None
-    ) -> tuple[np.ndarray, int]:
-        """Scalar dispatch of one small arrival group (bit-identical).
-
-        The vectorised engines allocate O(n_servers) scratch (capacity
-        vectors, ``seen`` accumulators, bincounts) on every call, which for a
-        burst of a few dozen jobs on thousands of servers costs more than the
-        dispatch itself.  This path walks the burst job by job with scalar
-        state updates — the probe sequence, acceptance decisions and
-        per-server totals are identical by construction, and the equivalence
-        tests replay both paths against shared fixed streams.
-        """
-        k = int(sizes.size)
-        n = self.n_servers
-        counts = self.job_counts
-        assignments = np.empty(k, dtype=np.int64)
-        probes = 0
-
-        if self.policy == "single":
-            block = self._stream.take(k)
-            assignments[:] = block
-            np.add.at(counts, block, 1)
-            probes = k
-        elif self.policy in ("greedy", "left"):
-            if self.policy == "left":
-                group_base, size = replay_group_map(n, self.d)
-                matrix = group_base + self._stream.take_matrix(k, self.d) % size
-            else:
-                matrix = self._stream.take_matrix(k, self.d)
-            for i, row in enumerate(matrix.tolist()):
-                best = row[0]
-                best_load = counts[best]
-                for server in row[1:]:
-                    load = counts[server]
-                    if load < best_load:
-                        best, best_load = server, load
-                counts[best] = best_load + 1
-                assignments[i] = best
-            probes = k * self.d
-        elif self.policy == "memory":
-            # memory_hand_off reads/writes loads element-wise, so the numpy
-            # counts vector can be passed directly — no O(n) tolist round-trip.
-            fresh = self._stream.take_matrix(k, self.d).tolist()
-            placed: list[int] = []
-            self._memory = memory_hand_off(
-                counts, fresh, self._memory, self.k, assignments=placed
-            )
-            assignments[:] = placed
-            probes = k * self.d
-        elif self.policy == "weighted-left":
-            group_base, size = replay_group_map(n, self.d)
-            matrix = group_base + self._stream.take_matrix(k, self.d) % size
-            work = self.work
-            sizes_list = sizes.tolist()
-            for i, row in enumerate(matrix.tolist()):
-                best = row[0]
-                best_work = work[best]
-                for server in row[1:]:
-                    load = work[server]
-                    if load < best_work:
-                        best, best_work = server, load
-                work[best] = best_work + sizes_list[i]
-                counts[best] += 1
-                assignments[i] = best
-            probes = k * self.d
-        elif self.policy == "weighted":
-            thresholds = self._weighted_thresholds(sizes)
-            cap = resolve_max_probes(None, n)
-            sizes_list = sizes.tolist()
-            for i in range(k):
-                server, used = sequential_weighted_place(
-                    self.work, float(thresholds[i]), self._stream, cap
-                )
-                probes += used
-                self.work[server] += sizes_list[i]
-                counts[server] += 1
-                assignments[i] = server
-        else:  # adaptive / threshold: probe until below the acceptance limit
-            placed = 0
-            while placed < k:
-                if self.policy == "adaptive":
-                    i = self.jobs_dispatched + placed + 1
-                    stage_last = ((i - 1) // n + 1) * n
-                    seg = min(k - placed, stage_last - i + 1)
-                    limit = acceptance_limit(i, n, offset=1)
-                else:
-                    seg = k
-                    limit = self._threshold_limit(total_jobs, k)
-                probes += self._scalar_probe_until(limit, seg, assignments, placed)
-                placed += seg
-        return assignments, probes
-
-    def _scalar_probe_until(
-        self, limit: int, n_jobs: int, assignments: np.ndarray, base: int
-    ) -> int:
-        """Place ``n_jobs`` jobs scalar-wise: accept a probe iff load ≤ limit.
-
-        Probes are drawn in small blocks and the unexamined tail is given
-        back, so the consumed sequence is exactly the sequential one.
-        """
-        stream = self._stream
-        counts = self.job_counts
-        placed = 0
-        probes = 0
-        while placed < n_jobs:
-            remaining = n_jobs - placed
-            want = remaining + remaining // 4 + 4
-            if stream.available is not None:
-                want = max(1, min(want, stream.available))
-            block = stream.take(want)
-            examined = 0
-            for server in block.tolist():
-                examined += 1
-                if counts[server] <= limit:
-                    counts[server] += 1
-                    assignments[base + placed] = server
-                    placed += 1
-                    if placed == n_jobs:
-                        break
-            probes += examined
-            if examined < block.size:
-                stream.give_back(block[examined:])
-        return probes
+        if self.policy in ("greedy", "left", "weighted-left"):
+            return k < 32
+        return k < DEFAULT_SMALL_BURST
 
     def _dispatch_greedy(self, k: int) -> np.ndarray:
         """Greedy[d] through the chunked conflict-free commit engine.
@@ -781,8 +642,10 @@ class Dispatcher:
         is part of the protocol state, like ``job_counts``) and holds
         distinct servers; the commit function and its rules are shared with
         :class:`~repro.baselines.memory.MemoryProtocol`, and ``job_counts``
-        is updated in place like every other policy (through one list round
-        trip per call, the fixed cost of this path).
+        is updated in place like every other policy.  The numpy backend
+        runs the rule on a list round trip of ``job_counts``, O(n_servers)
+        per call; the scalar backend (the small-burst route) runs it in
+        place when the burst is short against the fleet.
         """
         assignments = np.empty(k, dtype=np.int64)
         self._memory = chunked_memory_commit(
@@ -808,11 +671,8 @@ class Dispatcher:
         n_jobs = len(workload)
         sizes = workload.sizes()
         assignments = np.empty(n_jobs, dtype=np.int64)
-        with self._backend_scope():
-            for _, start, stop in workload.arrival_batches():
-                assignments[start:stop] = self._assign_batch(
-                    sizes[start:stop], n_jobs
-                )
+        for _, start, stop in workload.arrival_batches():
+            assignments[start:stop] = self._assign_batch(sizes[start:stop], n_jobs)
         if self.policy not in ("weighted", "weighted-left"):
             # Bin the work in a single pass over all jobs: per-server additions
             # then happen in job order, making the totals bit-identical to the

@@ -7,11 +7,11 @@ enqueue jobs and park on a future; a single flush task drains **everything
 queued at that moment** into one ``dispatch_batch`` call per event-loop
 tick, then yields so new submissions (including those that arrived while
 the engine ran) form the next tick's batch.  Under light traffic a batch is
-one job and the dispatcher's measured ``small_burst`` crossover routes it
-down the scalar fast path; under heavy traffic batches grow to thousands of
-jobs and ride the vectorised engines — the same adaptivity, per tick, that
-the PR-4/5 crossovers give per call, with bit-identical assignments either
-way.
+a few jobs and the dispatcher's measured ``small_burst`` crossover runs it
+under the scalar backend, whose kernels cost what they touch; under heavy
+traffic batches grow to thousands of jobs and ride the vectorised numpy
+kernels — the same engines either way, the backend picked per tick by batch
+size, with bit-identical assignments.
 
 Backpressure is a bounded job count: when producers outrun the engine the
 queue refuses to grow past ``max_queue_jobs`` and either **blocks** the

@@ -16,6 +16,8 @@ Covers the acceptance criteria of the API redesign:
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -370,6 +372,47 @@ class TestSmallBurstFastPath:
 
         fast_assign, fast = run(small_burst=1_000)  # everything scalar
         slow_assign, slow = run(small_burst=0)  # everything vectorised
+        assert np.array_equal(fast_assign, slow_assign)
+        assert np.array_equal(fast.job_counts, slow.job_counts)
+        assert np.array_equal(fast.work, slow.work)
+        assert fast.probes == slow.probes
+
+    @pytest.mark.parametrize("policy", DISPATCH_POLICIES)
+    def test_bit_identical_at_1000_servers_across_a_restore(self, policy):
+        """Service-sized bursts, an ADAPTIVE stage boundary and a restore.
+
+        About 1,200 jobs in bursts of 1-40 cross the first stage boundary
+        (1,000 jobs) inside a burst, on either route; the dispatcher is
+        rebuilt from its JSON state halfway through.
+        """
+        n_servers = 1000
+        rng = np.random.default_rng(8)
+        bursts = [
+            rng.uniform(0.5, 1.5, size=int(size))
+            for size in rng.integers(1, 41, size=60)
+        ]
+        total = sum(b.size for b in bursts)
+        choices = rng.integers(0, n_servers, size=20_000)
+
+        def run(small_burst):
+            dispatcher = Dispatcher(
+                n_servers,
+                policy=policy,
+                d=2,
+                probe_stream=FixedProbeStream(n_servers, choices.copy()),
+                small_burst=small_burst,
+            )
+            assignments = []
+            for i, burst in enumerate(bursts):
+                if i == 30:
+                    state = json.loads(json.dumps(dispatcher.state_dict()))
+                    dispatcher = Dispatcher.from_state(state)
+                assignments.append(dispatcher.dispatch_batch(burst, total_jobs=total))
+            return np.concatenate(assignments), dispatcher.outcome()
+
+        fast_assign, fast = run(small_burst=41)  # every burst scalar
+        slow_assign, slow = run(small_burst=0)  # every burst vectorised
+        assert total > n_servers
         assert np.array_equal(fast_assign, slow_assign)
         assert np.array_equal(fast.job_counts, slow.job_counts)
         assert np.array_equal(fast.work, slow.work)

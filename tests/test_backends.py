@@ -27,6 +27,7 @@ from repro.baselines.memory_engine import (
 )
 from repro.core.backend import (
     DEFAULT_BACKEND,
+    NumpyBackend,
     active_backend,
     backend_names,
     describe_backends,
@@ -40,9 +41,9 @@ from repro.core.weighted_engine import (
     chunked_weighted_assign,
 )
 from repro.core.window import assign_window, conflict_free_rows, fill_window
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.experiments.runner import run_trials
-from repro.runtime.probes import FixedProbeStream
+from repro.runtime.probes import FixedProbeStream, RandomProbeStream
 from repro.scheduler.dispatcher import Dispatcher
 
 #: (n_balls, n_bins) grid shared with the per-engine equivalence suites:
@@ -301,6 +302,97 @@ class TestCrossBackendEquivalence:
             outcomes[name] = (moved, loads.tolist(), placed.tolist(), [f.tolist() for f in free])
         assert all(o == outcomes["scalar"] for o in outcomes.values())
 
+    @pytest.mark.parametrize("block_size", [None, 1, 7])
+    @pytest.mark.parametrize("collect", [True, False])
+    @pytest.mark.parametrize("source", ["seeded", "fixed", "short-fixed"])
+    def test_run_window_kernels_agree(self, source, collect, block_size):
+        # Pre-loaded bins, some already past the limit.  "short-fixed" holds
+        # only three probes beyond the window's, fewer than either kernel's
+        # first block asks for.
+        n, limit = 40, 3
+        rng = np.random.default_rng(13)
+        start = rng.integers(0, limit + 3, size=n)
+        n_balls = int(np.maximum(limit + 1 - start, 0).sum()) * 3 // 4
+        choices = rng.integers(0, n, size=5_000)
+        if source == "short-fixed":
+            probe = FixedProbeStream(n, choices)
+            get_backend("scalar").run_window(
+                start.copy(), limit, n_balls, probe, None, False
+            )
+            choices = choices[: probe.consumed + 3]
+
+        def stream():
+            if source == "seeded":
+                return RandomProbeStream(n, seed=21)
+            return FixedProbeStream(n, choices)
+
+        outcomes = {}
+        for name in ALL_BACKENDS:
+            loads = start.copy()
+            probe = stream()
+            probes, chunks = get_backend(name).run_window(
+                loads, limit, n_balls, probe, block_size, collect
+            )
+            placed = np.concatenate(chunks).tolist() if chunks else []
+            following = probe.take(16 if probe.available is None else probe.available)
+            outcomes[name] = (
+                loads.tolist(), probes, probe.consumed, placed, following.tolist()
+            )
+        assert all(o == outcomes["scalar"] for o in outcomes.values())
+        assert len(outcomes["scalar"][3]) == (n_balls if collect else 0)
+
+    @pytest.mark.parametrize("block_size", [None, 1, 7])
+    def test_run_window_kernels_agree_when_the_stream_runs_out(self, block_size):
+        # 40 balls fit under the limit, but the stream holds only 30 probes:
+        # both kernels keep the balls placed before it ran out.
+        n, limit = 50, 2
+        rng = np.random.default_rng(3)
+        start = rng.integers(0, limit + 1, size=n)
+        choices = rng.integers(0, n, size=30)
+        outcomes = {}
+        for name in ALL_BACKENDS:
+            loads = start.copy()
+            probe = FixedProbeStream(n, choices)
+            with pytest.raises(ProtocolError, match="exhausted"):
+                get_backend(name).run_window(loads, limit, 40, probe, block_size, True)
+            outcomes[name] = (loads.tolist(), probe.consumed)
+        assert all(o == outcomes["scalar"] for o in outcomes.values())
+
+    @pytest.mark.parametrize("with_assignments", [True, False])
+    @pytest.mark.parametrize("chunk_size", [1, 7, None])
+    @pytest.mark.parametrize("d,k", [(1, 1), (2, 1), (3, 2)])
+    @pytest.mark.parametrize("side", ["in-place", "round-trip"])
+    def test_memory_fallback_kernels_agree(
+        self, side, d, k, chunk_size, with_assignments
+    ):
+        # The scalar backend runs the rules on loads in place below one ball
+        # per ratio bins and on a list round trip above.
+        ratio = get_backend("scalar")._in_place_bins_per_ball
+        n = 10 * ratio
+        n_balls = 9 if side == "in-place" else 400
+        assert (n_balls * ratio < n) == (side == "in-place")
+        rng = np.random.default_rng(d * 10 + k)
+        start = rng.integers(0, 4, size=n)
+        choices = rng.integers(0, n, size=n_balls * d + 50)
+        memory = [5, 17][:k]
+        outcomes = {}
+        for name in ALL_BACKENDS:
+            loads = start.copy()
+            assignments = np.full(n_balls, -1) if with_assignments else None
+            stream = FixedProbeStream(n, choices)
+            remembered = get_backend(name).memory_fallback(
+                stream, loads, list(memory), n_balls, d, k,
+                assignments=assignments, chunk_size=chunk_size,
+            )
+            outcomes[name] = (
+                loads.tolist(),
+                None if assignments is None else assignments.tolist(),
+                remembered,
+                stream.consumed,
+            )
+        assert all(o == outcomes["scalar"] for o in outcomes.values())
+        assert outcomes["scalar"][3] == n_balls * d
+
     @pytest.mark.parametrize("n_bins", [65_536, 65_537])
     def test_weighted_assign_at_the_radix_key_boundary(self, n_bins):
         # Probes hit the two lowest and two highest bins.  At 65,537 bins the
@@ -497,6 +589,72 @@ class TestDriverThreading:
         assert np.array_equal(reference.assignments, candidate.assignments)
         assert np.array_equal(reference.work, candidate.work)
         assert reference.allocation_time == candidate.allocation_time
+
+    @pytest.mark.parametrize(
+        "policy,params",
+        [
+            ("adaptive", {}),
+            ("threshold", {}),
+            ("greedy", {"d": 2}),
+            ("left", {"d": 2}),
+            ("memory", {"d": 2, "k": 1}),
+            ("weighted", {}),
+            ("weighted-left", {"d": 2}),
+        ],
+    )
+    def test_small_bursts_run_the_scalar_backend(self, policy, params):
+        """A small burst never reaches the dispatcher's own backend."""
+
+        class CountingBackend(NumpyBackend):
+            calls = 0
+
+        def counted(method):
+            base = getattr(NumpyBackend, method)
+
+            def kernel(self, *args, **kwargs):
+                self.calls += 1
+                return base(self, *args, **kwargs)
+
+            return kernel
+
+        for method in (
+            "occurrence_ranks", "conflict_free_rows", "run_window", "commit_chunk",
+            "move_sweep", "simulate_weighted_block", "memory_fallback",
+            "weighted_memory_fallback",
+        ):
+            setattr(CountingBackend, method, counted(method))
+        backend = CountingBackend()
+        dispatcher = Dispatcher(
+            1000, policy=policy, seed=3, small_burst=8, backend=backend, **params
+        )
+        sizes = np.random.default_rng(2).uniform(0.5, 1.5, size=200)
+        dispatcher.dispatch_batch(sizes[:7], total_jobs=200)
+        assert backend.calls == 0
+        dispatcher.dispatch_batch(sizes[7:], total_jobs=200)
+        assert backend.calls > 0
+
+    @pytest.mark.parametrize("d,k", [(1, 1), (2, 1), (2, 2)])
+    def test_memory_burst_on_a_short_stream_fails_alike(self, d, k):
+        """A memory burst whose stream runs out leaves the same job counts on
+        both routes: the small-burst route's in-place loop draws the whole
+        burst before its first write, the vector route runs on a copy."""
+        n = 1000
+        choices = np.random.default_rng(5).integers(0, n, size=40 * d + 3)
+        outcomes = {}
+        for small_burst in (None, 0):
+            dispatcher = Dispatcher(
+                n, policy="memory", d=d, k=k, block_size=1,
+                small_burst=small_burst, probe_stream=FixedProbeStream(n, choices),
+            )
+            dispatcher.dispatch_batch(np.ones(30))
+            before = dispatcher.state_dict()
+            with pytest.raises(ProtocolError, match="exhausted"):
+                dispatcher.dispatch_batch(np.ones(20))
+            after = dispatcher.state_dict()
+            del before["probe_stream"], after["probe_stream"]
+            assert after == before
+            outcomes[small_burst] = after
+        assert outcomes[None]["job_counts"] == outcomes[0]["job_counts"]
 
     def test_dispatcher_streaming_backend(self):
         sizes = np.random.default_rng(4).uniform(0.5, 2.0, size=900)

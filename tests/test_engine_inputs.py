@@ -143,6 +143,10 @@ class TestArgminCommitInputs:
             "read-only-placement",
             "short-placement",
             "placement-outside-row",
+            "negative-bin",
+            "bin-past-the-end",
+            "list-choices",
+            "1-d-choices",
         ],
     )
     def test_chunked_move_sweep(self, case):
@@ -161,6 +165,17 @@ class TestArgminCommitInputs:
             # conflict-free rule would read a bin another ball writes.
             placement[2] = 1
             loads = np.array([3, 1, 0, 0], dtype=np.int64)
+        elif case in ("negative-bin", "bin-past-the-end"):
+            # Ball 0's second candidate is outside the 4 bins: -1 would alias
+            # the last bin (a sweep would move ball 0 there), 4 index past it.
+            bad = -1 if case == "negative-bin" else 4
+            choices = np.array([[0, bad], [0, 2], [1, 3]], dtype=np.int64)
+            placement = np.array([0, 0, 1], dtype=np.int64)
+            loads = np.array([3, 1, 0, 0], dtype=np.int64)
+        elif case == "list-choices":
+            choices = choices.tolist()
+        elif case == "1-d-choices":
+            choices = choices[:, 0].copy()
         else:
             placement = np.zeros(3, dtype=np.int64)
         before = (np.array(loads), np.array(placement))

@@ -21,10 +21,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.runtime.probes import FixedProbeStream, probe_stream_from_state
 from repro.scheduler.dispatcher import Dispatcher
-from repro.service import DispatchService, ServiceThread
+from repro.service import DispatchService, ServiceError, ServiceThread
 
 N_SERVERS = 200
 SEED = 42
@@ -62,6 +62,18 @@ def total_jobs_of(batches) -> int:
 def roundtrip(state: dict) -> dict:
     """A checkpoint's real life: through JSON text and back."""
     return json.loads(json.dumps(state))
+
+
+def over_limit_state(policy: str, **kwargs) -> dict:
+    """A 1,000-server checkpoint whose every server holds 5 jobs.
+
+    The first job's acceptance limit is 1 under both policies (at
+    ``total_jobs=1000`` for threshold), so no server can take it: the
+    dispatch can only fail.
+    """
+    state = roundtrip(Dispatcher(1000, policy=policy, **kwargs).state_dict())
+    state["job_counts"] = [5] * 1000
+    return state
 
 
 # --------------------------------------------------------------------- #
@@ -216,6 +228,30 @@ class TestCheckpointErrors:
         with pytest.raises(ConfigurationError, match="memory"):
             Dispatcher.from_state(roundtrip(state))
 
+    @pytest.mark.parametrize("small_burst", [None, 0])
+    @pytest.mark.parametrize("policy", ["adaptive", "threshold"])
+    def test_over_limit_restore_fails_before_probing(self, policy, small_burst):
+        """A restored state no server can accept from fails, never hangs.
+
+        Both routes reach the window capacity check, so the dispatch raises
+        before drawing a probe.  The finite stream bounds a loop that skips
+        the check: it would drain all 5,000 probes and report exhaustion.
+        """
+        choices = np.random.default_rng(1).integers(0, 1000, size=5000)
+        state = over_limit_state(
+            policy,
+            small_burst=small_burst,
+            probe_stream=FixedProbeStream(1000, choices),
+        )
+        restored = Dispatcher.from_state(state)
+        with pytest.raises(ProtocolError, match="capacity"):
+            restored.dispatch_batch(np.ones(1), total_jobs=1000)
+        after = restored.state_dict()
+        assert after["probe_stream"]["consumed"] == 0
+        assert after["probe_stream"] == state["probe_stream"]
+        assert after["job_counts"] == state["job_counts"]
+        assert after["probes"] == 0
+
 
 # --------------------------------------------------------------------- #
 # Service-level kill + restore
@@ -264,6 +300,20 @@ class TestServiceKillRestore:
         assert np.array_equal(final.work, reference.work)
         assert final.probes == reference.probes
         assert final.jobs_dispatched == reference.jobs_dispatched
+
+    @pytest.mark.parametrize("policy", ["adaptive", "threshold"])
+    def test_over_limit_restore_keeps_serving(self, policy):
+        """A one-job submit against an unplaceable restored state gets an
+        error reply, and the event loop stays free to answer ``stats``."""
+        service = DispatchService.from_checkpoint(
+            over_limit_state(policy, seed=SEED), total_jobs=1000
+        )
+        with ServiceThread(service) as thread:
+            with thread.client(timeout=10.0) as client:
+                with pytest.raises(ServiceError, match="capacity"):
+                    client.submit([1.0])
+                stats = client.stats()
+        assert stats["jobs_dispatched"] == 0
 
     def test_checkpoint_excludes_queued_jobs(self, tmp_path):
         # A checkpoint taken between micro-batches must not contain jobs
