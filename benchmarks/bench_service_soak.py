@@ -17,6 +17,13 @@ The latency floor is **report-only on single-vCPU runners**: the service
 event loop and the client share one core there, so queueing latency
 measures the scheduler, not the service.  The assertion arms only when
 ``os.cpu_count() >= 2``, following the cluster-throughput precedent.
+
+The ``service_stats_read`` row times the other side of the service: the
+``stats`` read (:meth:`DispatchService.stats`, the telemetry and gauge
+snapshot) in-process, at 1,000 adaptive servers with every telemetry
+window full, read between small dispatches.  Its ``ops_per_second`` is
+reads per second.  The row is report-only: it has no entry in the
+committed baseline, which is all ``check_regression.py`` gates.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.scheduler.dispatcher import Dispatcher
@@ -42,6 +50,11 @@ N_SERVERS = 1_000
 #: Report-only latency ceiling (armed on multi-core runners): the p99
 #: queue-to-dispatched job latency of the soak must stay under this.
 GATE_P99_SECONDS = 0.5
+
+#: The stats-read row: small batches recorded before timing (enough to fill
+#: the 4,096-sample latency windows and the rate's event ring), then reads.
+STATS_FILL_BATCHES = 4_096
+STATS_READS = 2_000
 
 
 def run_soak(
@@ -91,6 +104,43 @@ def run_soak(
     }
 
 
+def run_stats_reads(n_reads: int = STATS_READS) -> dict:
+    """Time ``DispatchService.stats()`` in-process against full windows.
+
+    Every read follows one small (1-32 job) dispatch whose latencies are
+    recorded, as on a live service taking small submits, so the rate's
+    event ring turns over between reads; only the read is timed.
+    """
+    rng = np.random.default_rng(BENCH_SEED)
+    service = DispatchService(
+        Dispatcher(N_SERVERS, policy="adaptive", seed=BENCH_SEED)
+    )
+
+    def small_dispatch() -> None:
+        sizes = np.ones(int(rng.integers(1, 33)))
+        started = time.perf_counter()
+        service.dispatcher.dispatch_batch(sizes)
+        seconds = time.perf_counter() - started
+        service.telemetry.record_batch(np.full(sizes.size, seconds), seconds)
+
+    for _ in range(STATS_FILL_BATCHES):
+        small_dispatch()
+    reads = np.empty(n_reads)
+    for i in range(n_reads):
+        small_dispatch()
+        started = time.perf_counter()
+        service.stats()
+        reads[i] = time.perf_counter() - started
+    seconds = float(reads.sum())
+    return {
+        "servers": N_SERVERS,
+        "reads": n_reads,
+        "seconds": seconds,
+        "ops_per_second": n_reads / seconds,
+        "read_us_p50": float(np.median(reads)) * 1e6,
+    }
+
+
 def test_soak_smoke():
     """Cheap wiring check: the soak shape holds at smoke scale."""
     result = run_soak(total_jobs=20_000)
@@ -98,6 +148,13 @@ def test_soak_smoke():
     assert result["batches"] >= 20  # max_batch_jobs bounds coalescing
     assert result["ops_per_second"] > 0
     assert result["job_latency_p99"] is not None
+
+
+def test_stats_read_smoke():
+    """Cheap wiring check for the report-only stats-read row."""
+    result = run_stats_reads(n_reads=20)
+    assert result["reads"] == 20
+    assert result["ops_per_second"] > 0
 
 
 @pytest.mark.slow
@@ -155,6 +212,13 @@ def main() -> None:
             f"{result['job_latency_p50'] * 1e3:>8.2f} "
             f"{result['job_latency_p99'] * 1e3:>8.2f}"
         )
+    reads = run_stats_reads()
+    entries.append({"label": "service_stats_read", "cores": cores, **reads})
+    print(
+        f"\nstats reads at {reads['servers']} servers, full windows: "
+        f"{reads['ops_per_second']:,.0f} reads/s, "
+        f"p50 {reads['read_us_p50']:.0f} us (report-only)"
+    )
     path = write_bench_json("service_soak", entries)
     print(f"\nwrote {path}")
 

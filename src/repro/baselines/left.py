@@ -57,6 +57,15 @@ __all__ = [
 ]
 
 
+def _check_groups(n_bins: int, d: int) -> None:
+    if d < 1:
+        raise ConfigurationError(f"d must be at least 1, got {d}")
+    if n_bins < d:
+        raise ConfigurationError(
+            f"need at least d={d} bins to form d groups, got {n_bins}"
+        )
+
+
 def group_boundaries(n_bins: int, d: int) -> np.ndarray:
     """Return the ``d+1`` boundaries splitting ``n_bins`` bins into ``d`` groups.
 
@@ -64,12 +73,7 @@ def group_boundaries(n_bins: int, d: int) -> np.ndarray:
     first ``n_bins % d`` groups receive one extra bin so that every bin
     belongs to exactly one group.
     """
-    if d < 1:
-        raise ConfigurationError(f"d must be at least 1, got {d}")
-    if n_bins < d:
-        raise ConfigurationError(
-            f"need at least d={d} bins to form d groups, got {n_bins}"
-        )
+    _check_groups(n_bins, d)
     sizes = np.full(d, n_bins // d, dtype=np.int64)
     sizes[: n_bins % d] += 1
     return np.concatenate(([0], np.cumsum(sizes)))
@@ -85,15 +89,17 @@ def replay_group_map(n_bins: int, d: int) -> tuple[np.ndarray, int]:
     dispatcher's ``"left"`` policy (plus their per-ball references) go
     through this helper, so the mapping cannot silently diverge.  Unequal
     groups cannot be driven by a uniform stream without biasing some bins,
-    hence the :class:`~repro.errors.ConfigurationError`.
+    hence the :class:`~repro.errors.ConfigurationError`.  Equal groups
+    start at ``g * size``.
     """
-    boundaries = group_boundaries(n_bins, d)
+    _check_groups(n_bins, d)
     if n_bins % d:
         raise ConfigurationError(
             "left[d] probe replay needs equal groups: n_bins must be "
             f"divisible by d, got {n_bins} bins and d={d}"
         )
-    return boundaries[:-1], n_bins // d
+    size = n_bins // d
+    return np.arange(d, dtype=np.int64) * size, size
 
 
 def seeded_group_choices(

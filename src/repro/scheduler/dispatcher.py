@@ -740,6 +740,18 @@ class Dispatcher:
         same assignments, same probe consumption, same per-server totals as
         the uninterrupted run, for every policy (weighted and memory
         included).
+
+        A checkpoint is untrusted input, so counters no dispatch can produce
+        raise :class:`~repro.errors.ConfigurationError` before the state is
+        installed: counters that are not numbers, job counts that are not a
+        flat list of integers, a negative job count, a ``jobs_dispatched``
+        below 0 or above the job counts' total, fewer probes than jobs
+        (every policy draws at least one probe per job), and, under the
+        work-balancing policies, non-finite work or running totals.  Counts
+        *above* ``jobs_dispatched`` are accepted: they stand for load the
+        servers held before the stream, and the acceptance limits (which
+        follow ``jobs_dispatched``) then reject, with a typed error, any job
+        no server can take.
         """
         from repro.runtime.probes import probe_stream_from_state
 
@@ -767,19 +779,59 @@ class Dispatcher:
             small_burst=config["small_burst"],
             backend=config["backend"],
         )
-        job_counts = np.asarray(state["job_counts"], dtype=np.int64)
-        work = np.asarray(state["work"], dtype=np.float64)
+        try:
+            job_counts = np.asarray(state["job_counts"])
+            work = np.asarray(state["work"], dtype=np.float64)
+            probes = int(state["probes"])
+            jobs_dispatched = int(state["jobs_dispatched"])
+            weight_dispatched = float(state["weight_dispatched"])
+            w_max_seen = float(state["w_max_seen"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"dispatcher-state counters are not numeric: {exc}"
+            ) from exc
+        if job_counts.dtype.kind != "i" or job_counts.ndim != 1 or work.ndim != 1:
+            raise ConfigurationError(
+                "dispatcher-state job_counts must be a flat list of integers "
+                "and work a flat list of numbers"
+            )
+        job_counts = job_counts.astype(np.int64, copy=False)
         if job_counts.size != dispatcher.n_servers or work.size != dispatcher.n_servers:
             raise ConfigurationError(
                 "dispatcher-state arrays do not match n_servers="
                 f"{dispatcher.n_servers}"
             )
+        if job_counts.min() < 0:
+            raise ConfigurationError(
+                "dispatcher-state job_counts hold a negative count "
+                f"({int(job_counts.min())})"
+            )
+        placed = int(job_counts.sum())
+        if not 0 <= jobs_dispatched <= placed:
+            raise ConfigurationError(
+                f"dispatcher-state jobs_dispatched={jobs_dispatched} is not "
+                f"within [0, {placed}], the job_counts total"
+            )
+        if probes < jobs_dispatched:
+            raise ConfigurationError(
+                f"dispatcher-state probes={probes} is below "
+                f"jobs_dispatched={jobs_dispatched}; every job draws a probe"
+            )
+        if dispatcher.policy in ("weighted", "weighted-left") and not (
+            np.isfinite(work).all()
+            and np.isfinite(weight_dispatched)
+            and np.isfinite(w_max_seen)
+        ):
+            raise ConfigurationError(
+                "dispatcher-state work, weight_dispatched and w_max_seen "
+                f"must be finite under the {dispatcher.policy} policy"
+            )
         dispatcher.job_counts = job_counts
         dispatcher.work = work
-        dispatcher.probes = int(state["probes"])
-        dispatcher.jobs_dispatched = int(state["jobs_dispatched"])
-        dispatcher.weight_dispatched = float(state["weight_dispatched"])
-        dispatcher._w_max_seen = float(state["w_max_seen"])
+        dispatcher.probes = probes
+        dispatcher.jobs_dispatched = jobs_dispatched
+        dispatcher.weight_dispatched = weight_dispatched
+        dispatcher._w_max_seen = w_max_seen
         total = state["threshold_total"]
         dispatcher._threshold_total = None if total is None else int(total)
         memory = [int(s) for s in state["memory"]]

@@ -39,6 +39,8 @@ __all__ = ["RequestLog", "DEFAULT_REQUEST_LOG_CAPACITY"]
 #: Default bound on remembered request ids (FIFO-evicted beyond this).
 DEFAULT_REQUEST_LOG_CAPACITY = 4096
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class RequestLog:
     """Bounded ``request_id -> assignments`` memory with JSON snapshots."""
@@ -68,7 +70,9 @@ class RequestLog:
 
     def record(self, request_id: str, assignments) -> None:
         """Remember one committed submit (evicting the oldest past capacity)."""
-        self._entries[request_id] = [int(a) for a in np.asarray(assignments).ravel()]
+        self._entries[request_id] = (
+            np.asarray(assignments, dtype=np.int64).ravel().tolist()
+        )
         self._entries.move_to_end(request_id)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -84,6 +88,14 @@ class RequestLog:
 
     @classmethod
     def from_state(cls, state: dict[str, Any]) -> "RequestLog":
+        """Rebuild a log from :meth:`state_dict`, rejecting impossible entries.
+
+        A checkpoint is untrusted input: every entry must be a
+        ``[request_id, assignments]`` pair whose assignments are a flat list
+        of non-negative integers that fit the int64 :meth:`get` replays.
+        Anything else raises :class:`~repro.errors.ConfigurationError`
+        instead of being truncated, kept, or failing later on a replay.
+        """
         if not isinstance(state, dict) or "entries" not in state:
             raise ConfigurationError(
                 "expected a request-log state document "
@@ -95,7 +107,29 @@ class RequestLog:
                 f"unsupported request-log state version {version!r} "
                 f"(this release reads version {cls.STATE_VERSION})"
             )
-        log = cls(capacity=int(state.get("capacity", DEFAULT_REQUEST_LOG_CAPACITY)))
-        for rid, entry in state["entries"]:
+        capacity = state.get("capacity", DEFAULT_REQUEST_LOG_CAPACITY)
+        if type(capacity) is not int:
+            raise ConfigurationError(
+                f"request-log capacity must be an integer, got {capacity!r}"
+            )
+        log = cls(capacity=capacity)
+        entries = state["entries"]
+        if not isinstance(entries, list):
+            raise ConfigurationError("request-log entries must be a list")
+        for item in entries:
+            if not (isinstance(item, list) and len(item) == 2):
+                raise ConfigurationError(
+                    f"request-log entry {item!r} is not a "
+                    "[request_id, assignments] pair"
+                )
+            rid, entry = item
+            if not (
+                isinstance(entry, list)
+                and all(type(a) is int and 0 <= a <= _INT64_MAX for a in entry)
+            ):
+                raise ConfigurationError(
+                    f"request-log entry {rid!r} holds {entry!r}, not a flat "
+                    "list of non-negative int64 server ids"
+                )
             log.record(str(rid), entry)
         return log

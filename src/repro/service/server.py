@@ -167,7 +167,8 @@ class DispatchService:
 
         A file that cannot be read back as a snapshot — missing, torn
         mid-write (truncated / invalid JSON), or valid JSON that is not a
-        dispatcher state — raises :class:`~repro.errors.CheckpointError`
+        dispatcher state or holds an impossible counter or request-log
+        entry — raises :class:`~repro.errors.CheckpointError`
         naming the file, so callers (the CLI's ``--restore``, the
         supervisor's previous-snapshot fallback) can react without pattern
         matching on JSON internals.
@@ -202,17 +203,17 @@ class DispatchService:
         )
         try:
             service = cls(Dispatcher.from_state(state), **kwargs)
+            if isinstance(service_state, dict) and "requests" in service_state:
+                log = RequestLog.from_state(service_state["requests"])
+                service.request_log = log
+                service.batcher.request_log = log
         except ConfigurationError as exc:
             if origin is not None:
                 raise CheckpointError(
-                    f"checkpoint {origin!r} is not a usable dispatcher "
+                    f"checkpoint {origin!r} is not a usable service "
                     f"snapshot: {exc}"
                 ) from exc
             raise
-        if isinstance(service_state, dict) and "requests" in service_state:
-            log = RequestLog.from_state(service_state["requests"])
-            service.request_log = log
-            service.batcher.request_log = log
         return service
 
     # ------------------------------------------------------------------ #

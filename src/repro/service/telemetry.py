@@ -17,21 +17,36 @@ Latency definitions: a job's latency runs from the moment its submit
 message is accepted into the queue until its micro-batch's
 ``dispatch_batch`` call returns (queueing + dispatch); a batch's latency is
 the ``dispatch_batch`` wall time alone.
+
+Read cost: a ``stats`` read sorts each latency window once (the
+percentiles are NumPy's linear percentiles exactly, via
+:func:`~repro.scheduler.metrics.sorted_percentiles`), the jobs/sec rate is
+amortised O(1) (a running job sum over the in-horizon events, trimmed as
+they age out), and the gauges cost one pass over the fleet.  Recording a
+batch writes its samples into the rings in place, with no per-job Python
+loop.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.scheduler.metrics import compute_metrics, sorted_percentiles
 
 __all__ = ["RollingWindow", "ServiceTelemetry"]
 
 
 class RollingWindow:
-    """Fixed-capacity ring buffer of float samples with cheap percentiles."""
+    """Fixed-capacity ring buffer of float samples with exact percentiles.
+
+    Adding costs the samples written (one float is stored in place);
+    :meth:`percentiles` costs one sort of the retained window and returns
+    exactly what ``np.percentile`` would.
+    """
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
@@ -48,6 +63,11 @@ class RollingWindow:
 
     def add(self, values) -> None:
         """Append samples (scalar or array), evicting the oldest on overflow."""
+        if isinstance(values, float):  # also np.float64
+            self._buffer[self._cursor] = values
+            self._cursor = (self._cursor + 1) % self._buffer.size
+            self.count += 1
+            return
         values = np.atleast_1d(np.asarray(values, dtype=np.float64))
         if values.size >= self._buffer.size:
             # The tail alone fills the ring; older samples are all evicted.
@@ -75,7 +95,7 @@ class RollingWindow:
         samples = self.samples()
         if samples.size == 0:
             return [float("nan")] * len(qs)
-        return [float(v) for v in np.percentile(samples, qs)]
+        return sorted_percentiles(samples, qs)
 
 
 class ServiceTelemetry:
@@ -108,10 +128,11 @@ class ServiceTelemetry:
         self.batch_sizes = RollingWindow(window)
         self._clock = clock
         self._rate_horizon = float(rate_horizon)
-        # Batch-completion events (timestamp, job count) for the rate gauge.
-        self._events = np.zeros((min(window, 4096), 2), dtype=np.float64)
-        self._event_cursor = 0
-        self._event_count = 0
+        # Batch-completion events (timestamp, job count) for the rate gauge:
+        # the last min(window, 4096) batches, minus those a read found past
+        # the horizon, oldest first, with their job total kept alongside.
+        self._events: deque[tuple[float, int]] = deque(maxlen=min(window, 4096))
+        self._event_jobs = 0
         self.batches = 0
         self.jobs = 0
         self.jobs_shed = 0
@@ -126,32 +147,42 @@ class ServiceTelemetry:
         wall time of the ``dispatch_batch`` call itself.
         """
         job_latencies = np.asarray(job_latencies, dtype=np.float64).ravel()
+        n_jobs = job_latencies.size
         self.job_latency.add(job_latencies)
         self.batch_latency.add(batch_seconds)
-        self.batch_sizes.add(float(job_latencies.size))
+        self.batch_sizes.add(float(n_jobs))
         self.batches += 1
-        self.jobs += int(job_latencies.size)
-        row = self._event_cursor % self._events.shape[0]
-        self._events[row, 0] = self._clock()
-        self._events[row, 1] = float(job_latencies.size)
-        self._event_cursor += 1
-        self._event_count = min(self._event_count + 1, self._events.shape[0])
+        self.jobs += n_jobs
+        events = self._events
+        if len(events) == events.maxlen:
+            # The oldest event leaves the ring, and its jobs the rate.
+            self._event_jobs -= events.popleft()[1]
+        events.append((self._clock(), n_jobs))
+        self._event_jobs += n_jobs
 
     def record_shed(self, n_jobs: int) -> None:
         """Count jobs rejected by the shed overflow policy."""
         self.jobs_shed += int(n_jobs)
 
     def jobs_per_second(self) -> float:
-        """Dispatch rate over the sliding ``rate_horizon`` window."""
-        if self._event_count == 0:
+        """Dispatch rate over the sliding ``rate_horizon`` window.
+
+        The jobs of the retained batches stamped within the horizon, over
+        the time since the oldest of them.  The clock is monotonic, so the
+        events past the horizon are always the oldest ones: they are
+        dropped once, here, which makes a read amortised O(1).
+        """
+        if self.batches == 0:
             return 0.0
-        events = self._events[: self._event_count]
         now = self._clock()
-        recent = events[events[:, 0] >= now - self._rate_horizon]
-        if recent.size == 0:
+        events = self._events
+        start = now - self._rate_horizon
+        while events and events[0][0] < start:
+            self._event_jobs -= events.popleft()[1]
+        if not events:
             return 0.0
-        span = max(now - float(recent[:, 0].min()), 1e-9)
-        return float(recent[:, 1].sum()) / span
+        span = max(now - events[0][0], 1e-9)
+        return float(self._event_jobs) / span
 
     # ------------------------------------------------------------------ #
     def snapshot(self, dispatcher=None, queue_depth: int | None = None) -> dict:
@@ -189,8 +220,6 @@ class ServiceTelemetry:
         if queue_depth is not None:
             stats["queue_depth"] = int(queue_depth)
         if dispatcher is not None and dispatcher.jobs_dispatched > 0:
-            from repro.scheduler.metrics import compute_metrics
-
             metrics = compute_metrics(
                 dispatcher.work, dispatcher.job_counts, dispatcher.probes
             )

@@ -8,6 +8,7 @@ import pytest
 from repro.baselines.left import (
     LeftProtocol,
     group_boundaries,
+    replay_group_map,
     run_left,
     seeded_group_choices,
 )
@@ -35,6 +36,26 @@ class TestGroupBoundaries:
             group_boundaries(5, 0)
         with pytest.raises(ConfigurationError):
             group_boundaries(1, 2)
+
+
+class TestReplayGroupMap:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("groups", [1, 2, 3, 250, 2500])
+    def test_equals_group_starts(self, d, groups):
+        n_bins = d * groups
+        base, size = replay_group_map(n_bins, d)
+        expected = group_boundaries(n_bins, d)[:-1]
+        assert base.dtype == expected.dtype == np.int64
+        assert np.array_equal(base, expected)
+        assert size == groups
+
+    @pytest.mark.parametrize(
+        "n_bins,d,match",
+        [(5, 0, "at least 1"), (1, 2, "at least d=2 bins"), (10, 3, "equal groups")],
+    )
+    def test_invalid(self, n_bins, d, match):
+        with pytest.raises(ConfigurationError, match=match):
+            replay_group_map(n_bins, d)
 
 
 class TestSeededGroupChoices:

@@ -20,10 +20,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ReproError
 from repro.scheduler.dispatcher import Dispatcher
-from repro.scheduler.metrics import compute_metrics
+from repro.scheduler.metrics import compute_metrics, sorted_percentiles
 from repro.service import (
     DispatchService,
     FrameConnection,
@@ -31,6 +33,7 @@ from repro.service import (
     FramingError,
     MicroBatcher,
     QueueOverflow,
+    RequestLog,
     RollingWindow,
     ServiceClient,
     ServiceError,
@@ -218,6 +221,204 @@ class TestWorkPercentileMetrics:
         as_dict = metrics.as_dict()
         assert as_dict["work_p50"] == p50
         assert as_dict["work_p99"] == p99
+
+
+# --------------------------------------------------------------------- #
+# Telemetry read/record paths against the formulas they replaced
+# --------------------------------------------------------------------- #
+def sample_array(n: int, seed: int, kind: str) -> np.ndarray:
+    """A seeded float array of one of the shapes the percentile tests need."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.random(n)
+    if kind == "ties":
+        return rng.integers(-3, 4, n).astype(np.float64)
+    if kind == "wide":
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, n)
+    values = rng.standard_normal(n)
+    if kind == "inf":
+        values[rng.random(n) < 0.1] = np.inf
+        values[rng.random(n) < 0.1] = -np.inf
+    elif kind == "nan":
+        values[rng.integers(n)] = np.nan
+    return values
+
+
+def same_float(got: float, expected) -> bool:
+    expected = float(expected)
+    return got == expected or (np.isnan(got) and np.isnan(expected))
+
+
+def mask_rate(events: list, capacity: int, now: float, horizon: float) -> float:
+    """The rate formula of the all-rows event mask, as an oracle."""
+    if not events:
+        return 0.0
+    kept = np.array(events[-capacity:], dtype=np.float64)
+    recent = kept[kept[:, 0] >= now - horizon]
+    if recent.size == 0:
+        return 0.0
+    span = max(now - float(recent[:, 0].min()), 1e-9)
+    return float(recent[:, 1].sum()) / span
+
+
+class TestSortedPercentiles:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 5000),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["uniform", "ties", "wide", "inf", "nan", "normal"]),
+        drawn=st.lists(st.floats(0.0, 100.0), max_size=3),
+    )
+    def test_equals_numpy_percentile(self, n, seed, kind, drawn):
+        values = sample_array(n, seed, kind)
+        qs = (0.0, 50.0, 95.0, 99.0, 100.0, *drawn)
+        with np.errstate(invalid="ignore"):
+            expected = np.percentile(values, qs)
+        got = sorted_percentiles(values, qs)
+        assert all(type(v) is float for v in got)
+        assert all(same_float(g, e) for g, e in zip(got, expected)), (got, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 5000),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["uniform", "ties", "wide", "inf", "nan"]),
+    )
+    def test_compute_metrics_work_percentiles_equal_numpy(self, n, seed, kind):
+        work = sample_array(n, seed, kind)
+        with np.errstate(invalid="ignore", over="ignore"):
+            metrics = compute_metrics(work, np.ones(n, dtype=np.int64), probes=n)
+            p50, p99 = np.percentile(work, (50.0, 99.0))
+        assert same_float(metrics.work_p50, p50)
+        assert same_float(metrics.work_p99, p99)
+
+
+class TestIncrementalRate:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        window=st.integers(1, 200),
+        horizon=st.floats(0.01, 5.0),
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("record"), st.integers(1, 40)),
+                st.tuples(st.just("advance"), st.floats(0.0, 0.05)),
+                st.tuples(st.just("idle"), st.floats(1.0, 10.0)),
+                st.tuples(st.just("read"), st.just(0)),
+            ),
+            max_size=600,
+        ),
+    )
+    def test_equals_the_event_mask(self, window, horizon, steps):
+        now = [0.0]
+        telemetry = ServiceTelemetry(
+            window=window, rate_horizon=horizon, clock=lambda: now[0]
+        )
+        events: list = []
+        capacity = min(window, 4096)
+        for action, value in steps:
+            if action == "record":
+                telemetry.record_batch(np.full(value, 1e-3), 1e-4)
+                events.append((now[0], value))
+            elif action == "read":
+                # Repeated reads with no event between them agree too.
+                for _ in range(2):
+                    assert telemetry.jobs_per_second() == mask_rate(
+                        events, capacity, now[0], horizon
+                    )
+            else:
+                now[0] += value
+        assert telemetry.jobs_per_second() == mask_rate(
+            events, capacity, now[0], horizon
+        )
+
+
+class TestRecordPaths:
+    @pytest.mark.parametrize("capacity", [1, 2, 5])
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    def test_scalar_add_matches_one_element_array(self, capacity, scalar):
+        fast, reference = RollingWindow(capacity), RollingWindow(capacity)
+        fast.add(np.arange(3, dtype=np.float64))
+        reference.add(np.arange(3, dtype=np.float64))
+        for v in np.linspace(-2.5, 7.5, 11):
+            fast.add(scalar(v))
+            reference.add(np.array([v]))
+            written = min(fast.count, capacity)  # np.empty leaves the rest
+            assert np.array_equal(fast._buffer[:written], reference._buffer[:written])
+            assert fast._cursor == reference._cursor
+            assert fast.count == reference.count
+
+    @pytest.mark.parametrize(
+        "assignments",
+        [
+            np.array([4, 0, 7, 7], dtype=np.int64),
+            [4, 0, 7, 7],
+            np.array(3, dtype=np.int64),
+            np.array([[1, 2], [3, 4]]),
+        ],
+        ids=["int64-array", "list", "0-d-array", "2-d-array"],
+    )
+    def test_request_log_record_keeps_its_state(self, assignments):
+        log = RequestLog(capacity=2)
+        log.record("a", [9])
+        log.record("b", assignments)
+        expected = [int(a) for a in np.asarray(assignments).ravel()]
+        state = log.state_dict()
+        assert state["entries"] == [["a", [9]], ["b", expected]]
+        assert all(type(a) is int for a in state["entries"][1][1])
+        json.dumps(state, allow_nan=False)
+
+    def test_snapshot_matches_the_parent_formulas(self):
+        now = [0.0]
+        window, horizon = 64, 0.05
+        telemetry = ServiceTelemetry(
+            window=window, rate_horizon=horizon, clock=lambda: now[0]
+        )
+        dispatcher = make_dispatcher(n_servers=100)
+        rng = np.random.default_rng(3)
+        events, job_latencies, batch_latencies, sizes = [], [], [], []
+        for _ in range(300):
+            k = int(rng.integers(1, 40))
+            now[0] += float(rng.exponential(0.002))
+            dispatcher.dispatch_batch(rng.uniform(0.5, 2.0, k))
+            latencies = rng.exponential(1e-3, k)
+            seconds = float(rng.exponential(1e-4))
+            telemetry.record_batch(latencies, seconds)
+            events.append((now[0], k))
+            job_latencies.extend(latencies)
+            batch_latencies.append(seconds)
+            sizes.append(float(k))
+        now[0] += 0.01
+
+        work, counts = dispatcher.work, dispatcher.job_counts
+        job_p = np.percentile(job_latencies[-window:], (50.0, 95.0, 99.0))
+        batch_p = np.percentile(batch_latencies[-window:], (50.0, 95.0, 99.0))
+        work_p = np.percentile(work, (50.0, 99.0))
+        makespan, avg_work = float(work.max()), float(work.mean())
+        expected = {
+            "uptime_seconds": now[0],
+            "jobs_dispatched": int(sum(k for _, k in events)),
+            "batches_dispatched": 300,
+            "jobs_shed": 0,
+            "jobs_per_second": mask_rate(events, window, now[0], horizon),
+            "job_latency_p50": float(job_p[0]),
+            "job_latency_p95": float(job_p[1]),
+            "job_latency_p99": float(job_p[2]),
+            "batch_latency_p50": float(batch_p[0]),
+            "batch_latency_p95": float(batch_p[1]),
+            "batch_latency_p99": float(batch_p[2]),
+            "mean_batch_jobs": float(np.mean(sizes[-window:])),
+            "queue_depth": 5,
+            "gauge_makespan": makespan,
+            "gauge_avg_work": avg_work,
+            "gauge_work_imbalance_ratio": makespan / avg_work,
+            "gauge_max_jobs": float(counts.max()),
+            "gauge_min_jobs": float(counts.min()),
+            "gauge_job_imbalance": float(counts.max() - counts.min()),
+            "gauge_probes_per_job": dispatcher.probes / int(counts.sum()),
+            "gauge_work_p50": float(work_p[0]),
+            "gauge_work_p99": float(work_p[1]),
+        }
+        assert telemetry.snapshot(dispatcher, queue_depth=5) == expected
 
 
 # --------------------------------------------------------------------- #

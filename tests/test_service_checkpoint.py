@@ -21,10 +21,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import CheckpointError, ConfigurationError, ProtocolError
 from repro.runtime.probes import FixedProbeStream, probe_stream_from_state
 from repro.scheduler.dispatcher import Dispatcher
-from repro.service import DispatchService, ServiceError, ServiceThread
+from repro.service import DispatchService, RequestLog, ServiceError, ServiceThread
 
 N_SERVERS = 200
 SEED = 42
@@ -251,6 +251,141 @@ class TestCheckpointErrors:
         assert after["probe_stream"] == state["probe_stream"]
         assert after["job_counts"] == state["job_counts"]
         assert after["probes"] == 0
+
+
+# --------------------------------------------------------------------- #
+# Impossible counters and request-log entries
+# --------------------------------------------------------------------- #
+def genuine_state(policy: str, **extra) -> dict:
+    dispatcher = Dispatcher(
+        N_SERVERS, policy=policy, seed=SEED, **{**POLICIES.get(policy, {}), **extra}
+    )
+    for b in job_batches(n_batches=2):
+        dispatcher.dispatch_batch(b, total_jobs=1000)
+    return roundtrip(dispatcher.state_dict())
+
+
+def with_service_log(state: dict, entries: list) -> dict:
+    log = RequestLog()
+    log.record("ok", [1, 2])
+    requests = log.state_dict()
+    requests["entries"] = requests["entries"] + entries
+    return {**state, "service": {"requests": requests}}
+
+
+class TestRestoreValidation:
+    def test_found_example_is_rejected(self):
+        # Every counter negative or NaN: this state used to dispatch, leave
+        # job_counts[0] at -2 and probes at -3, and raise nothing.
+        dispatcher = Dispatcher(10, policy="adaptive", seed=SEED)
+        state = roundtrip(dispatcher.state_dict())
+        state["job_counts"] = [-3] * 10
+        state["work"] = [float("nan")] * 10
+        state["probes"] = -7
+        with pytest.raises(ConfigurationError, match="negative count"):
+            Dispatcher.from_state(state)
+
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            ("job_counts", lambda s: [-1] + s["job_counts"][1:], "negative count"),
+            ("jobs_dispatched", lambda s: s["jobs_dispatched"] + 1, "jobs_dispatched"),
+            ("jobs_dispatched", lambda s: -1, "jobs_dispatched"),
+            ("probes", lambda s: s["jobs_dispatched"] - 1, "probes"),
+            ("probes", lambda s: -7, "probes"),
+        ],
+        ids=["negative-count", "more-jobs-than-counted", "negative-jobs",
+             "fewer-probes-than-jobs", "negative-probes"],
+    )
+    @pytest.mark.parametrize("policy", ["adaptive", "weighted"])
+    def test_impossible_counter_rejected(self, policy, field, value, match):
+        state = genuine_state(policy)
+        state[field] = value(state)
+        with pytest.raises(ConfigurationError, match=match):
+            Dispatcher.from_state(state)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("job_counts", [1.7] + [0] * (N_SERVERS - 1)),
+            ("job_counts", ["x"] + [0] * (N_SERVERS - 1)),
+            ("job_counts", [[0, 0]] * (N_SERVERS // 2)),
+            ("work", [[0.0, 0.0]] * (N_SERVERS // 2)),
+            ("work", ["x"] + [0.0] * (N_SERVERS - 1)),
+            ("probes", "x"),
+            ("weight_dispatched", None),
+        ],
+        ids=["fractional-count", "string-count", "nested-counts", "nested-work",
+             "string-work", "string-probes", "none-weight"],
+    )
+    def test_malformed_arrays_rejected(self, field, value):
+        state = genuine_state("adaptive")
+        state[field] = value
+        with pytest.raises(ConfigurationError, match="dispatcher-state"):
+            Dispatcher.from_state(state)
+
+    @pytest.mark.parametrize("policy", ["weighted", "weighted-left"])
+    @pytest.mark.parametrize("field", ["work", "weight_dispatched", "w_max_seen"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_work_rejected_under_weighted_policies(self, policy, field, bad):
+        state = genuine_state(policy)
+        state[field] = [bad] + state["work"][1:] if field == "work" else bad
+        with pytest.raises(ConfigurationError, match="finite"):
+            Dispatcher.from_state(state)
+
+    def test_adaptive_work_is_not_checked(self):
+        # Adaptive routes on job counts and accepts any job size, so its
+        # work totals may legitimately be non-finite.
+        state = genuine_state("adaptive")
+        state["work"] = [float("inf")] + state["work"][1:]
+        assert np.isinf(Dispatcher.from_state(state).work[0])
+
+    @pytest.mark.parametrize(
+        "policy,extra",
+        [(policy, {}) for policy in sorted(POLICIES)]
+        + [("memory", {"k": 2, "d": 3}), ("weighted", {"w_max": None})],
+    )
+    def test_genuine_states_round_trip_unchanged(self, policy, extra):
+        state = genuine_state(policy, **extra)
+        restored = Dispatcher.from_state(json.loads(json.dumps(state)))
+        assert roundtrip(restored.state_dict()) == state
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ["r", [1.7, 2]],
+            ["r", [2**70]],
+            ["r", [-1]],
+            ["r", ["x"]],
+            ["r", [float("nan")]],
+            ["r", [None]],
+            ["r", [True]],
+            ["r", [[1, 2]]],
+            ["r", 5],
+            ["r"],
+            "r",
+        ],
+        ids=["float", "beyond-int64", "negative", "string", "nan", "none",
+             "bool", "nested", "not-a-list", "no-assignments", "not-a-pair"],
+    )
+    def test_bad_request_log_entry_rejected(self, entry, tmp_path):
+        requests = with_service_log({}, [entry])["service"]["requests"]
+        with pytest.raises(ConfigurationError, match="request-log entr"):
+            RequestLog.from_state(requests)
+        # Through a checkpoint file it is a CheckpointError naming the file.
+        path = tmp_path / "bad-log.json"
+        path.write_text(
+            json.dumps(with_service_log(genuine_state("adaptive"), [entry]))
+        )
+        with pytest.raises(CheckpointError, match="bad-log.json"):
+            DispatchService.from_checkpoint(str(path))
+
+    def test_request_log_round_trip_unchanged(self):
+        log = RequestLog(capacity=3)
+        for i, assignments in enumerate([[0], [5, 5, 1], np.arange(4), [7]]):
+            log.record(f"r{i}", assignments)
+        state = roundtrip(log.state_dict())
+        assert RequestLog.from_state(state).state_dict() == state
 
 
 # --------------------------------------------------------------------- #
