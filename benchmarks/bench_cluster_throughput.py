@@ -16,6 +16,12 @@ established precedent for the process-pool benchmarks, the gate is
 **report-only** there: the numbers are still measured and recorded, and the
 assertion arms only when ``os.cpu_count() >= 2``.
 
+Beside the gate, report-only, the slow test prints two controls: a
+pure-CPU two-process spin (the speedup two processes reach on this host
+with no IPC at all, the ceiling for the gate) and the 1-worker time over
+the in-process time of a larger sweep (``GATE_SHARDS`` x
+``RATIO_TRIALS``), the coordinator's per-shard overhead.
+
 Run under pytest for the gate, or directly
 (``python benchmarks/bench_cluster_throughput.py --quick``) for the
 one-shot numbers recorded as a ``BENCH_cluster_throughput.json`` regression
@@ -24,7 +30,9 @@ baseline.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import statistics
 import time
 
 import pytest
@@ -42,6 +50,10 @@ GATE_BALLS = 5_000
 GATE_SHARDS = 8
 GATE_TRIALS = 30
 GATE_SPEEDUP = 1.7
+#: Trials per shard of the sweep whose 1-worker/in-process ratio is logged.
+RATIO_TRIALS = 300
+#: Iterations of the pure-CPU control's spin (~0.2-0.3 s of Python).
+SPIN_ITERATIONS = 4_000_000
 
 
 def gate_sweep(shards: int, trials: int) -> SweepConfig:
@@ -78,6 +90,38 @@ def specs_per_second(
     return best
 
 
+def _spin(iterations: int) -> None:
+    total = 0
+    for i in range(iterations):
+        total += i
+
+
+def two_process_cpu_speedup(reps: int = 5) -> float:
+    """Median speedup of two concurrent spins over one, over ``reps`` pairs.
+
+    Two processes each spin ``SPIN_ITERATIONS``; one process spins once;
+    the two layouts alternate so host drift hits both.  Nothing is shared
+    or sent, so this is what 2 workers could reach here if the coordinator
+    cost nothing.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+    def seconds(processes: int) -> float:
+        spins = [
+            ctx.Process(target=_spin, args=(SPIN_ITERATIONS,))
+            for _ in range(processes)
+        ]
+        start = time.perf_counter()
+        for spin in spins:
+            spin.start()
+        for spin in spins:
+            spin.join()
+        return time.perf_counter() - start
+
+    return statistics.median(2 * seconds(1) / seconds(2) for _ in range(reps))
+
+
 def test_cluster_rows_match_reference_smoke():
     """Cheap wiring check: the fanned-out sweep emits the reference rows."""
     sweep = gate_sweep(shards=2, trials=3)
@@ -95,10 +139,18 @@ def test_gate_two_worker_speedup():
     two = specs_per_second(sweep, workers=2)
     speedup = two / one
     cores = os.cpu_count() or 1
+    control = two_process_cpu_speedup()
+    ratio_sweep = gate_sweep(GATE_SHARDS, RATIO_TRIALS)
+    overhead = specs_per_second(ratio_sweep, workers=0) / specs_per_second(
+        ratio_sweep, workers=1
+    )
     print(
         f"\ngate sweep {GATE_SHARDS} shards x {GATE_TRIALS} trials: "
         f"1 worker {one:.2f} specs/s, 2 workers {two:.2f} specs/s, "
-        f"speedup {speedup:.2f}x ({cores} cores)"
+        f"speedup {speedup:.2f}x ({cores} cores); "
+        f"pure-CPU two-process control {control:.2f}x; "
+        f"{GATE_SHARDS} x {RATIO_TRIALS} on 1 worker takes {overhead:.2f}x "
+        "the in-process time"
     )
     if cores < 2:
         pytest.skip(

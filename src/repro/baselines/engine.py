@@ -54,7 +54,10 @@ The trial-axis commit (:func:`batched_argmin_commit`) stages every chunk
 in place: one ball-major ``(chunk · trials, d)`` buffer, plus one for
 priorities and one for weights when given, is allocated per call, and
 trial ``t``'s rows are written straight into its strided view
-``buffer[t::trials]`` with the trial's bin offset added on the way.
+``buffer[t::trials]`` with the trial's bin offset added on the way.  Its
+per-trial chunk has a floor (:data:`_BATCHED_MIN_CHUNK`, capped by the
+expected conflicts per row), because that staging is paid per trial per
+chunk; placements do not depend on the chunk size.
 
 The same machinery powers the ``greedy``/``left`` policies of the batched
 :class:`~repro.scheduler.dispatcher.Dispatcher`, so streamed workloads ride
@@ -94,6 +97,16 @@ _MAX_CHUNK = 1 << 14
 #: Pending rows a chunk finishes with the per-ball rule instead of another
 #: conflict-free sub-phase (each of which costs ~20 µs of NumPy calls).
 _TAIL_ROWS = 16
+
+#: Floor on :func:`batched_argmin_commit`'s per-trial chunk.  Every chunk
+#: pays, per trial, one draw, one range check and ``d`` staging copies,
+#: which the default chunk (32 rows below 128 bins at d = 2) cannot
+#: amortise.  The floor stops where a chunk's last row expects to share a
+#: bin with ``_BATCHED_MAX_CONFLICTS`` earlier rows (``b·d²/n``): past that
+#: the extra sub-phases cost more than the staging saves (d = 3 at 64
+#: bins).  It binds only below 768 bins at d = 2 (1,728 at d = 3).
+_BATCHED_MIN_CHUNK = 192
+_BATCHED_MAX_CONFLICTS = 4
 
 
 def default_chunk_size(n_bins: int, d: int) -> int:
@@ -376,7 +389,10 @@ def batched_argmin_commit(
     if weights is not None:
         _check_weighted(loads)
     flat_loads = loads.reshape(-1)
-    chunk = chunk_size or default_chunk_size(n_bins, d)
+    chunk = chunk_size or max(
+        default_chunk_size(n_bins, d),
+        min(_BATCHED_MIN_CHUNK, _BATCHED_MAX_CONFLICTS * n_bins // (d * d)),
+    )
     # Ball-major staging buffers, written in place chunk by chunk: trial t's
     # ball i is row i * n_trials + t, so trial t fills the strided view
     # buffer[t::n_trials].  Priorities and weights keep the per-trial

@@ -5,6 +5,7 @@ stream over N worker processes and streams schema-v1 record rows back as
 JSONL.  The moving parts:
 
 * :mod:`~repro.cluster.coordinator` — the asyncio coordinator:
+  pipelined dispatch (two shards per worker once it has replied once),
   counter-based termination detection (``active``/``finished`` instead of
   joins), shard retry on worker death, dedup of double-completed shards,
   and the :func:`~repro.cluster.coordinator.run_cluster_sweep` synchronous

@@ -1,43 +1,56 @@
 """Async shard coordinator with counter-based termination detection.
 
 The coordinator turns a sweep — a list of :class:`~repro.api.SimulationSpec`
-shards — into a fan-out over N workers: every worker runs one shard at a
-time, streams the shard's schema-v1 record rows back, and immediately takes
-the next pending shard, so a slow cell never staples the fast ones to a
-barrier.
+shards — into a fan-out over N workers: every worker streams each shard's
+schema-v1 record rows back and takes the next pending shard as soon as it
+can, so a slow cell never staples the fast ones to a barrier.
+
+Dispatch is pipelined, not stop-and-wait.  A worker's first shard goes
+alone (so the sweep's first streamed row waits on nothing else); once its
+first reply is in, the worker's driver keeps a window of
+:data:`_WINDOW` (two) shards on it: the one it is computing and one queued
+in its pipe, so it starts the next shard without waiting for the
+coordinator's round trip (a thread-pool hop to receive, the JSONL append,
+a hop to send).  Only an idle driver waits on the shard queue; with a
+shard in flight it tops its window up only from shards already queued,
+because waiting there would never read that shard's reply and the sweep's
+tail would deadlock.
 
 Termination is detected the way the chaotic-relaxation SSSP engines do it —
 two monotone counters instead of joins:
 
 * ``active`` — shards currently in flight (incremented at dispatch,
   decremented when the dispatch *resolves*: a reply arrived or the worker
-  died);
+  was lost);
 * ``finished`` — distinct shards completed.
 
 The sweep is done exactly when ``finished == total`` and ``active == 0``;
 whichever worker-driver observes that state broadcasts stop sentinels to
 the rest.  A ``join()`` would hang on a killed worker; the counters instead
-convert worker death into "the in-flight shard is lost": it is requeued
-(bounded by ``max_shard_retries``, then
-:class:`~repro.errors.ClusterError`), the worker is respawned, and because
-shards are deterministic functions of their spec the retry regenerates
-bit-identical rows.  Completions are deduplicated by shard id, so a
-transport that redelivers (or a retry racing a slow original) can never
-emit a shard's rows twice.
+convert worker loss into "the in-flight shards are lost": every one of
+them is requeued, the worker is respawned, and because shards are
+deterministic functions of their spec the retry regenerates bit-identical
+rows.  Only the oldest in-flight shard — the one the worker was running —
+is charged a retry (``stats["retries"]``, bounded per shard by
+``max_shard_retries``, then :class:`~repro.errors.ClusterError`); the one
+still queued in the dead worker's pipe goes back to the queue uncharged.
+Completions are deduplicated by shard id, so a transport that redelivers
+(or a retry racing a slow original) can never emit a shard's rows twice.
 
 Death is not the only failure mode: a merely *hung* worker (wedged process,
 stalled link, dropped frame) produces no EOF, so EOF-based loss detection
 alone would stall the sweep forever.  ``shard_deadline`` closes that hole:
 while a shard is in flight the coordinator requires *some* frame — the
 result, or a worker heartbeat sent every ``heartbeat_interval`` seconds
-while the shard computes — within every ``shard_deadline`` window.  A
-window that expires means the worker is hung; it is hard-killed and the
-shard goes down the exact :class:`~repro.cluster.transport.WorkerLost`
-path (requeue bounded by ``max_shard_retries``, respawn, bit-identical
-retry), counted separately in ``stats["worker_hangs"]``.  Heartbeats keep
-long-but-healthy shards from tripping the deadline, so the deadline can be
-set from acceptable *detection latency* rather than worst-case shard
-runtime.
+while the shard computes — within every ``shard_deadline`` window, and
+every send must return within one window too (a send can block on a full
+or stalled link as surely as a receive).  A window that expires means the
+worker is hung; it is hard-killed and its shards go down the exact
+:class:`~repro.cluster.transport.WorkerLost` path (requeue, respawn,
+bit-identical retry), counted separately in ``stats["worker_hangs"]``.
+Heartbeats keep long-but-healthy shards from tripping the deadline, so the
+deadline can be set from acceptable *detection latency* rather than
+worst-case shard runtime.
 
 Inside the single-threaded asyncio loop the counters need no atomics — the
 fetch-and-add of the HPX exemplar degenerates to plain increments — but the
@@ -49,7 +62,7 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.api.spec import SimulationSpec
@@ -69,18 +82,22 @@ __all__ = ["Shard", "WorkCounters", "ClusterCoordinator", "run_cluster_sweep"]
 #: failures abort immediately).
 DEFAULT_MAX_SHARD_RETRIES = 3
 
+#: Shards a worker holds at once after its first reply: the one it computes
+#: and one queued in its pipe.  A window of 3 measured no better than 2.
+_WINDOW = 2
+
 #: Queue sentinel telling a worker driver to shut down.
 _STOP = object()
 
 
 class _ShardHung(WorkerLost):
-    """Internal: a shard's deadline window expired without any frame.
+    """Internal: a deadline window expired in a send or without any frame.
 
     A :class:`~repro.cluster.transport.WorkerLost` subtype so the driver's
     loss handling applies unchanged; the extra type only routes the handle
     teardown (hard kill — the worker may be alive but wedged, and killing
-    it is also what unblocks the abandoned executor ``recv``) and the
-    ``worker_hangs`` stat.
+    it is also what unblocks the abandoned executor ``send`` or ``recv``)
+    and the ``worker_hangs`` stat.
     """
 
 
@@ -146,7 +163,9 @@ class ClusterCoordinator:
         :class:`~repro.cluster.transport.MultiprocessingTransport`.
     max_shard_retries:
         How many times a shard may be lost to worker death before the sweep
-        aborts with :class:`~repro.errors.ClusterError`.
+        aborts with :class:`~repro.errors.ClusterError`.  A lost worker
+        charges a try only to the shard it was running, not to the one
+        queued behind it.
     on_record:
         Optional callback invoked with every row as its shard completes
         (the JSONL streaming hook).
@@ -155,10 +174,11 @@ class ClusterCoordinator:
         entirely and their rows are *not* re-emitted.
     shard_deadline:
         Inactivity deadline in seconds for an in-flight shard: if no frame
-        (result or heartbeat) arrives within this window the worker is
-        declared *hung*, hard-killed, and the shard retried exactly like a
-        worker death.  ``None`` (default) disables hang detection — the
-        pre-resilience behaviour, where only EOF signals loss.
+        (result or heartbeat) arrives within this window, or a send does not
+        return within it, the worker is declared *hung*, hard-killed, and
+        its shards retried exactly like a worker death.  ``None`` (default)
+        disables hang detection — the pre-resilience behaviour, where only
+        EOF signals loss.
     heartbeat_interval:
         How often (seconds) a worker running a shard emits heartbeat frames
         so long shards don't trip the deadline.  Defaults to a quarter of
@@ -286,10 +306,11 @@ class ClusterCoordinator:
             self._executor.shutdown(wait=False)
 
     # ------------------------------------------------------------------ #
-    async def _call(self, fn, *args):
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, fn, *args
-        )
+    def _call(self, fn, *args) -> asyncio.Future:
+        # A bare executor future, so ``wait_for`` wraps no task around it:
+        # fewer event-loop turns per send and recv, each of which waits for
+        # the GIL while forks and executor threads hold it.
+        return asyncio.get_running_loop().run_in_executor(self._executor, fn, *args)
 
     def _abort(self, exc: BaseException) -> None:
         if self._error is None:
@@ -319,89 +340,99 @@ class ClusterCoordinator:
             if self.on_record is not None:
                 self.on_record(record)
 
-    def _requeue(self, shard: Shard) -> None:
-        """Put a lost shard back on the queue, enforcing the retry budget."""
-        if shard.shard_id in self._completed:
-            return  # a stale completion beat the retry; nothing to redo
-        attempts = self._attempts.get(shard.shard_id, 0) + 1
-        self._attempts[shard.shard_id] = attempts
-        self.stats["retries"] += 1
-        if attempts > self.max_shard_retries:
-            raise ClusterError(
-                f"shard {shard.shard_id} ({shard.spec.protocol}, "
-                f"m={shard.spec.n_balls}, n={shard.spec.n_bins}) lost to "
-                f"worker death {attempts} times "
-                f"(max_shard_retries={self.max_shard_retries})"
-            )
-        self._queue.put_nowait(shard)
+    def _lose(self, in_flight: list[Shard]) -> None:
+        """Requeue a lost worker's in-flight shards, charging only the oldest.
 
-    async def _recv_within_deadline(self, handle) -> dict[str, Any]:
-        """One frame from the worker, bounded by the inactivity deadline.
+        The worker runs its shards in order, so the oldest one is the one it
+        was computing; the one behind it was still queued in its pipe and
+        has not cost a try.  Only the charged shard counts against
+        ``max_shard_retries``.
+        """
+        for index, shard in enumerate(in_flight):
+            self.counters.resolved()
+            if shard.shard_id in self._completed:
+                continue  # a stale completion beat the retry; nothing to redo
+            if index == 0:
+                attempts = self._attempts.get(shard.shard_id, 0) + 1
+                self._attempts[shard.shard_id] = attempts
+                self.stats["retries"] += 1
+                if attempts > self.max_shard_retries:
+                    raise ClusterError(
+                        f"shard {shard.shard_id} ({shard.spec.protocol}, "
+                        f"m={shard.spec.n_balls}, n={shard.spec.n_bins}) lost "
+                        f"to worker death {attempts} times "
+                        f"(max_shard_retries={self.max_shard_retries})"
+                    )
+            self._queue.put_nowait(shard)
 
-        The executor thread stays blocked in ``recv`` past a timeout (a
+    async def _within_deadline(self, handle, operation: str, *args) -> Any:
+        """Run ``handle.<operation>`` off the loop, bounded by the deadline.
+
+        Sends run in the executor too: a send can block (a full pipe, a
+        stalled link, a chaos delay or hang), and the event loop drives
+        every worker.  The executor thread stays blocked past a timeout (a
         thread cannot be cancelled); the caller's hang handling hard-kills
         the worker, which severs the pipe/socket and unblocks that thread
         with :class:`WorkerLost` — whose result is then discarded with the
         abandoned future.
         """
-        future = self._call(handle.recv)
+        future = self._call(getattr(handle, operation), *args)
         if self.shard_deadline is None:
             return await future
         try:
             return await asyncio.wait_for(future, timeout=self.shard_deadline)
         except asyncio.TimeoutError:
             raise _ShardHung(
-                f"worker {handle.worker_id} sent no frame for "
+                f"worker {handle.worker_id}: {operation} made no progress for "
                 f"{self.shard_deadline:g}s (shard deadline exceeded)"
             ) from None
 
+    async def _next_shard(self, busy: bool) -> Any:
+        """The next shard to dispatch, ``_STOP``, or ``None`` for "none now".
+
+        An idle driver waits for work; a busy one only takes what is
+        already queued (see the module docstring).  Shards completed while
+        they sat in the queue are skipped.
+        """
+        while True:
+            if busy:
+                if self._queue.empty():
+                    return None
+                shard = self._queue.get_nowait()
+            else:
+                shard = await self._queue.get()
+            if shard is _STOP or self._error is not None:
+                return _STOP
+            if shard.shard_id not in self._completed:
+                return shard
+            self._check_done()
+
     async def _drive(self, worker_id: int) -> None:
-        """One worker's driver: spawn it, feed it shards, absorb its death."""
+        """One worker's driver: spawn it, keep its window full, absorb loss."""
         handle = await self._call(self.transport.spawn, worker_id)
         self._handles[worker_id] = handle
+        in_flight: list[Shard] = []  # oldest first: the one the worker runs
+        window = 1  # opens to _WINDOW once this handle's first reply is in
         while True:
-            shard = await self._queue.get()
-            if shard is _STOP or self._error is not None:
-                return
-            if shard.shard_id in self._completed:
-                self._check_done()
-                continue
-            payload = shard.payload()
-            if self.heartbeat_interval is not None:
-                payload["heartbeat"] = self.heartbeat_interval
-            self.counters.dispatched()
             try:
-                await self._call(handle.send, payload)
-                while True:
-                    reply = await self._recv_within_deadline(handle)
-                    if reply.get("type") == "heartbeat":
-                        # Liveness proof from a long-running shard: the
-                        # deadline window restarts with the next recv.
-                        continue
-                    if reply.get("type") == "error":
-                        self.counters.resolved()
-                        exc = ClusterError(
-                            f"shard {reply.get('shard_id')} failed "
-                            f"deterministically on worker {worker_id}: "
-                            f"{reply.get('error')} (not retried — the same "
-                            "spec would fail the same way)"
-                        )
-                        self._abort(exc)
-                        raise exc
-                    self._complete(
-                        int(reply["shard_id"]), list(reply.get("records", []))
-                    )
-                    if int(reply["shard_id"]) == shard.shard_id:
+                while len(in_flight) < window:
+                    shard = await self._next_shard(busy=bool(in_flight))
+                    if shard is _STOP:
+                        return
+                    if shard is None:
                         break
-                    # Otherwise: a stale/duplicate delivery for some other
-                    # shard — already handled by _complete, keep waiting
-                    # for our own reply.
+                    payload = shard.payload()
+                    if self.heartbeat_interval is not None:
+                        payload["heartbeat"] = self.heartbeat_interval
+                    self.counters.dispatched()
+                    in_flight.append(shard)
+                    await self._within_deadline(handle, "send", payload)
+                reply = await self._within_deadline(handle, "recv")
             except WorkerLost as lost:
-                self.counters.resolved()
                 if isinstance(lost, _ShardHung):
                     # The worker may be alive but wedged: hard-kill it so
-                    # the shard can't complete twice and the executor
-                    # thread blocked in recv gets its EOF.
+                    # its shards can't complete twice and the executor
+                    # thread blocked in send or recv gets its EOF.
                     self.stats["worker_hangs"] += 1
                     try:
                         await self._call(handle.kill)
@@ -409,10 +440,11 @@ class ClusterCoordinator:
                         pass
                 self.stats["worker_deaths"] += 1
                 try:
-                    self._requeue(shard)
+                    self._lose(in_flight)
                 except ClusterError as exc:
                     self._abort(exc)
                     raise
+                in_flight, window = [], 1
                 self._check_done()
                 try:
                     handle.close()
@@ -421,8 +453,31 @@ class ClusterCoordinator:
                 handle = await self._call(self.transport.spawn, worker_id)
                 self._handles[worker_id] = handle
                 continue
-            self.counters.resolved()
-            self._check_done()
+            if reply.get("type") == "heartbeat":
+                # Liveness proof from a long-running shard: the deadline
+                # window restarts with the next recv.
+                continue
+            if reply.get("type") == "error":
+                self.counters.resolved()
+                exc = ClusterError(
+                    f"shard {reply.get('shard_id')} failed "
+                    f"deterministically on worker {worker_id}: "
+                    f"{reply.get('error')} (not retried — the same "
+                    "spec would fail the same way)"
+                )
+                self._abort(exc)
+                raise exc
+            shard_id = int(reply["shard_id"])
+            self._complete(shard_id, list(reply.get("records", [])))
+            # A reply for no shard in flight here is a stale or duplicate
+            # delivery, already absorbed by _complete: keep waiting.
+            for index, shard in enumerate(in_flight):
+                if shard.shard_id == shard_id:
+                    del in_flight[index]
+                    self.counters.resolved()
+                    window = _WINDOW
+                    self._check_done()
+                    break
 
 
 # --------------------------------------------------------------------- #

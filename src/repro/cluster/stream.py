@@ -1,9 +1,10 @@
 """JSONL record streaming and resume bookkeeping for cluster sweeps.
 
 The coordinator emits each completed shard's rows as JSON Lines — one
-schema-v1 record per line, flushed per shard — so a sweep's output is
-useful (and parseable) the moment the first shard lands, and a crash
-leaves at worst one shard's rows partially written at the tail.
+schema-v1 record per line, and :func:`~repro.cluster.run_cluster_sweep`
+flushes after every row — so a sweep's output is useful (and parseable)
+the moment the first row lands, and a crash leaves at worst one shard's
+rows partially written at the tail, the last line possibly torn.
 
 ``--resume`` inverts that format: :func:`resume_scan` reads a (possibly
 truncated) JSONL file, keeps every shard whose full row set is present,
@@ -30,7 +31,10 @@ __all__ = ["JsonlWriter", "iter_jsonl", "resume_scan", "rewrite_jsonl", "ResumeS
 
 
 class JsonlWriter:
-    """Append records to a JSONL file, flushing after every shard.
+    """Append records to a JSONL file, one line each; flushed on request.
+
+    :func:`~repro.cluster.run_cluster_sweep` flushes after every row, so
+    the file holds each row the moment it is emitted.
 
     ``None`` path = disabled (every method is a no-op), which lets the
     coordinator treat "stream to disk" as an always-present sink.

@@ -113,6 +113,30 @@ DEFAULT_SMALL_BURST = 100
 _SCALAR = get_backend("scalar")
 
 
+#: Keys of a dispatcher-state document and of its config (see
+#: :meth:`Dispatcher.state_dict`), and the config integers it may leave
+#: ``None`` (automatic).
+_STATE_KEYS = (
+    "config", "job_counts", "work", "probes", "jobs_dispatched",
+    "weight_dispatched", "w_max_seen", "threshold_total", "memory", "probe_stream",
+)
+_CONFIG_KEYS = (
+    "n_servers", "policy", "d", "k", "w_max", "block_size", "small_burst", "backend",
+)
+_OPTIONAL_INTS = ("block_size", "small_burst")
+
+
+def _state_int(value, what: str, optional: bool = False) -> int | None:
+    """``value`` as an int, or a typed error naming the state field."""
+    if optional and value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(
+            f"dispatcher-state {what} must be an integer, got {value!r}"
+        )
+    return int(value)
+
+
 @dataclass
 class DispatchResult(RunResult):
     """Full record of a dispatch run, in the unified result hierarchy.
@@ -741,12 +765,17 @@ class Dispatcher:
         the uninterrupted run, for every policy (weighted and memory
         included).
 
-        A checkpoint is untrusted input, so counters no dispatch can produce
-        raise :class:`~repro.errors.ConfigurationError` before the state is
-        installed: counters that are not numbers, job counts that are not a
-        flat list of integers, a negative job count, a ``jobs_dispatched``
-        below 0 or above the job counts' total, fewer probes than jobs
-        (every policy draws at least one probe per job), and, under the
+        A checkpoint is untrusted input, so a state no dispatch can produce
+        raises :class:`~repro.errors.ConfigurationError` before the state is
+        installed: a missing key; a config integer (``n_servers``, ``d``,
+        ``k``, ``block_size``, ``small_burst``), ``probes``,
+        ``jobs_dispatched`` or remembered server that is not an integer;
+        counters that are not numbers, job counts that are not a flat list
+        of integers, a negative job count, a ``jobs_dispatched`` below 0 or
+        above the job counts' total, fewer probes than jobs (every policy
+        draws at least one probe per job), a ``threshold_total`` that is
+        neither ``None`` nor an integer at least ``jobs_dispatched``
+        (dispatch refuses to run past the declared total), and, under the
         work-balancing policies, non-finite work or running totals.  Counts
         *above* ``jobs_dispatched`` are accepted: they stand for load the
         servers held before the stream, and the acceptance limits (which
@@ -766,24 +795,45 @@ class Dispatcher:
                 f"unsupported dispatcher-state version {version!r} "
                 f"(this release reads version {cls.STATE_VERSION})"
             )
-        config = state["config"]
-        stream = probe_stream_from_state(state["probe_stream"])
-        dispatcher = cls(
-            int(config["n_servers"]),
-            policy=config["policy"],
-            d=int(config["d"]),
-            k=int(config["k"]),
-            w_max=config["w_max"],
-            probe_stream=stream,
-            block_size=config["block_size"],
-            small_burst=config["small_burst"],
-            backend=config["backend"],
-        )
+        missing = [key for key in _STATE_KEYS if key not in state]
+        config = state.get("config", {})
+        if not isinstance(config, dict):
+            raise ConfigurationError(
+                f"dispatcher-state config must be a dict, got {config!r}"
+            )
+        if "config" in state:
+            missing += [f"config.{key}" for key in _CONFIG_KEYS if key not in config]
+        if missing:
+            raise ConfigurationError(
+                f"dispatcher-state is missing {', '.join(missing)}"
+            )
+        ints = {
+            key: _state_int(
+                config[key], f"config.{key}", optional=key in _OPTIONAL_INTS
+            )
+            for key in ("n_servers", "d", "k", *_OPTIONAL_INTS)
+        }
+        try:
+            stream = probe_stream_from_state(state["probe_stream"])
+            dispatcher = cls(
+                ints.pop("n_servers"),
+                policy=config["policy"],
+                w_max=config["w_max"],
+                probe_stream=stream,
+                backend=config["backend"],
+                **ints,
+            )
+        except ConfigurationError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"dispatcher-state config or probe_stream is malformed: {exc!r}"
+            ) from exc
+        probes = _state_int(state["probes"], "probes")
+        jobs_dispatched = _state_int(state["jobs_dispatched"], "jobs_dispatched")
         try:
             job_counts = np.asarray(state["job_counts"])
             work = np.asarray(state["work"], dtype=np.float64)
-            probes = int(state["probes"])
-            jobs_dispatched = int(state["jobs_dispatched"])
             weight_dispatched = float(state["weight_dispatched"])
             w_max_seen = float(state["w_max_seen"])
         except (TypeError, ValueError) as exc:
@@ -826,15 +876,21 @@ class Dispatcher:
                 "dispatcher-state work, weight_dispatched and w_max_seen "
                 f"must be finite under the {dispatcher.policy} policy"
             )
-        dispatcher.job_counts = job_counts
-        dispatcher.work = work
-        dispatcher.probes = probes
-        dispatcher.jobs_dispatched = jobs_dispatched
-        dispatcher.weight_dispatched = weight_dispatched
-        dispatcher._w_max_seen = w_max_seen
         total = state["threshold_total"]
-        dispatcher._threshold_total = None if total is None else int(total)
-        memory = [int(s) for s in state["memory"]]
+        if total is not None:
+            total = _state_int(total, "threshold_total")
+            if total < jobs_dispatched:
+                raise ConfigurationError(
+                    f"dispatcher-state threshold_total={total} is below "
+                    f"jobs_dispatched={jobs_dispatched}; dispatch refuses to "
+                    "run past the declared total"
+                )
+        memory = state["memory"]
+        if not isinstance(memory, list):
+            raise ConfigurationError(
+                f"dispatcher-state memory must be a list, got {memory!r}"
+            )
+        memory = [_state_int(s, "memory entry") for s in memory]
         if (
             len(memory) > dispatcher.k
             or len(set(memory)) < len(memory)
@@ -844,6 +900,13 @@ class Dispatcher:
                 f"dispatcher-state memory {memory} is not a set of at most "
                 f"k={dispatcher.k} distinct servers in [0, {dispatcher.n_servers})"
             )
+        dispatcher.job_counts = job_counts
+        dispatcher.work = work
+        dispatcher.probes = probes
+        dispatcher.jobs_dispatched = jobs_dispatched
+        dispatcher.weight_dispatched = weight_dispatched
+        dispatcher._w_max_seen = w_max_seen
+        dispatcher._threshold_total = total
         dispatcher._memory = memory
         return dispatcher
 

@@ -343,6 +343,123 @@ class TestFaultTolerance:
 
 
 # --------------------------------------------------------------------- #
+# Pipelined dispatch: two shards per worker once its first reply is in
+# --------------------------------------------------------------------- #
+class ScriptedTransport:
+    """In-thread workers that log every send and recv and die on cue.
+
+    ``kills`` maps an incarnation (the transport's spawn count) to the
+    1-based recv call of that incarnation which raises ``WorkerLost``.  The
+    log holds ``(incarnation, op, shard_id)`` in call order.
+    """
+
+    def __init__(self, kills=None):
+        self.kills = dict(kills or {})
+        self.log = []
+        self.spawned = 0
+
+    def spawn(self, worker_id):
+        handle = ScriptedHandle(worker_id, self.spawned, self)
+        self.spawned += 1
+        return handle
+
+    def shutdown(self):
+        pass
+
+
+class ScriptedHandle(FakeHandle):
+    def __init__(self, worker_id, incarnation, transport):
+        super().__init__(worker_id)
+        self._incarnation = incarnation
+        self._transport = transport
+        self._recvs = 0
+
+    def send(self, message):
+        self._transport.log.append((self._incarnation, "send", message["shard_id"]))
+        super().send(message)
+
+    def recv(self):
+        self._recvs += 1
+        if self._recvs == self._transport.kills.get(self._incarnation):
+            self._transport.log.append((self._incarnation, "lost", None))
+            raise WorkerLost("killed on cue")
+        reply = super().recv()
+        self._transport.log.append((self._incarnation, "recv", reply["shard_id"]))
+        return reply
+
+
+def run_coordinator(coordinator):
+    """Run a sweep, failing (not hanging) if it never terminates."""
+    import asyncio
+
+    return asyncio.run(asyncio.wait_for(coordinator.run(), timeout=60))
+
+
+class TestPipelinedDispatch:
+    def test_first_shard_alone_then_one_queued_behind(self, reference_rows):
+        transport = ScriptedTransport()
+        coordinator = ClusterCoordinator(SWEEP.specs(), workers=1, transport=transport)
+        rows = run_coordinator(coordinator)
+        assert_same_rows(rows, reference_rows)
+        assert [(op, shard) for _, op, shard in transport.log] == [
+            ("send", 0),
+            ("recv", 0),
+            ("send", 1),
+            ("send", 2),
+            ("recv", 1),
+            ("send", 3),
+            ("recv", 2),
+            ("recv", 3),
+        ]
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 3])
+    def test_sweeps_shorter_than_the_windows_terminate(self, n_shards, reference_rows):
+        coordinator = ClusterCoordinator(
+            SWEEP.specs()[:n_shards], workers=2, transport=ScriptedTransport()
+        )
+        rows = run_coordinator(coordinator)
+        assert_same_rows(rows, [r for r in reference_rows if r["shard"] < n_shards])
+        assert coordinator.stats["shards_run"] == n_shards
+
+    def test_worker_lost_with_two_in_flight_charges_one_retry(self):
+        # Incarnation 0 dies holding shards 1 (running) and 2 (queued):
+        # only shard 1 is charged.  Incarnation 1 then dies holding shard 2
+        # alone, its first charge.  Had the first loss charged shard 2 too,
+        # this second one would be its second and abort the sweep.
+        import dataclasses
+
+        specs = [
+            dataclasses.replace(SWEEP.specs()[i % 4], seed=100 + i) for i in range(5)
+        ]
+        transport = ScriptedTransport(kills={0: 2, 1: 4})
+        stats = {}
+        rows = run_cluster_sweep(
+            specs, workers=1, transport=transport, max_shard_retries=1, stats=stats
+        )
+        assert_same_rows(rows, run_cluster_sweep(specs, workers=0))
+        assert transport.log == [
+            (0, "send", 0),
+            (0, "recv", 0),
+            (0, "send", 1),
+            (0, "send", 2),
+            (0, "lost", None),
+            (1, "send", 3),
+            (1, "recv", 3),
+            (1, "send", 4),
+            (1, "send", 1),
+            (1, "recv", 4),
+            (1, "send", 2),
+            (1, "recv", 1),
+            (1, "lost", None),
+            (2, "send", 2),
+            (2, "recv", 2),
+        ]
+        assert stats["worker_deaths"] == 2
+        assert stats["retries"] == 2
+        assert stats["shards_run"] == 5
+
+
+# --------------------------------------------------------------------- #
 # Configuration errors (uniform error surface)
 # --------------------------------------------------------------------- #
 class TestConfigurationErrors:

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import run_cluster_sweep
-from repro.cluster.transport import MultiprocessingTransport, WorkerLost
+from repro.cluster.transport import WorkerLost
 from repro.cluster.worker import connect_with_retry, handle_shard_message, run_shard
 from repro.errors import CheckpointError, ClusterError, ConfigurationError
 from repro.experiments.cli import main
@@ -246,7 +246,69 @@ class _BeatingTransport:
         pass
 
 
+class _StuckSendHandle:
+    """A fake in-process worker whose send may block until killed."""
+
+    def __init__(self, worker_id: int, transport: "_StuckSendTransport") -> None:
+        self.worker_id = worker_id
+        self.pid = None
+        self._transport = transport
+        self._replies: list[dict] = []
+        self._severed = threading.Event()
+
+    def send(self, message) -> None:
+        if self._transport.first_send.acquire(blocking=False):
+            # The sweep's first shard send blocks for 3 s, or until killed.
+            if self._severed.wait(self._transport.block_seconds):
+                raise WorkerLost("killed while its send was blocked")
+        from repro.api.spec import SimulationSpec
+
+        shard_id = int(message["shard_id"])
+        records = run_shard(SimulationSpec.from_dict(message["spec"]), shard_id)
+        self._replies.append({"type": "result", "shard_id": shard_id, "records": records})
+
+    def recv(self):
+        if self._severed.is_set():
+            raise WorkerLost("killed")
+        return self._replies.pop(0)
+
+    def kill(self) -> None:
+        self._severed.set()
+
+    def close(self) -> None:
+        self._severed.set()
+
+
+class _StuckSendTransport:
+    def __init__(self, block_seconds: float = 3.0) -> None:
+        self.block_seconds = block_seconds
+        self.first_send = threading.Lock()
+
+    def spawn(self, worker_id: int) -> _StuckSendHandle:
+        return _StuckSendHandle(worker_id, self)
+
+    def shutdown(self) -> None:
+        pass
+
+
 class TestShardDeadline:
+    def test_blocked_send_trips_the_deadline(self, reference_rows):
+        # A send that never returns used to hang the sweep: only receives
+        # were bounded, so this sweep took the full 3 s block and counted
+        # no hang.  Sends share the deadline now.
+        stats: dict[str, int] = {}
+        started = time.monotonic()
+        rows = run_cluster_sweep(
+            SWEEP,
+            workers=2,
+            transport=_StuckSendTransport(block_seconds=3.0),
+            shard_deadline=0.3,
+            stats=stats,
+        )
+        assert time.monotonic() - started < 2.5
+        assert_same_rows(rows, reference_rows)
+        assert stats["worker_hangs"] == 1 and stats["retries"] == 1
+
     def test_always_hanging_worker_exhausts_retries(self):
         import asyncio
 

@@ -313,10 +313,15 @@ class TestRestoreValidation:
             ("work", [[0.0, 0.0]] * (N_SERVERS // 2)),
             ("work", ["x"] + [0.0] * (N_SERVERS - 1)),
             ("probes", "x"),
+            ("probes", 10**6 + 0.5),  # above jobs_dispatched: only its type is wrong
+            ("jobs_dispatched", 3.0),
             ("weight_dispatched", None),
+            ("memory", ["x"]),
+            ("threshold_total", "x"),
         ],
         ids=["fractional-count", "string-count", "nested-counts", "nested-work",
-             "string-work", "string-probes", "none-weight"],
+             "string-work", "string-probes", "fractional-probes", "float-jobs",
+             "none-weight", "string-memory", "string-total"],
     )
     def test_malformed_arrays_rejected(self, field, value):
         state = genuine_state("adaptive")
@@ -349,6 +354,56 @@ class TestRestoreValidation:
         state = genuine_state(policy, **extra)
         restored = Dispatcher.from_state(json.loads(json.dumps(state)))
         assert roundtrip(restored.state_dict()) == state
+
+    @pytest.mark.parametrize(
+        "edit,match",
+        [
+            (lambda s: s.pop("work"), "missing work"),
+            (lambda s: s["config"].pop("k"), "missing config.k"),
+            (lambda s: s["config"].update(n_servers="x"), "config.n_servers"),
+            (lambda s: s["config"].update(d=1.7), "config.d"),
+            (lambda s: s["config"].update(block_size=2.5), "config.block_size"),
+            (lambda s: s.update(threshold_total=-5), "threshold_total=-5"),
+            (
+                lambda s: s.update(threshold_total=s["jobs_dispatched"] - 1),
+                "threshold_total",
+            ),
+        ],
+        ids=["missing-key", "missing-config-key", "string-n-servers",
+             "fractional-d", "fractional-block-size", "negative-total",
+             "total-below-jobs"],
+    )
+    def test_malformed_keys_config_and_total_rejected(self, edit, match):
+        # These used to raise a bare KeyError/ValueError, restore truncated
+        # (d 1.7 as 1), or restore a threshold total that every later
+        # dispatch refuses.
+        state = genuine_state("threshold")
+        edit(state)
+        with pytest.raises(ConfigurationError, match=match):
+            Dispatcher.from_state(state)
+
+    def test_threshold_total_may_equal_jobs_dispatched(self):
+        state = genuine_state("threshold")
+        state["threshold_total"] = state["jobs_dispatched"]
+        restored = Dispatcher.from_state(state)
+        assert restored.state_dict()["threshold_total"] == state["jobs_dispatched"]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda s: s["config"].update(n_servers="x"),
+            lambda s: s.pop("work"),
+            lambda s: s.update(memory=["x"]),
+        ],
+        ids=["string-n-servers", "missing-key", "string-memory"],
+    )
+    def test_malformed_checkpoint_file_is_a_checkpoint_error(self, edit, tmp_path):
+        state = genuine_state("adaptive")
+        edit(state)
+        path = tmp_path / "hand-edited.json"
+        path.write_text(json.dumps(state))
+        with pytest.raises(CheckpointError, match="hand-edited.json"):
+            DispatchService.from_checkpoint(str(path))
 
     @pytest.mark.parametrize(
         "entry",
