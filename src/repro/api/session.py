@@ -192,11 +192,12 @@ class Simulation:
         """Snapshot of the run so far (works mid-run and after finishing)."""
         if self._result is not None:
             result = self._result
+            weighted = getattr(result, "weighted_loads", None)
             return SimulationState(
                 placed=result.n_balls,
                 n_balls=result.n_balls,
                 loads=np.asarray(result.loads).copy(),
-                weighted_loads=getattr(result, "weighted_loads", None),
+                weighted_loads=None if weighted is None else weighted.copy(),
                 probes=result.allocation_time,
                 probe_checkpoints=tuple(result.costs.probe_checkpoints),
             )

@@ -128,7 +128,12 @@ class SimulationSpec:
     trials:
         Number of independent repetitions.
     record_trace:
-        Record a per-stage trace (protocols that support it).
+        Record a per-stage trace, one
+        :class:`~repro.runtime.trace.StageRecord` per ``n_bins`` balls.
+        Every streaming protocol traces; the round and sweep protocols
+        (``rebalancing``, ``parallel-greedy``, ``parallel-collision``)
+        refuse with :class:`~repro.errors.ConfigurationError` before any
+        probe is drawn.
     params:
         Keyword arguments for the protocol constructor — including
         ``weight_dist`` and distribution parameters for the weighted

@@ -36,11 +36,7 @@ from typing import Any
 import numpy as np
 
 from repro.baselines.engine import batched_argmin_commit, chunked_argmin_commit
-from repro.core.protocol import (
-    AllocationProtocol,
-    batch_streams,
-    register_protocol,
-)
+from repro.core.protocol import AllocationProtocol, register_protocol
 from repro.core.result import AllocationResult
 from repro.core.session import ProtocolSession
 from repro.errors import ConfigurationError
@@ -49,6 +45,24 @@ from repro.runtime.probes import ProbeStream, RandomProbeStream
 from repro.runtime.rng import SeedLike
 
 __all__ = ["GreedyProtocol", "DChoiceSession", "run_greedy"]
+
+
+def d_choice_result(protocol, n_balls: int, n_bins: int, loads) -> AllocationResult:
+    """The record of a unit run drawing exactly ``protocol.d`` probes per ball.
+
+    Shared by greedy[d], left[d] (one-shot and trial-axis) and
+    (d,k)-memory.
+    """
+    probes = n_balls * protocol.d
+    return AllocationResult(
+        protocol=protocol.name,
+        n_balls=n_balls,
+        n_bins=n_bins,
+        loads=loads,
+        allocation_time=probes,
+        costs=CostModel(probes=probes),
+        params=protocol.params(),
+    )
 
 
 class DChoiceSession(ProtocolSession):
@@ -61,7 +75,8 @@ class DChoiceSession(ProtocolSession):
     any split of ``place`` calls bit-identical to the one-shot run.
     Tie-break ``priorities`` (and weighted increments) are drawn up front by
     the caller.  Only weighted runs record each ball's bin in
-    ``assignments``; their per-bin ball counts are tallied from it.
+    ``assignments``, from which the weighted session tallies its per-bin
+    ball counts.
     """
 
     def __init__(
@@ -76,8 +91,9 @@ class DChoiceSession(ProtocolSession):
         priorities=None,
         weights=None,
         chunk_size: int | None = None,
+        record_trace: bool = False,
     ) -> None:
-        super().__init__(protocol, n_balls, n_bins, stream)
+        super().__init__(protocol, n_balls, n_bins, stream, record_trace=record_trace)
         self.d = int(d)
         self._source = source
         self._priorities = priorities
@@ -92,9 +108,7 @@ class DChoiceSession(ProtocolSession):
 
     @property
     def loads(self) -> np.ndarray:
-        if self._weights is None:
-            return self._loads
-        return np.bincount(self.assignments[: self.placed], minlength=self.n_bins)
+        return self._loads
 
     @property
     def weighted_loads(self) -> np.ndarray | None:
@@ -120,16 +134,7 @@ class DChoiceSession(ProtocolSession):
         )
 
     def _finalize(self) -> AllocationResult:
-        probes = self.n_balls * self.d
-        return AllocationResult(
-            protocol=self.protocol.name,
-            n_balls=self.n_balls,
-            n_bins=self.n_bins,
-            loads=self._loads,
-            allocation_time=probes,
-            costs=CostModel(probes=probes),
-            params=self.protocol.params(),
-        )
+        return d_choice_result(self.protocol, self.n_balls, self.n_bins, self._loads)
 
 
 @register_protocol
@@ -186,19 +191,10 @@ class GreedyProtocol(AllocationProtocol):
             d=self.d,
             source=lambda start, count: stream.take_matrix(count, self.d),
             priorities=priorities,
+            record_trace=record_trace,
         )
 
-    def allocate_batch(
-        self,
-        n_balls: int,
-        n_bins: int,
-        seeds=None,
-        *,
-        probe_streams=None,
-        record_trace: bool = False,
-    ) -> "list[AllocationResult]":
-        self.validate_size(n_balls, n_bins)
-        batch = batch_streams(n_bins, seeds, probe_streams)
+    def _allocate_trials(self, n_balls, n_bins, batch, seeds):
         loads = np.zeros((batch.trials, n_bins), dtype=np.int64)
         if n_balls:
             priorities = None
@@ -218,19 +214,7 @@ class GreedyProtocol(AllocationProtocol):
             batched_argmin_commit(
                 loads, sources, n_balls, self.d, priorities=priorities
             )
-        probes = n_balls * self.d
-        return [
-            AllocationResult(
-                protocol=self.name,
-                n_balls=n_balls,
-                n_bins=n_bins,
-                loads=loads[t].copy(),
-                allocation_time=probes,
-                costs=CostModel(probes=probes),
-                params=self.params(),
-            )
-            for t in range(batch.trials)
-        ]
+        return [d_choice_result(self, n_balls, n_bins, row.copy()) for row in loads]
 
 
 def run_greedy(

@@ -35,15 +35,10 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.baselines.engine import batched_argmin_commit, matrix_source
-from repro.baselines.greedy import DChoiceSession
-from repro.core.protocol import (
-    AllocationProtocol,
-    batch_streams,
-    register_protocol,
-)
+from repro.baselines.greedy import DChoiceSession, d_choice_result
+from repro.core.protocol import AllocationProtocol, register_protocol
 from repro.core.result import AllocationResult
 from repro.errors import ConfigurationError
-from repro.runtime.costs import CostModel
 from repro.runtime.probes import ProbeStream, RandomProbeStream
 from repro.runtime.rng import SeedLike
 
@@ -185,44 +180,26 @@ class LeftProtocol(AllocationProtocol):
             n_bins, self.d, n_balls, stream, replay=probe_stream is not None
         )
         return DChoiceSession(
-            self, n_balls, n_bins, stream, d=self.d, source=source
+            self,
+            n_balls,
+            n_bins,
+            stream,
+            d=self.d,
+            source=source,
+            record_trace=record_trace,
         )
 
-    def allocate_batch(
-        self,
-        n_balls: int,
-        n_bins: int,
-        seeds=None,
-        *,
-        probe_streams=None,
-        record_trace: bool = False,
-    ) -> "list[AllocationResult]":
-        self.validate_size(n_balls, n_bins)
-        batch = batch_streams(n_bins, seeds, probe_streams)
+    def _allocate_trials(self, n_balls, n_bins, batch, seeds):
         loads = np.zeros((batch.trials, n_bins), dtype=np.int64)
         # Each trial takes its candidates from its own stream, exactly as
         # the single-trial session does.
         sources = [
-            left_source(
-                n_bins, self.d, n_balls, child, replay=probe_streams is not None
-            )
+            left_source(n_bins, self.d, n_balls, child, replay=seeds is None)
             for child in batch.children
         ]
         if n_balls:
             batched_argmin_commit(loads, sources, n_balls, self.d)
-        probes = n_balls * self.d
-        return [
-            AllocationResult(
-                protocol=self.name,
-                n_balls=n_balls,
-                n_bins=n_bins,
-                loads=loads[t].copy(),
-                allocation_time=probes,
-                costs=CostModel(probes=probes),
-                params=self.params(),
-            )
-            for t in range(batch.trials)
-        ]
+        return [d_choice_result(self, n_balls, n_bins, row.copy()) for row in loads]
 
 
 def run_left(

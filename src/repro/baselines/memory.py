@@ -26,7 +26,7 @@ greedy[d]'s engine for ``k = 0``.  It is bit-identical to
 and to :func:`~repro.baselines.memory_engine.memory_hand_off` (the general
 rule, shared with the dispatcher's ``memory`` policy).
 
-With ``record_trace=True`` the run records one
+With ``record_trace=True`` the session's stage walk records one
 :class:`~repro.runtime.trace.StageRecord` per stage of ``n`` balls — load
 extremes, smoothness potentials and a snapshot of the remembered set at
 each stage boundary — identically for one-shot and stepped runs.
@@ -43,19 +43,13 @@ from repro.baselines.memory_engine import (  # noqa: F401  (re-exported API)
     chunked_memory_hand_off,
     memory_hand_off,
 )
-from repro.core.potentials import (
-    DEFAULT_EPSILON,
-    exponential_potential,
-    quadratic_potential,
-)
+from repro.baselines.greedy import d_choice_result
 from repro.core.protocol import AllocationProtocol, register_protocol
 from repro.core.result import AllocationResult
 from repro.core.session import ProtocolSession
 from repro.errors import ConfigurationError
-from repro.runtime.costs import CostModel
 from repro.runtime.probes import ProbeStream, RandomProbeStream
 from repro.runtime.rng import SeedLike
-from repro.runtime.trace import StageRecord, Trace
 
 __all__ = [
     "MemoryProtocol",
@@ -111,7 +105,9 @@ class MemoryProtocol(AllocationProtocol):
     ) -> "_MemorySession":
         self.validate_size(n_balls, n_bins)
         stream = probe_stream or RandomProbeStream(n_bins, seed)
-        return _MemorySession(self, n_balls, n_bins, stream, record_trace)
+        return _MemorySession(
+            self, n_balls, n_bins, stream, record_trace=record_trace
+        )
 
 
 class _MemorySession(ProtocolSession):
@@ -120,16 +116,14 @@ class _MemorySession(ProtocolSession):
     Each ``place`` call drives :func:`chunked_memory_commit` over the next
     slice; its state between calls is exactly the sequential protocol's
     (loads plus the remembered set), so any split of the balls into steps
-    is bit-identical.  In trace mode the
-    slices are aligned to the stage boundaries of ``n`` balls, so stepped
-    runs record the same :class:`~repro.runtime.trace.StageRecord` rows.
+    is bit-identical.  Each stage record of a traced run snapshots the
+    remembered set.
     """
 
-    def __init__(self, protocol, n_balls, n_bins, stream, record_trace) -> None:
-        super().__init__(protocol, n_balls, n_bins, stream)
+    def __init__(self, protocol, n_balls, n_bins, stream, *, record_trace) -> None:
+        super().__init__(protocol, n_balls, n_bins, stream, record_trace=record_trace)
         self._loads = np.zeros(n_bins, dtype=np.int64)
         self._memory: list[int] = []
-        self.trace = Trace() if record_trace else None
 
     @property
     def loads(self) -> np.ndarray:
@@ -140,66 +134,20 @@ class _MemorySession(ProtocolSession):
         return self.placed * self.protocol.d
 
     def _place(self, count: int) -> None:
-        if self.trace is None:
-            self._memory = chunked_memory_commit(
-                self.stream,
-                self._loads,
-                self._memory,
-                count,
-                self.protocol.d,
-                self.protocol.k,
-            )
-            return
-        n = self.n_bins
-        done = 0
-        while done < count:
-            i = self.placed + done + 1  # 1-indexed next ball
-            stage_last_ball = ((i - 1) // n + 1) * n
-            seg = min(count - done, stage_last_ball - i + 1)
-            self._memory = chunked_memory_commit(
-                self.stream,
-                self._loads,
-                self._memory,
-                seg,
-                self.protocol.d,
-                self.protocol.k,
-            )
-            done += seg
-            balls_so_far = self.placed + done
-            if balls_so_far == min(stage_last_ball, self.n_balls):
-                # The stage (or the final partial stage) just completed.
-                stage = (i - 1) // n
-                first_ball = stage * n + 1
-                in_stage = balls_so_far - first_ball + 1
-                self.trace.append(
-                    StageRecord(
-                        stage=stage,
-                        balls_placed=in_stage,
-                        probes=in_stage * self.protocol.d,
-                        max_load=int(self._loads.max()),
-                        min_load=int(self._loads.min()),
-                        quadratic_potential=quadratic_potential(
-                            self._loads, balls_so_far
-                        ),
-                        exponential_potential=exponential_potential(
-                            self._loads, balls_so_far, DEFAULT_EPSILON
-                        ),
-                        remembered=tuple(int(b) for b in self._memory),
-                    )
-                )
+        self._memory = chunked_memory_commit(
+            self.stream,
+            self._loads,
+            self._memory,
+            count,
+            self.protocol.d,
+            self.protocol.k,
+        )
+
+    def _remembered(self) -> tuple[int, ...]:
+        return tuple(int(b) for b in self._memory)
 
     def _finalize(self) -> AllocationResult:
-        probes = self.n_balls * self.protocol.d
-        return AllocationResult(
-            protocol=self.protocol.name,
-            n_balls=self.n_balls,
-            n_bins=self.n_bins,
-            loads=self._loads,
-            allocation_time=probes,
-            costs=CostModel(probes=probes),
-            trace=self.trace,
-            params=self.protocol.params(),
-        )
+        return d_choice_result(self.protocol, self.n_balls, self.n_bins, self._loads)
 
 
 def run_memory(

@@ -51,14 +51,16 @@ class SingleChoiceProtocol(AllocationProtocol):
     ) -> "_SingleChoiceSession":
         self.validate_size(n_balls, n_bins)
         stream = probe_stream or RandomProbeStream(n_bins, seed)
-        return _SingleChoiceSession(self, n_balls, n_bins, stream)
+        return _SingleChoiceSession(
+            self, n_balls, n_bins, stream, record_trace=record_trace
+        )
 
 
 class _SingleChoiceSession(ProtocolSession):
     """Streaming single-choice: one uniform probe per ball."""
 
-    def __init__(self, protocol, n_balls, n_bins, stream) -> None:
-        super().__init__(protocol, n_balls, n_bins, stream)
+    def __init__(self, protocol, n_balls, n_bins, stream, *, record_trace) -> None:
+        super().__init__(protocol, n_balls, n_bins, stream, record_trace=record_trace)
         self._loads = np.zeros(n_bins, dtype=np.int64)
 
     @property

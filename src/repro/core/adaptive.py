@@ -18,11 +18,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.protocol import (
-    AllocationProtocol,
-    batch_streams,
-    register_protocol,
-)
+from repro.core.protocol import AllocationProtocol, register_protocol
 from repro.core.result import AllocationResult
 from repro.core.session import StagedWindowSession, run_staged_batch
 from repro.core.thresholds import acceptance_limit, stage_windows
@@ -82,31 +78,10 @@ class AdaptiveProtocol(AllocationProtocol):
             n_bins,
             stream,
             block_size=self.block_size,
-            checkpoint_stages=True,
             record_trace=record_trace,
         )
 
-    def allocate_batch(
-        self,
-        n_balls: int,
-        n_bins: int,
-        seeds=None,
-        *,
-        probe_streams=None,
-        record_trace: bool = False,
-    ) -> list[AllocationResult]:
-        if record_trace:
-            # Traced runs are for analysis, not throughput; the per-trial
-            # loop already records exact per-stage trajectories.
-            return super().allocate_batch(
-                n_balls,
-                n_bins,
-                seeds,
-                probe_streams=probe_streams,
-                record_trace=True,
-            )
-        self.validate_size(n_balls, n_bins)
-        batch = batch_streams(n_bins, seeds, probe_streams)
+    def _allocate_trials(self, n_balls, n_bins, batch, seeds):
         return run_staged_batch(
             self,
             n_balls,
@@ -122,6 +97,8 @@ class AdaptiveProtocol(AllocationProtocol):
 
 class _AdaptiveSession(StagedWindowSession):
     """Streaming ADAPTIVE: the acceptance limit tracks the ball index."""
+
+    staged = True
 
     def _limit_for_ball(self, i: int) -> int:
         return acceptance_limit(i, self.n_bins, self.protocol.offset)

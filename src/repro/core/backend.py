@@ -13,8 +13,9 @@ one the engines see.
 Two backends ship:
 
 * ``"numpy"`` (default) — the chunked vectorised kernels the engines have
-  always used; the only backend supporting the vectorised engine that
-  bypasses the kernel methods (the trial-axis d-choice commit).
+  always used; the only ``vectorised`` backend, under which
+  ``allocate_batch`` may run the trial-axis engines (the trial-axis
+  d-choice commit bypasses the kernel methods).
 * ``"scalar"`` — the literal per-ball loops, single-homed here: the
   reference the numpy kernels are checked against, and the route the
   :class:`~repro.scheduler.dispatcher.Dispatcher` runs small bursts on.
@@ -439,8 +440,8 @@ class KernelBackend:
     Subclasses implement the kernel methods; the base class carries the
     single-homed scalar memory rules (shared verbatim by the numpy and
     scalar backends — every (d,k)-memory configuration runs a scalar loop,
-    see the ROADMAP standing constraint) and the capability flag the trial
-    runner consults.
+    see the ROADMAP standing constraint) and the capability flag
+    ``allocate_batch`` consults.
 
     Every kernel must be **bit-identical** to the reference semantics —
     same loads, same assignments, same probe consumption.  Backends are an
@@ -450,10 +451,11 @@ class KernelBackend:
     #: Registry name; subclasses override.
     name: str = "abstract"
 
-    #: Whether the vectorised engine that bypasses the kernel methods — the
-    #: trial-axis d-choice commit ``batched_argmin_commit`` — may run under
-    #: this backend.  When false the runner falls back to the per-trial loop
-    #: (results are identical either way).
+    #: Whether :meth:`~repro.core.protocol.AllocationProtocol.allocate_batch`
+    #: may run a ``batches = True`` protocol's trial-axis body under this
+    #: backend; the trial-axis d-choice commit ``batched_argmin_commit``
+    #: bypasses the kernel methods.  When false every batch loops its
+    #: trials (results are identical either way).
     vectorised: bool = False
 
     #: ``memory_fallback`` runs the rules on ``loads`` in place when a call

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
+from repro.core.backend import active_backend
 from repro.core.result import AllocationResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -22,61 +23,11 @@ from repro.runtime.rng import SeedLike
 
 __all__ = [
     "AllocationProtocol",
-    "batch_streams",
     "register_protocol",
     "get_protocol",
     "available_protocols",
     "make_protocol",
 ]
-
-
-def _normalize_batch_args(
-    n_bins: int,
-    seeds: Sequence[SeedLike] | None,
-    probe_streams: Sequence[ProbeStream] | None,
-) -> tuple[Sequence[SeedLike] | None, int]:
-    """Shared validation for ``allocate_batch``: one of seeds/streams, its length.
-
-    Each trial consumes its own stream over ``n_bins`` bins, so a stream
-    over other bins, or one stream object given for two trials, is rejected
-    here, before any trial draws a probe.
-    """
-    if (seeds is None) == (probe_streams is None):
-        raise ConfigurationError(
-            "allocate_batch needs exactly one of seeds or probe_streams"
-        )
-    source = seeds if seeds is not None else probe_streams
-    trials = len(source)  # type: ignore[arg-type]
-    if trials < 1:
-        raise ConfigurationError("allocate_batch needs at least one trial")
-    if probe_streams is not None:
-        if len({id(s) for s in probe_streams}) < trials:
-            raise ConfigurationError(
-                "probe_streams must be distinct objects: each trial consumes its own"
-            )
-        if any(stream.n_bins != n_bins for stream in probe_streams):
-            raise ConfigurationError(
-                "probe_stream.n_bins does not match the requested n_bins"
-            )
-    return seeds, trials
-
-
-def batch_streams(
-    n_bins: int,
-    seeds: Sequence[SeedLike] | None,
-    probe_streams: Sequence[ProbeStream] | None,
-) -> BatchedProbeStream:
-    """Build the per-trial stream bundle for a batched allocate call.
-
-    Child ``i`` is exactly the stream trial ``i``'s single-trial run would
-    use: a fresh :class:`~repro.runtime.probes.RandomProbeStream` seeded
-    with ``seeds[i]``, or the caller's explicit ``probe_streams[i]``
-    (replay/testing).  Shared by every ``batches = True`` protocol.
-    """
-    _normalize_batch_args(n_bins, seeds, probe_streams)
-    if probe_streams is not None:
-        return BatchedProbeStream(list(probe_streams))
-    return BatchedProbeStream.from_seeds(n_bins, list(seeds))
 
 
 class AllocationProtocol:
@@ -143,15 +94,16 @@ class AllocationProtocol:
     #: Whether :meth:`begin` is implemented (sequential per-ball placement).
     streaming: bool = False
 
-    #: Whether :meth:`allocate_batch` overrides the base-class per-trial
-    #: loop.  The unit greedy[d] and left[d] baselines run their trials as
-    #: one combined commit instance; ADAPTIVE fills each stage window for
-    #: the whole block with one :func:`~repro.core.window.fill_window_batch`
-    #: call, which runs the single-run engine per trial.  ``False`` means the
-    #: base-class loop: THRESHOLD and single-choice, whose single-run
+    #: Whether the protocol has a trial-axis body, :meth:`_allocate_trials`.
+    #: The unit greedy[d] and left[d] baselines run their trials as one
+    #: combined commit instance; ADAPTIVE fills each stage window for the
+    #: whole block with one :func:`~repro.core.window.fill_window_batch`
+    #: call, which runs the single-run engine per trial.  ``False`` means
+    #: the per-trial loop: THRESHOLD and single-choice, whose single-run
     #: engines are as fast as a trial axis, and the protocols whose
     #: placement is data-dependent across probes (the memory chain, the
-    #: weighted commit regimes).
+    #: weighted commit regimes).  :meth:`allocate_batch` alone chooses
+    #: between the two.
     batches: bool = False
 
     def allocate_batch(
@@ -166,13 +118,14 @@ class AllocationProtocol:
         """Run one independent trial per seed, all on the same problem size.
 
         Entry ``i`` of the returned list is **bit-identical** (same loads,
-        same probe counts, same cost checkpoints) to
+        same probe counts, same cost checkpoints, same trace) to
         ``allocate(n_balls, n_bins, seeds[i])`` — certified by the
-        test-suite for every protocol.  Protocols with ``batches = True``
-        (ADAPTIVE and the unit greedy[d] and left[d] baselines) override
-        this; this default simply loops ``allocate`` per trial, so every
-        protocol exposes the same batch API regardless of whether batching
-        pays off for it.
+        test-suite for every protocol.  The batch is validated once, before
+        any trial draws a probe.  A ``batches = True`` protocol runs its
+        trial-axis body when the active backend is ``vectorised`` and no
+        trace is requested; every other call loops :meth:`allocate` per
+        trial, so every protocol exposes the same batch API whether or not
+        batching pays off for it.
 
         Parameters
         ----------
@@ -181,12 +134,36 @@ class AllocationProtocol:
             :func:`repro.runtime.rng.trial_seed_table`).
         probe_streams:
             Optional explicit per-trial probe streams (replay/testing);
-            mutually exclusive with ``seeds``.
+            mutually exclusive with ``seeds``.  Each trial consumes its own
+            stream over ``n_bins`` bins, so one stream object given for two
+            trials, or a stream over other bins, is rejected.
         record_trace:
             Forwarded to each trial's run.
         """
         self.validate_size(n_balls, n_bins)
-        seeds, trials = _normalize_batch_args(n_bins, seeds, probe_streams)
+        if (seeds is None) == (probe_streams is None):
+            raise ConfigurationError(
+                "allocate_batch needs exactly one of seeds or probe_streams"
+            )
+        trials = len(seeds if seeds is not None else probe_streams)
+        if trials < 1:
+            raise ConfigurationError("allocate_batch needs at least one trial")
+        if probe_streams is not None:
+            if len({id(s) for s in probe_streams}) < trials:
+                raise ConfigurationError(
+                    "probe_streams must be distinct objects: each trial consumes its own"
+                )
+            if any(stream.n_bins != n_bins for stream in probe_streams):
+                raise ConfigurationError(
+                    "probe_stream.n_bins does not match the requested n_bins"
+                )
+        if self.batches and not record_trace and active_backend().vectorised:
+            batch = (
+                BatchedProbeStream.from_seeds(n_bins, list(seeds))
+                if seeds is not None
+                else BatchedProbeStream(list(probe_streams))
+            )
+            return self._allocate_trials(n_balls, n_bins, batch, seeds)
         return [
             self.allocate(
                 n_balls,
@@ -197,6 +174,22 @@ class AllocationProtocol:
             )
             for i in range(trials)
         ]
+
+    def _allocate_trials(
+        self,
+        n_balls: int,
+        n_bins: int,
+        batch: BatchedProbeStream,
+        seeds: Sequence[SeedLike] | None,
+    ) -> list[AllocationResult]:
+        """The trial-axis body of a ``batches = True`` protocol.
+
+        Called by :meth:`allocate_batch` on a validated batch: trial ``i``
+        draws from ``batch.children[i]``, the stream its single-trial run
+        would use, and ``seeds`` is the seed list (``None`` for replayed
+        streams).
+        """
+        raise NotImplementedError
 
     def begin(
         self,
@@ -235,6 +228,19 @@ class AllocationProtocol:
             raise ConfigurationError(f"n_bins must be positive, got {n_bins}")
         if n_balls < 0:
             raise ConfigurationError(f"n_balls must be non-negative, got {n_balls}")
+
+    def _refuse_trace(self, record_trace: bool) -> None:
+        """Reject ``record_trace`` in a protocol without stages of ``n`` balls.
+
+        The round and sweep protocols place their balls all at once, so
+        they fail here, before any probe is drawn, instead of returning no
+        trace.
+        """
+        if record_trace:
+            raise ConfigurationError(
+                f"protocol {self.name!r} places its balls in rounds or sweeps, "
+                "not stage by stage, and cannot record a trace"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         args = ", ".join(f"{k}={v!r}" for k, v in self.params().items())

@@ -14,6 +14,18 @@ sessions are thin drivers over the chunked exact engines (the window
 primitive, the conflict-free commit engine, the weighted provisional
 engine), whose chunk-partitioning invariance is already certified.
 
+:meth:`ProtocolSession.place` is also the one stage walk.  A stage is
+``n_bins`` consecutive balls, over which ADAPTIVE's acceptance limit is
+constant.  A session that needs the stage ends — ADAPTIVE always, every
+other protocol only while it records a trace — cuts each chunk at them with
+:func:`~repro.core.thresholds.stage_segments` and closes each stage in
+:meth:`ProtocolSession._close_stage`.  That is where every
+:class:`~repro.runtime.trace.StageRecord` is built (the memory sessions add
+their remembered set through :meth:`ProtocolSession._remembered`) and where
+the constant-limit sessions log their probe checkpoints, so a trace and its
+checkpoints land on the same balls however the run is split.  Any other
+session places each chunk in one engine call.
+
 Sessions are created through
 :meth:`~repro.core.protocol.AllocationProtocol.begin`; protocols whose
 placement order is not sequential per ball (the parallel round protocols,
@@ -21,9 +33,8 @@ rebalancing's move sweeps) do not support sessions and say so with a
 :class:`~repro.errors.ConfigurationError`.
 
 :class:`StagedWindowSession` is the shared machinery of the two
-constant-limit-window protocols (ADAPTIVE and THRESHOLD): it cuts each
-chunk at stage boundaries so that probe checkpoints and per-stage traces
-land on the same balls however the run is split.
+constant-limit-window protocols (ADAPTIVE and THRESHOLD): each piece the
+walk hands it is one window of :func:`~repro.core.window.fill_window`.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ from repro.core.potentials import (
     quadratic_potential,
 )
 from repro.core.result import RunResult
+from repro.core.thresholds import stage_segments
 from repro.core.window import fill_window, fill_window_batch
 from repro.errors import ConfigurationError, ProtocolError
 from repro.runtime.costs import CostModel
@@ -110,10 +122,23 @@ class ProtocolSession(ABC):
     stream:
         The probe stream the session consumes; ``stream.consumed`` tracks
         exactly the sequential process.
+    trace:
+        The per-stage :class:`~repro.runtime.trace.Trace` of a session
+        started with ``record_trace``, else ``None``.
     """
 
+    #: Cut every chunk at stage ends even without a trace (ADAPTIVE, whose
+    #: acceptance limit changes at each stage end).
+    staged: bool = False
+
     def __init__(
-        self, protocol, n_balls: int, n_bins: int, stream: ProbeStream
+        self,
+        protocol,
+        n_balls: int,
+        n_bins: int,
+        stream: ProbeStream,
+        *,
+        record_trace: bool = False,
     ) -> None:
         if n_balls < 0:
             raise ConfigurationError(f"n_balls must be non-negative, got {n_balls}")
@@ -126,6 +151,8 @@ class ProtocolSession(ABC):
         self.n_bins = int(n_bins)
         self.stream = stream
         self.placed = 0
+        self.trace = Trace() if record_trace else None
+        self._stage_start = (0, 0)  # balls and probes when the open stage began
         self._final: RunResult | None = None
 
     # ------------------------------------------------------------------ #
@@ -164,7 +191,15 @@ class ProtocolSession(ABC):
         if k < 0:
             raise ConfigurationError(f"k must be non-negative, got {k}")
         k = min(int(k), self.remaining)
-        if k:
+        if self.staged or self.trace is not None:
+            for stage, first, last, ends_stage in stage_segments(
+                self.placed, k, self.n_bins
+            ):
+                self._place(last - first + 1)
+                self.placed = last
+                if ends_stage or last == self.n_balls:
+                    self._close_stage(stage)
+        elif k:
             self._place(k)
             self.placed += k
         return k
@@ -172,6 +207,37 @@ class ProtocolSession(ABC):
     @abstractmethod
     def _place(self, k: int) -> None:
         """Place exactly ``k`` more balls (``k`` ≥ 1, within bounds)."""
+
+    def _close_stage(self, stage: int) -> None:
+        """Stage ``stage`` just ended (its last ball, or the run's, is placed).
+
+        Appends the stage's :class:`~repro.runtime.trace.StageRecord` when
+        tracing: the stage's balls and probes, and the load extremes and
+        smoothness potentials of the load vector now.
+        """
+        balls, probes = self._stage_start
+        self._stage_start = (self.placed, self.probes)
+        if self.trace is None:
+            return
+        loads = self.loads
+        self.trace.append(
+            StageRecord(
+                stage=stage,
+                balls_placed=self.placed - balls,
+                probes=self.probes - probes,
+                max_load=int(loads.max()),
+                min_load=int(loads.min()),
+                quadratic_potential=quadratic_potential(loads, self.placed),
+                exponential_potential=exponential_potential(
+                    loads, self.placed, DEFAULT_EPSILON
+                ),
+                remembered=self._remembered(),
+            )
+        )
+
+    def _remembered(self) -> tuple[int, ...] | None:
+        """Protocol-carried state a stage record snapshots (else ``None``)."""
+        return None
 
     def result(self) -> RunResult:
         """Place any remaining balls and return the finished run's record.
@@ -183,6 +249,7 @@ class ProtocolSession(ABC):
         if self._final is None:
             self.place(self.remaining)
             self._final = self._finalize()
+            self._final.trace = self.trace
         return self._final
 
     @abstractmethod
@@ -194,16 +261,10 @@ class StagedWindowSession(ProtocolSession):
     """Session over constant-acceptance-limit windows (ADAPTIVE/THRESHOLD).
 
     Subclasses implement ``_limit_for_ball(i)``, the acceptance limit of
-    1-indexed ball ``i`` (constant within each stage of ``n_bins`` balls by
-    construction of both protocols).
-
-    Parameters
-    ----------
-    checkpoint_stages:
-        Log a cost checkpoint when a stage completes (ADAPTIVE always does;
-        THRESHOLD only in trace mode).
-    record_trace:
-        Record one :class:`~repro.runtime.trace.StageRecord` per stage.
+    1-indexed ball ``i``.  Each chunk :meth:`place` hands :meth:`_place` is
+    one window: a whole stage piece for ADAPTIVE (``staged``), whose limit
+    is constant within a stage, and the whole chunk for untraced THRESHOLD,
+    whose limit never changes.  Every stage end logs a probe checkpoint.
     """
 
     def __init__(
@@ -214,16 +275,12 @@ class StagedWindowSession(ProtocolSession):
         stream: ProbeStream,
         *,
         block_size: int | None,
-        checkpoint_stages: bool,
         record_trace: bool,
     ) -> None:
-        super().__init__(protocol, n_balls, n_bins, stream)
+        super().__init__(protocol, n_balls, n_bins, stream, record_trace=record_trace)
         self._loads = np.zeros(n_bins, dtype=np.int64)
         self._block_size = block_size
-        self._checkpoint_stages = checkpoint_stages or record_trace
         self.costs = CostModel()
-        self.trace = Trace() if record_trace else None
-        self._stage_probes = 0  # probes consumed in the currently open stage
 
     def _limit_for_ball(self, i: int) -> int:
         raise NotImplementedError
@@ -240,46 +297,18 @@ class StagedWindowSession(ProtocolSession):
         return self.costs.probe_checkpoints
 
     def _place(self, k: int) -> None:
-        n = self.n_bins
-        done = 0
-        while done < k:
-            i = self.placed + done + 1  # 1-indexed next ball
-            stage_last_ball = ((i - 1) // n + 1) * n
-            seg = min(k - done, stage_last_ball - i + 1)
-            outcome = fill_window(
-                self._loads,
-                self._limit_for_ball(i),
-                seg,
-                self.stream,
-                block_size=self._block_size,
-            )
-            self.costs.add_probes(outcome.probes)
-            self._stage_probes += outcome.probes
-            done += seg
-            balls_so_far = self.placed + done
-            if balls_so_far == min(stage_last_ball, self.n_balls):
-                # The stage (or the final partial stage) just completed.
-                if self._checkpoint_stages:
-                    self.costs.log_probe_checkpoint()
-                if self.trace is not None:
-                    stage = (i - 1) // n
-                    first_ball = stage * n + 1
-                    self.trace.append(
-                        StageRecord(
-                            stage=stage,
-                            balls_placed=balls_so_far - first_ball + 1,
-                            probes=self._stage_probes,
-                            max_load=int(self._loads.max()),
-                            min_load=int(self._loads.min()),
-                            quadratic_potential=quadratic_potential(
-                                self._loads, balls_so_far
-                            ),
-                            exponential_potential=exponential_potential(
-                                self._loads, balls_so_far, DEFAULT_EPSILON
-                            ),
-                        )
-                    )
-                self._stage_probes = 0
+        outcome = fill_window(
+            self._loads,
+            self._limit_for_ball(self.placed + 1),
+            k,
+            self.stream,
+            block_size=self._block_size,
+        )
+        self.costs.add_probes(outcome.probes)
+
+    def _close_stage(self, stage: int) -> None:
+        self.costs.log_probe_checkpoint()
+        super()._close_stage(stage)
 
     def _finalize(self) -> RunResult:
         return RunResult(
@@ -289,6 +318,5 @@ class StagedWindowSession(ProtocolSession):
             loads=self._loads,
             allocation_time=self.costs.probes,
             costs=self.costs,
-            trace=self.trace,
             params=self.protocol.params(),
         )

@@ -9,9 +9,10 @@ its final load vector is far less smooth (for ``m = n²`` the quadratic
 potential is ``Ω(n^{9/8})`` and the max−min gap ``Ω(n^{1/8})``).
 
 Because the acceptance limit is a single constant for the entire run, the
-whole allocation is one window of :func:`repro.core.window.fill_window`.  An
-optional ``checkpoint`` grid still records the trajectory for the smoothness
-experiments.
+whole allocation is one window of :func:`repro.core.window.fill_window`.  A
+traced run (``record_trace=True``) is cut at stage ends by the session's
+stage walk, so its per-stage trajectory and checkpoints line up with
+ADAPTIVE's for the smoothness experiments.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from repro.core.protocol import AllocationProtocol, register_protocol
 from repro.core.result import AllocationResult
 from repro.core.session import StagedWindowSession
 from repro.core.thresholds import acceptance_limit
-from repro.core.window import fill_window
 from repro.errors import ConfigurationError
 from repro.runtime.probes import ProbeStream, RandomProbeStream
 from repro.runtime.rng import SeedLike
@@ -77,33 +77,19 @@ class ThresholdProtocol(AllocationProtocol):
             n_bins,
             stream,
             block_size=self.block_size,
-            # An untraced run logs no stage checkpoints; trace mode chunks
-            # by stage so its trace is comparable to ADAPTIVE's.
-            checkpoint_stages=False,
             record_trace=record_trace,
         )
 
 
 class _ThresholdSession(StagedWindowSession):
-    """Streaming THRESHOLD: one fixed acceptance limit for the whole run."""
+    """Streaming THRESHOLD: one fixed acceptance limit for the whole run.
+
+    Untraced, a chunk is one window; traced, it is cut at stage ends so the
+    trace and its checkpoints are comparable to ADAPTIVE's.
+    """
 
     def _limit_for_ball(self, i: int) -> int:
         return acceptance_limit(self.n_balls, self.n_bins, self.protocol.offset)
-
-    def _place(self, k: int) -> None:
-        if self._checkpoint_stages:
-            super()._place(k)
-            return
-        # Nothing is logged per stage and the limit never changes, so the
-        # whole chunk is one window.
-        outcome = fill_window(
-            self._loads,
-            self._limit_for_ball(self.placed + 1),
-            k,
-            self.stream,
-            block_size=self._block_size,
-        )
-        self.costs.add_probes(outcome.probes)
 
 
 def run_threshold(

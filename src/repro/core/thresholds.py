@@ -12,6 +12,9 @@ A useful consequence (used by the vectorised engines and by the analysis in
 Section 3 of the paper): the acceptance limit of ADAPTIVE is constant within
 each *stage* of ``n`` consecutive balls, because ``ceil(i/n) = s + 1`` for
 every ball ``i`` in stage ``s`` (balls ``s·n+1 … (s+1)·n``).
+:func:`stage_segments` is the one place that cuts a run of balls at stage
+ends; the streaming sessions, :func:`stage_windows` and the Dispatcher's
+``adaptive`` policy all take their pieces from it.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "stage_of_ball",
     "StageWindow",
     "stage_windows",
+    "stage_segments",
 ]
 
 
@@ -127,17 +131,30 @@ def stage_windows(m: int, n: int, offset: int = 1) -> Iterator[StageWindow]:
     """
     if m < 0:
         raise ConfigurationError(f"m must be non-negative, got {m}")
+    for stage, first, last, _ in stage_segments(0, m, n):
+        yield StageWindow(stage, first, last, acceptance_limit(last, n, offset))
+
+
+def stage_segments(
+    placed: int, count: int, n: int
+) -> Iterator[tuple[int, int, int, bool]]:
+    """Cut balls ``placed+1 … placed+count`` at the stage ends.
+
+    Yields ``(stage, first_ball, last_ball, ends_stage)`` per piece: balls
+    ``first_ball … last_ball`` (1-indexed, inclusive) of zero-based stage
+    ``stage``, and whether ``last_ball`` is that stage's ``n``-th ball.
+    The pieces tile the range in order, each inside one stage.  This is
+    the single home of the stage arithmetic: the streaming sessions cut
+    their chunks with it, so per-stage checkpoints and traces land on the
+    same balls however a run is split, and the Dispatcher's ``adaptive``
+    policy fills one window per piece.
+    """
     if n <= 0:
         raise ConfigurationError(f"n must be positive, got {n}")
-    first = 1
-    stage = 0
-    while first <= m:
-        last = min(first + n - 1, m)
-        yield StageWindow(
-            stage=stage,
-            first_ball=first,
-            last_ball=last,
-            acceptance_limit=acceptance_limit(last, n, offset),
-        )
-        first = last + 1
-        stage += 1
+    first, last = placed + 1, placed + count
+    while first <= last:
+        stage = (first - 1) // n
+        stage_end = (stage + 1) * n
+        end = min(stage_end, last)
+        yield stage, first, end, end == stage_end
+        first = end + 1

@@ -247,9 +247,24 @@ def _validate_weighted_run(
     return weights, stream, float(w_max)
 
 
-def _counts(assignments: np.ndarray, n_bins: int) -> np.ndarray:
-    """Per-bin ball counts of a (prefix of an) assignment vector."""
-    return np.bincount(assignments, minlength=n_bins).astype(np.int64)
+class _CountTally:
+    """Per-bin ball counts of a weighted session, tallied from ``assignments``.
+
+    Each read of :attr:`loads` bins only the balls placed since the previous
+    read, so a traced or polled run pays for its new balls and the bins at
+    each stage, not for every ball placed so far.
+    """
+
+    def _start_tally(self, n_bins: int) -> None:
+        self._counts = np.zeros(n_bins, dtype=np.int64)
+        self._tallied = 0
+
+    @property
+    def loads(self) -> np.ndarray:
+        new = self.assignments[self._tallied : self.placed]
+        self._counts += np.bincount(new, minlength=self.n_bins)
+        self._tallied = self.placed
+        return self._counts
 
 
 def _result(
@@ -645,7 +660,7 @@ def _finish(session) -> WeightedRunResult:
         session.protocol.name,
         session._weights,
         session.weighted_loads,
-        _counts(session.assignments, session.n_bins),
+        session.loads,
         session.probes,
         session.w_max,
     )
@@ -723,7 +738,13 @@ class _WeightedProtocolBase(AllocationProtocol):
             # seeded from ``seed`` would spawn the weights' child again for
             # the greedy tie priorities.
             seed = stream.generator
-        return self.begin_weights(weights, n_bins, seed, probe_stream=probe_stream)
+        return self.begin_weights(
+            weights,
+            n_bins,
+            seed,
+            probe_stream=probe_stream,
+            record_trace=record_trace,
+        )
 
     def begin_weights(
         self,
@@ -732,17 +753,19 @@ class _WeightedProtocolBase(AllocationProtocol):
         seed: SeedLike = None,
         *,
         probe_stream: ProbeStream | None = None,
+        record_trace: bool = False,
     ) -> ProtocolSession:
         """Start this rule's session placing ``weights``, in order.
 
         :meth:`begin` draws the weights and calls this; the
         ``run_weighted_*`` runners call it on their caller's weights.
-        ``seed`` and ``probe_stream`` follow the unit-weight conventions.
+        ``seed``, ``probe_stream`` and ``record_trace`` follow the
+        unit-weight conventions; a stage record's loads are ball counts.
         """
         raise NotImplementedError
 
 
-class _WeightedSession(ProtocolSession):
+class _WeightedSession(_CountTally, ProtocolSession):
     """A weighted session over a fixed weight vector.
 
     Each ball's bin lands in ``assignments``, from which the per-bin ball
@@ -756,16 +779,16 @@ class _WeightedSession(ProtocolSession):
         stream: ProbeStream,
         weights: np.ndarray,
         w_max: float,
+        record_trace: bool,
     ) -> None:
-        super().__init__(protocol, int(weights.size), n_bins, stream)
+        super().__init__(
+            protocol, int(weights.size), n_bins, stream, record_trace=record_trace
+        )
         self._weights = weights
         self.w_max = w_max
         self._wloads = np.zeros(n_bins, dtype=np.float64)
         self.assignments = np.empty(weights.size, dtype=np.int64)
-
-    @property
-    def loads(self) -> np.ndarray:
-        return _counts(self.assignments[: self.placed], self.n_bins)
+        self._start_tally(n_bins)
 
     @property
     def weighted_loads(self) -> np.ndarray:
@@ -792,10 +815,11 @@ class _WeightedEngineSession(_WeightedSession):
         stream: ProbeStream,
         weights: np.ndarray,
         w_max: float,
+        record_trace: bool,
         thresholds: np.ndarray,
         max_probes: int | None,
     ) -> None:
-        super().__init__(protocol, n_bins, stream, weights, w_max)
+        super().__init__(protocol, n_bins, stream, weights, w_max, record_trace)
         self._thresholds = thresholds
         self._max_probes = max_probes
         self._probes = 0
@@ -831,6 +855,7 @@ class WeightedAdaptiveProtocol(_WeightedProtocolBase):
         seed: SeedLike = None,
         *,
         probe_stream: ProbeStream | None = None,
+        record_trace: bool = False,
         max_probes: int | None = None,
     ) -> _WeightedEngineSession:
         weights, stream, w_max = _validate_weighted_run(
@@ -838,7 +863,7 @@ class WeightedAdaptiveProtocol(_WeightedProtocolBase):
         )
         thresholds = adaptive_weighted_thresholds(weights, n_bins, w_max)
         return _WeightedEngineSession(
-            self, n_bins, stream, weights, w_max, thresholds, max_probes
+            self, n_bins, stream, weights, w_max, record_trace, thresholds, max_probes
         )
 
 
@@ -856,6 +881,7 @@ class WeightedThresholdProtocol(_WeightedProtocolBase):
         seed: SeedLike = None,
         *,
         probe_stream: ProbeStream | None = None,
+        record_trace: bool = False,
         max_probes: int | None = None,
     ) -> _WeightedEngineSession:
         weights, stream, w_max = _validate_weighted_run(
@@ -868,12 +894,13 @@ class WeightedThresholdProtocol(_WeightedProtocolBase):
             stream,
             weights,
             w_max,
+            record_trace,
             np.full(weights.size, bound),
             max_probes,
         )
 
 
-class _WeightedDChoiceSession(DChoiceSession):
+class _WeightedDChoiceSession(_CountTally, DChoiceSession):
     """Streaming weighted d-choice session finalising to the unified record.
 
     Shared by the weighted greedy[d] and weighted left[d] registry
@@ -889,6 +916,7 @@ class _WeightedDChoiceSession(DChoiceSession):
         stream: ProbeStream,
         weights: np.ndarray,
         w_max: float,
+        record_trace: bool,
         source,
         priorities: np.ndarray | None = None,
     ) -> None:
@@ -902,8 +930,10 @@ class _WeightedDChoiceSession(DChoiceSession):
             priorities=priorities,
             weights=weights,
             chunk_size=protocol.chunk_size,
+            record_trace=record_trace,
         )
         self.w_max = w_max
+        self._start_tally(n_bins)
 
     def _finalize(self) -> WeightedRunResult:
         return _finish(self)
@@ -948,6 +978,7 @@ class WeightedGreedyProtocol(_WeightedProtocolBase):
         seed: SeedLike = None,
         *,
         probe_stream: ProbeStream | None = None,
+        record_trace: bool = False,
     ) -> _WeightedDChoiceSession:
         weights, stream, w_max = _validate_weighted_run(
             weights, n_bins, seed, probe_stream, None
@@ -962,6 +993,7 @@ class WeightedGreedyProtocol(_WeightedProtocolBase):
             stream,
             weights,
             w_max,
+            record_trace,
             source=lambda start, count: stream.take_matrix(count, d),
             priorities=priorities,
         )
@@ -1006,6 +1038,7 @@ class WeightedLeftProtocol(_WeightedProtocolBase):
         seed: SeedLike = None,
         *,
         probe_stream: ProbeStream | None = None,
+        record_trace: bool = False,
     ) -> _WeightedDChoiceSession:
         weights, stream, w_max = _validate_weighted_run(
             weights, n_bins, seed, probe_stream, None
@@ -1013,7 +1046,9 @@ class WeightedLeftProtocol(_WeightedProtocolBase):
         source = left_source(
             n_bins, self.d, weights.size, stream, replay=probe_stream is not None
         )
-        return _WeightedDChoiceSession(self, n_bins, stream, weights, w_max, source)
+        return _WeightedDChoiceSession(
+            self, n_bins, stream, weights, w_max, record_trace, source
+        )
 
 
 class _WeightedMemorySession(_WeightedSession):
@@ -1025,13 +1060,16 @@ class _WeightedMemorySession(_WeightedSession):
     bit-identical.
     """
 
-    def __init__(self, protocol, n_bins, stream, weights, w_max) -> None:
-        super().__init__(protocol, n_bins, stream, weights, w_max)
+    def __init__(self, protocol, n_bins, stream, weights, w_max, record_trace) -> None:
+        super().__init__(protocol, n_bins, stream, weights, w_max, record_trace)
         self._memory: list[int] = []
 
     @property
     def probes(self) -> int:
         return self.placed * self.protocol.d
+
+    def _remembered(self) -> tuple[int, ...]:
+        return tuple(int(b) for b in self._memory)
 
     def _place(self, k: int) -> None:
         start = self.placed
@@ -1084,8 +1122,11 @@ class WeightedMemoryProtocol(_WeightedProtocolBase):
         seed: SeedLike = None,
         *,
         probe_stream: ProbeStream | None = None,
+        record_trace: bool = False,
     ) -> _WeightedMemorySession:
         weights, stream, w_max = _validate_weighted_run(
             weights, n_bins, seed, probe_stream, None
         )
-        return _WeightedMemorySession(self, n_bins, stream, weights, w_max)
+        return _WeightedMemorySession(
+            self, n_bins, stream, weights, w_max, record_trace
+        )

@@ -7,16 +7,16 @@ accepted everywhere a spec is (it is converted on the way in), and the
 derived per-trial seeds are identical either way — and identical to what
 :func:`repro.simulate` derives for multi-trial specs.
 
-Trials run in-process through the protocol's
+Every trial runs in-process through the protocol's
 :meth:`~repro.core.protocol.AllocationProtocol.allocate_batch`, in
-memory-bounded blocks of :func:`default_trial_block` trials.  The unit
+memory-bounded blocks of :func:`default_trial_block` trials, each block one
+:func:`_run_trial_block` call under the spec's backend.  ``allocate_batch``
+alone chooses between the trial axis and the per-trial loop: the unit
 greedy[d] and left[d] baselines commit a block's trials as one combined
-instance; ADAPTIVE fills each stage window for the whole block, running the
-single-run counting engine on each trial's row; the rest run the exact
-per-trial loop — THRESHOLD and single-choice among them, whose single-run
-engines are as fast as a trial axis.  A backend without the vectorised
-d-choice commit (``"scalar"``) runs one trial at a time instead; the
-results are bit-identical either way.  Sweeps fan out only through the
+instance and ADAPTIVE fills each stage window for the whole block, but
+only under a ``vectorised`` backend and without a trace; everything else
+runs the exact per-trial loop.  The results are bit-identical either way.
+Sweeps fan out only through the
 :mod:`repro.cluster` coordinator (``workers > 1``), which runs each spec as
 one shard through this same runner.
 
@@ -32,7 +32,7 @@ from typing import Any, Sequence
 
 from repro.api.session import Simulation
 from repro.api.spec import SimulationSpec
-from repro.core.backend import active_backend, get_backend, use_backend
+from repro.core.backend import get_backend, use_backend
 from repro.core.result import RunResult
 from repro.errors import ConfigurationError
 from repro.experiments.config import SweepConfig, TrialConfig
@@ -146,20 +146,10 @@ def run_trials(
         :class:`~repro.core.result.RunResult` objects.
     """
     spec = as_spec(config)
-    backend = (
-        active_backend() if spec.backend is None else get_backend(spec.backend)
-    )
-    if backend.vectorised:
-        block = default_trial_block(spec.n_balls, spec.n_bins, spec.trials)
-        results = []
-        for start in range(0, spec.trials, block):
-            results.extend(
-                _run_trial_block(spec, start, min(start + block, spec.trials))
-            )
-    else:
-        # The trial-axis d-choice commit bypasses the kernel methods, so a
-        # backend without it runs the exact per-trial loop.
-        results = [run_trial(spec, i) for i in range(spec.trials)]
+    block = default_trial_block(spec.n_balls, spec.n_bins, spec.trials)
+    results = []
+    for start in range(0, spec.trials, block):
+        results.extend(_run_trial_block(spec, start, min(start + block, spec.trials)))
     if as_records:
         return [r.as_record() for r in results]
     return results

@@ -158,8 +158,6 @@ def stage_potential_trajectory(
     """
     adaptive = AdaptiveProtocol().allocate(n_balls, n_bins, seed, record_trace=True)
     threshold = ThresholdProtocol().allocate(n_balls, n_bins, seed, record_trace=True)
-    if adaptive.trace is None or threshold.trace is None:  # pragma: no cover
-        raise ConfigurationError("tracing was requested but no trace was recorded")
     return {
         "n_balls": n_balls,
         "n_bins": n_bins,

@@ -11,11 +11,11 @@ balls:
   underloaded bins contracts in expectation, keeping ``E[Φ] = O(n)``.
 
 These statements are about the *trajectory* of the process, not the final
-state, so they deserve their own instrumentation: this module replays
-ADAPTIVE stage by stage, records how many balls each currently-underloaded
-bin receives in the next stage, and compares the empirical distribution with
-the Poisson benchmark of Lemma 3.2.  It also measures the per-stage potential
-drift that Lemma 3.4 controls.
+state, so they deserve their own instrumentation: this module steps an
+ADAPTIVE session one stage at a time, records how many balls each
+currently-underloaded bin receives in the next stage, and compares the
+empirical distribution with the Poisson benchmark of Lemma 3.2.  It also
+measures the per-stage potential drift that Lemma 3.4 controls.
 """
 
 from __future__ import annotations
@@ -24,11 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.adaptive import AdaptiveProtocol
 from repro.core.potentials import DEFAULT_EPSILON, exponential_potential
-from repro.core.thresholds import stage_windows
-from repro.core.window import fill_window
 from repro.errors import ConfigurationError
-from repro.runtime.probes import RandomProbeStream
 from repro.runtime.rng import SeedLike, spawn_seeds
 from repro.theory.concentration import poisson_sf
 
@@ -104,19 +102,16 @@ def lemma32_catchup(
 
     received: list[np.ndarray] = []
     for trial_seed in spawn_seeds(seed, trials):
-        stream = RandomProbeStream(n_bins, trial_seed)
-        loads = np.zeros(n_bins, dtype=np.int64)
-        for window in stage_windows(n_stages * n_bins, n_bins):
+        session = AdaptiveProtocol().begin(n_stages * n_bins, n_bins, trial_seed)
+        for stage in range(n_stages):
             # Underloaded (w.r.t. Lemma 3.2) at the *start* of this stage:
             # load <= (stage index) + 2 - hole_threshold, where the previous
-            # stage's upper level is window.stage + 1.
-            underloaded = np.flatnonzero(
-                loads <= window.stage + 2 - hole_threshold
-            )
-            before = loads[underloaded].copy()
-            fill_window(loads, window.acceptance_limit, window.n_balls, stream)
+            # stage's upper level is stage + 1.
+            underloaded = np.flatnonzero(session.loads <= stage + 2 - hole_threshold)
+            before = session.loads[underloaded].copy()
+            session.place(n_bins)
             if underloaded.size:
-                received.append(loads[underloaded] - before)
+                received.append(session.loads[underloaded] - before)
 
     if not received:
         counts = np.zeros(0, dtype=np.int64)
@@ -161,14 +156,11 @@ def lemma34_potential_drift(
     if n_stages < 2:
         raise ConfigurationError(f"n_stages must be at least 2, got {n_stages}")
 
-    stream = RandomProbeStream(n_bins, seed)
-    loads = np.zeros(n_bins, dtype=np.int64)
+    session = AdaptiveProtocol().begin(n_stages * n_bins, n_bins, seed)
     potentials: list[float] = []
-    for window in stage_windows(n_stages * n_bins, n_bins):
-        fill_window(loads, window.acceptance_limit, window.n_balls, stream)
-        potentials.append(
-            exponential_potential(loads, window.last_ball, epsilon)
-        )
+    for _ in range(n_stages):
+        session.place(n_bins)
+        potentials.append(exponential_potential(session.loads, session.placed, epsilon))
 
     phi = np.array(potentials)
     ratios = phi[1:] / phi[:-1]

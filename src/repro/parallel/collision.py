@@ -108,6 +108,7 @@ class CollisionProtocol(AllocationProtocol):
         record_trace: bool = False,
     ) -> AllocationResult:
         self.validate_size(n_balls, n_bins)
+        self._refuse_trace(record_trace)
         if probe_stream is not None:
             raise ConfigurationError(
                 "the parallel collision protocol draws per-round batches and "

@@ -217,6 +217,7 @@ class ParallelGreedyProtocol(AllocationProtocol):
         record_trace: bool = False,
     ) -> AllocationResult:
         self.validate_size(n_balls, n_bins)
+        self._refuse_trace(record_trace)
         stream = probe_stream or RandomProbeStream(n_bins, seed)
         if stream.n_bins != n_bins:
             raise ConfigurationError(

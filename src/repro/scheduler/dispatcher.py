@@ -72,7 +72,7 @@ from repro.baselines.left import left_source, replay_group_map
 from repro.baselines.memory_engine import chunked_memory_commit
 from repro.core.backend import get_backend, resolve_backend, use_backend
 from repro.core.result import RunResult, register_record_kind
-from repro.core.thresholds import acceptance_limit
+from repro.core.thresholds import acceptance_limit, stage_segments
 from repro.core.weighted_engine import chunked_weighted_assign
 from repro.core.window import assign_window
 from repro.errors import ConfigurationError
@@ -481,23 +481,22 @@ class Dispatcher:
 
         Job ``i`` (1-indexed over the whole stream) has acceptance limit
         ``ceil(i/n)``, which is constant across each stage of ``n`` jobs —
-        so a batch is at most ``ceil(k/n) + 1`` exact vectorised windows.
+        so a batch is at most ``ceil(k/n) + 1`` exact vectorised windows,
+        one per piece of :func:`~repro.core.thresholds.stage_segments`.
         """
         n = self.n_servers
         parts: list[np.ndarray] = []
         probes = 0
-        placed = 0
-        while placed < k:
-            i = self.jobs_dispatched + placed + 1
-            stage_last = ((i - 1) // n + 1) * n
-            seg = min(k - placed, stage_last - i + 1)
-            limit = acceptance_limit(i, n, offset=1)
+        for _, first, last, _ in stage_segments(self.jobs_dispatched, k, n):
             window = assign_window(
-                self.job_counts, limit, seg, self._stream, block_size=self.block_size
+                self.job_counts,
+                acceptance_limit(first, n, offset=1),
+                last - first + 1,
+                self._stream,
+                block_size=self.block_size,
             )
             parts.append(window.assignments)
             probes += window.probes
-            placed += seg
         assignments = parts[0] if len(parts) == 1 else np.concatenate(parts)
         return assignments, probes
 

@@ -273,14 +273,21 @@ class TestStreaming:
         name=st.sampled_from(STREAMING_PROTOCOLS),
         splits=st.lists(st.integers(1, 1500), min_size=1, max_size=6),
         seed=st.integers(0, 2**16),
+        record_trace=st.booleans(),
     )
-    def test_any_split_yields_identical_result(self, name, splits, seed):
-        spec = SimulationSpec(name, n_balls=self.M, n_bins=self.N, seed=seed)
+    def test_any_split_yields_identical_result(
+        self, name, splits, seed, record_trace
+    ):
+        spec = SimulationSpec(
+            name, n_balls=self.M, n_bins=self.N, seed=seed, record_trace=record_trace
+        )
         one_shot = Simulation(spec).run()
         sim = Simulation(spec)
         for k in splits:
             sim.step(k)
         assert_same_result(sim.results(), one_shot)
+        assert sim.results().trace == one_shot.trace
+        assert (one_shot.trace is not None) == record_trace
 
     def test_state_reports_progress_and_potential(self):
         spec = SimulationSpec("adaptive", n_balls=2_000, n_bins=100, seed=2)

@@ -14,6 +14,7 @@ per backend.  Further groups certify the spec-level ``backend=`` field
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from repro.core.backend import (
     use_backend,
     validate_backend_name,
 )
+from repro.core.protocol import available_protocols, make_protocol
 from repro.core.weighted_engine import (
     adaptive_weighted_thresholds,
     chunked_weighted_assign,
@@ -55,6 +57,9 @@ SIZES = [
 ]
 
 ALL_BACKENDS = backend_names()
+STREAMING_PROTOCOLS = tuple(
+    name for name in available_protocols() if make_protocol(name).streaming
+)
 
 
 def choice_vector(m: int, n: int, d: int, seed: int = 99) -> np.ndarray:
@@ -531,26 +536,28 @@ class TestChunkInvariancePerBackend:
 # Driver threading
 # --------------------------------------------------------------------------- #
 class TestDriverThreading:
+    @pytest.mark.parametrize("record_trace", [False, True])
+    @pytest.mark.parametrize("protocol", STREAMING_PROTOCOLS)
     @pytest.mark.parametrize("backend_name", ALL_BACKENDS)
-    def test_run_trials_bit_identical(self, backend_name):
+    def test_run_trials_bit_identical(self, backend_name, protocol, record_trace):
+        # allocate_batch, not the runner, picks the trial axis or the
+        # per-trial loop, so every backend runs through the same blocks.
         base = SimulationSpec(
-            "greedy", n_balls=1500, n_bins=150, seed=9, trials=3, params={"d": 2}
+            protocol,
+            n_balls=1500,
+            n_bins=150,
+            seed=9,
+            trials=3,
+            record_trace=record_trace,
         )
         reference = run_trials(base)
-        candidate = run_trials(
-            SimulationSpec(
-                "greedy",
-                n_balls=1500,
-                n_bins=150,
-                seed=9,
-                trials=3,
-                params={"d": 2},
-                backend=backend_name,
-            )
-        )
+        candidate = run_trials(replace(base, backend=backend_name))
         assert len(reference) == len(candidate) == 3
         for ref, cand in zip(reference, candidate):
             assert_results_identical(ref, cand)
+            assert ref.costs.probe_checkpoints == cand.costs.probe_checkpoints
+            assert ref.trace == cand.trace
+            assert (cand.trace is not None) == record_trace
 
     def test_run_trials_ambient_backend(self):
         spec = SimulationSpec(

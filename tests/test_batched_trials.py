@@ -41,7 +41,7 @@ from repro.runtime.probes import (
 )
 from repro.runtime.rng import trial_seed, trial_seed_table
 
-#: Protocols that override allocate_batch (``batches = True``).
+#: Protocols with a trial-axis body, ``_allocate_trials`` (``batches = True``).
 BATCHED_PROTOCOLS = [
     ("adaptive", {}),
     ("greedy", {"d": 2, "tie_break": "random"}),
@@ -127,17 +127,18 @@ class TestSeededBitIdentity:
             assert result.loads.sum() == 0
             assert result.allocation_time == 0
 
-    def test_record_trace_falls_back_to_exact_loop(self):
+    @pytest.mark.parametrize("name", ["adaptive", "greedy", "left"])
+    def test_record_trace_falls_back_to_exact_loop(self, name):
         trials, m, n = 3, 800, 64
-        protocol = make_protocol("adaptive")
+        protocol = make_protocol(name)
         batched = protocol.allocate_batch(
             m, n, _fresh_seeds(11, trials), record_trace=True
         )
         for i, result in enumerate(batched):
-            single = make_protocol("adaptive").allocate(
+            single = make_protocol(name).allocate(
                 m, n, trial_seed(11, i, trials), record_trace=True
             )
-            _assert_results_identical(result, single, ("adaptive-trace", i))
+            _assert_results_identical(result, single, (f"{name}-trace", i))
             assert result.trace is not None
             assert len(result.trace) == len(single.trace)
 
