@@ -28,6 +28,7 @@ weight distribution, which the test-suite certifies with hypothesis.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -398,9 +399,11 @@ class DispatchSpec:
         if w_max is not None and (
             isinstance(w_max, bool)
             or not isinstance(w_max, (int, float))
-            or w_max <= 0
+            or not 0 < w_max < math.inf
         ):
-            raise ConfigurationError(f"w_max must be positive, got {w_max!r}")
+            raise ConfigurationError(
+                f"w_max must be positive and finite, got {w_max!r}"
+            )
         if self.policy in ("left", "weighted-left"):
             replay_group_map(self.n_servers, d)
         if self.block_size is not None and self.block_size <= 0:

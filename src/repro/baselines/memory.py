@@ -24,7 +24,8 @@ for ``d = k = 1`` (:func:`~repro.core.backend.memory11_hand_off`) and
 greedy[d]'s engine for ``k = 0``.  It is bit-identical to
 :func:`repro.baselines.reference.reference_memory` (the per-ball oracle)
 and to :func:`~repro.baselines.memory_engine.memory_hand_off` (the general
-rule, shared with the dispatcher's ``memory`` policy).
+rule, shared with the dispatcher's ``memory`` policy).  The
+``weighted-memory`` protocol runs this module's session given the weights.
 
 With ``record_trace=True`` the session's stage walk records one
 :class:`~repro.runtime.trace.StageRecord` per stage of ``n`` balls — load
@@ -117,23 +118,49 @@ class _MemorySession(ProtocolSession):
     slice; its state between calls is exactly the sequential protocol's
     (loads plus the remembered set), so any split of the balls into steps
     is bit-identical.  Each stage record of a traced run snapshots the
-    remembered set.
+    remembered set.  Given per-ball ``weights`` (drawn up front by the
+    caller) the loads are float total weights and each ball's bin lands in
+    ``assignments``, from which the weighted session tallies its per-bin
+    ball counts.
     """
 
-    def __init__(self, protocol, n_balls, n_bins, stream, *, record_trace) -> None:
+    def __init__(
+        self,
+        protocol,
+        n_balls,
+        n_bins,
+        stream,
+        *,
+        record_trace,
+        weights=None,
+        chunk_size=None,
+    ) -> None:
         super().__init__(protocol, n_balls, n_bins, stream, record_trace=record_trace)
-        self._loads = np.zeros(n_bins, dtype=np.int64)
+        self._weights = weights
+        self._chunk_size = chunk_size
         self._memory: list[int] = []
+        if weights is None:
+            self._loads = np.zeros(n_bins, dtype=np.int64)
+            self.assignments = None
+        else:
+            self._loads = np.zeros(n_bins, dtype=np.float64)
+            self.assignments = np.empty(n_balls, dtype=np.int64)
 
     @property
     def loads(self) -> np.ndarray:
         return self._loads
 
     @property
+    def weighted_loads(self) -> np.ndarray | None:
+        return self._loads if self._weights is not None else None
+
+    @property
     def probes(self) -> int:
         return self.placed * self.protocol.d
 
     def _place(self, count: int) -> None:
+        window = slice(self.placed, self.placed + count)
+        weighted = self._weights is not None
         self._memory = chunked_memory_commit(
             self.stream,
             self._loads,
@@ -141,6 +168,9 @@ class _MemorySession(ProtocolSession):
             count,
             self.protocol.d,
             self.protocol.k,
+            assignments=self.assignments[window] if weighted else None,
+            chunk_size=self._chunk_size,
+            weights=self._weights[window] if weighted else None,
         )
 
     def _remembered(self) -> tuple[int, ...]:

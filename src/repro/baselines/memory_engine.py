@@ -3,32 +3,32 @@
 The (d,k)-memory protocol (Mitzenmacher–Prabhakar–Shah; Table 1, row 3)
 hands each ball the ``k`` least loaded bins remembered from the previous
 ball, so each decision depends on the full candidate set of its
-predecessor.  :func:`chunked_memory_commit` places a run of balls without
-changing a single placement:
+predecessor.  :func:`chunked_memory_commit` places a run of balls, unit or
+weighted (the ``weighted-memory`` protocol: per-ball ``weights`` are added
+to float loads instead of 1), without changing a single placement:
 
 * ``k == 0`` — the remembered set is empty, so the protocol *is* greedy[d]
   with first-minimum ties; balls run straight through the conflict-free
   commit engine of :mod:`repro.baselines.engine`.
 * every ``k >= 1`` runs the active backend's ``memory_fallback``: bulk
-  fresh draws feeding a plain-int sequential loop.  ``d == k == 1``, the
-  paper-relevant configuration (Table 1 uses (1,1)-memory), has its own
-  two-candidate loop (:func:`~repro.core.backend.memory11_hand_off`) whose
-  state is just the remembered bin and its load; every other configuration
-  runs the general rule (:func:`chunked_memory_hand_off`).  The loops beat
-  every vectorised treatment measured: 0.3-0.8x for ``d > 1`` or
-  ``k >= 2``, and a provisional fixpoint engine for ``d == k == 1`` that
-  took ~3x the loop's time at ``10^4`` bins, 13x or more at ``64-256``
-  bins and about the same at ``10^6`` bins.
+  fresh draws feeding a sequential loop over plain Python numbers.  Unit
+  balls at ``d == k == 1``, the paper-relevant configuration (Table 1 uses
+  (1,1)-memory), have their own two-candidate loop
+  (:func:`~repro.core.backend.memory11_hand_off`) whose state is just the
+  remembered bin and its load; every other call runs the general rule
+  (:func:`chunked_memory_hand_off`).  The loops beat every vectorised
+  treatment measured: 0.3-0.8x for ``d > 1`` or ``k >= 2``, and a
+  provisional fixpoint engine for ``d == k == 1`` that took ~3x the loop's
+  time at ``10^4`` bins, 13x or more at ``64-256`` bins and about the same
+  at ``10^6`` bins.
 
 The result — final loads, per-ball assignments and probe-stream consumption
-— is **bit-identical** to the per-ball reference
-(:func:`repro.baselines.reference.reference_memory`) for every ``(d, k)``,
-which ``tests/test_memory_engine.py`` certifies under shared
+— is **bit-identical** to the per-ball references
+(:func:`repro.baselines.reference.reference_memory`,
+:func:`repro.core.weighted.reference_weighted_memory`) for every
+``(d, k)``, which ``tests/test_memory_engine.py`` and
+``tests/test_weighted_equivalence.py`` certify under shared
 :class:`~repro.runtime.probes.FixedProbeStream` replay.
-
-:func:`weighted_memory_hand_off` extends the scalar rule to weighted balls
-(float loads, per-ball weight increments) for the ``weighted-memory``
-protocol, on the same chunk-drawn scalar path.
 """
 
 from __future__ import annotations
@@ -40,71 +40,27 @@ from repro.core.backend import (  # noqa: F401  (re-exported scalar rules)
     active_backend,
     chunked_memory_hand_off,
     memory_hand_off,
-    weighted_memory_hand_off,
 )
-from repro.core.window import _check_assignments, _check_weighted, _check_writeable
+from repro.core.window import (
+    _check_assignments,
+    _check_covers,
+    _check_weighted,
+    _check_writeable,
+)
 from repro.errors import ConfigurationError
 from repro.runtime.probes import ProbeStream
 
 __all__ = [
     "memory_hand_off",
     "chunked_memory_hand_off",
-    "weighted_memory_hand_off",
-    "chunked_weighted_memory_commit",
     "chunked_memory_commit",
 ]
 
 
 # --------------------------------------------------------------------- #
-# The scalar-rule commit drivers (the literal rules themselves live in
+# The commit driver (the literal rules themselves live in
 # repro.core.backend, single-homed across every execution strategy)
 # --------------------------------------------------------------------- #
-def chunked_weighted_memory_commit(
-    stream: ProbeStream,
-    weighted_loads: np.ndarray,
-    memory: list[int],
-    weights: np.ndarray,
-    d: int,
-    k: int,
-    assignments: np.ndarray | None = None,
-    chunk_size: int | None = None,
-) -> list[int]:
-    """Place all ``weights`` under the weighted (d,k)-memory rule.
-
-    ``weighted_loads`` (float64 per-bin total weight) is updated in place;
-    the remembered set is returned.  The float loads make the rule's
-    sequential dependency continuous-valued, so the commits run through the
-    active backend's ``weighted_memory_fallback`` — the chunk-drawn scalar
-    rule (:func:`weighted_memory_hand_off`).  Bulk fresh draws keep the
-    probe consumption identical to a per-ball loop, and any split into calls
-    is bit-identical because the sequential state (loads, remembered set) is
-    exact at every boundary.
-    """
-    n_balls = int(weights.size)
-    if d < 1:
-        raise ConfigurationError(f"d must be at least 1, got {d}")
-    if k < 0:
-        raise ConfigurationError(f"k must be non-negative, got {k}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ConfigurationError(f"chunk_size must be positive, got {chunk_size}")
-    _check_writeable(weighted_loads, "weighted_loads")
-    _check_weighted(weighted_loads, "weighted_loads")
-    _check_assignments(assignments, n_balls)
-    memory = [int(b) for b in memory]
-    if not n_balls:
-        return memory
-    return active_backend().weighted_memory_fallback(
-        stream,
-        weighted_loads,
-        memory,
-        weights,
-        d,
-        k,
-        assignments=assignments,
-        chunk_size=chunk_size,
-    )
-
-
 def chunked_memory_commit(
     stream: ProbeStream,
     loads: np.ndarray,
@@ -114,6 +70,7 @@ def chunked_memory_commit(
     k: int,
     assignments: np.ndarray | None = None,
     chunk_size: int | None = None,
+    weights: np.ndarray | None = None,
 ) -> list[int]:
     """Place ``n_balls`` (d,k)-memory balls with the sequential rule.
 
@@ -124,7 +81,8 @@ def chunked_memory_commit(
         row-major order as a per-ball loop (one bulk
         :meth:`~repro.runtime.probes.ProbeStream.take_matrix` per chunk).
     loads:
-        Per-bin int64 load vector, updated in place.
+        Per-bin load vector, updated in place: int64 ball counts, or
+        float64 total weights when ``weights`` is given.
     memory:
         Remembered bins entering the run (``[]`` at a fresh start); the
         updated remembered set is returned, so callers can stream any split
@@ -136,11 +94,15 @@ def chunked_memory_commit(
         writes its bin to ``assignments[i]``.
     chunk_size:
         Balls per fresh draw; any value yields bit-identical results.
+    weights:
+        Optional per-ball weights covering the ``n_balls`` balls: each
+        placement adds the ball's weight instead of 1, and candidates
+        compete on weighted load.
 
     ``k == 0`` delegates to the conflict-free d-choice engine; every other
     configuration runs the active backend's ``memory_fallback`` — the
-    chunk-drawn scalar hand-off, with its own two-candidate loop at
-    ``d == k == 1``.
+    chunk-drawn scalar hand-off, with its own two-candidate loop for unit
+    balls at ``d == k == 1``.
     """
     if n_balls < 0:
         raise ConfigurationError(f"n_balls must be non-negative, got {n_balls}")
@@ -151,6 +113,9 @@ def chunked_memory_commit(
     if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be positive, got {chunk_size}")
     _check_writeable(loads)
+    if weights is not None:
+        _check_weighted(loads)
+        _check_covers("weights", weights, n_balls)
     _check_assignments(assignments, n_balls)
     memory = [int(b) for b in memory]
     if not n_balls:
@@ -164,6 +129,7 @@ def chunked_memory_commit(
             d,
             chunk_size=chunk_size,
             assignments=assignments,
+            weights=weights,
         )
         return []
 
@@ -176,4 +142,5 @@ def chunked_memory_commit(
         k,
         assignments=assignments,
         chunk_size=chunk_size,
+        weights=weights,
     )

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
@@ -67,7 +68,6 @@ __all__ = [
     "memory_hand_off",
     "memory11_hand_off",
     "chunked_memory_hand_off",
-    "weighted_memory_hand_off",
 ]
 
 #: Balls per bulk fresh-choice draw on the scalar memory paths; the hand-off
@@ -86,6 +86,7 @@ def memory_hand_off(
     memory: list[int],
     k: int,
     assignments: list[int] | None = None,
+    weights: list[float] | None = None,
 ) -> list[int]:
     """Run the sequential (d,k)-memory hand-off over one chunk of balls.
 
@@ -95,13 +96,15 @@ def memory_hand_off(
     followed by the remembered bins; the first least-loaded candidate wins,
     and the ``k`` least loaded *distinct* candidate bins (stable order:
     candidate order breaks load ties) are remembered for the next ball.
-    This is the rule of :meth:`KernelBackend.memory_fallback` for every
-    ``(d, k)`` but ``(1, 1)`` (which runs :func:`memory11_hand_off`) on
-    both backends, and so of every (d,k)-memory run and of the
+    Each placement adds the ball's entry of ``weights`` (float loads of
+    weighted balls), or 1 when no weights are given.  This is the rule of
+    :meth:`KernelBackend.memory_fallback` for every ``(d, k)`` but unit
+    ``(1, 1)`` (which runs :func:`memory11_hand_off`) on both backends,
+    and so of every (d,k)-memory run, unit or weighted, and of the
     dispatcher's ``memory`` policy on either of its routes: every
     execution strategy shares one implementation of the literal rule.
     """
-    for row in fresh_rows:
+    for row, increment in zip(fresh_rows, repeat(1) if weights is None else weights):
         candidates = row + memory
         best = candidates[0]
         best_load = counts[best]
@@ -109,7 +112,7 @@ def memory_hand_off(
             load = counts[bin_index]
             if load < best_load:
                 best, best_load = bin_index, load
-        counts[best] = best_load + 1
+        counts[best] = best_load + increment
         if assignments is not None:
             assignments.append(best)
         if k:
@@ -138,6 +141,8 @@ def memory11_hand_off(
     (``memory == []``) has only its fresh bin.  Reads ``memory[0]`` only;
     ``counts`` (and ``assignments``) are mutated in place exactly as the
     general rule mutates them, and the new remembered set is returned.
+    Unit balls only: the ``a == v`` tie step stands for ``a <= v`` because
+    integer loads with ``a > v - 1`` cannot fall below ``v``.
     """
     balls = iter(fresh)
     if memory:
@@ -169,6 +174,18 @@ def memory11_hand_off(
     return [m]
 
 
+def _fresh_chunks(stream: "ProbeStream", n_balls: int, d: int, chunk_size: int | None):
+    """Yield each chunk's first ball and its ``(count, d)`` fresh choices.
+
+    One bulk :meth:`~repro.runtime.probes.ProbeStream.take_matrix` call per
+    chunk of ``chunk_size`` balls (default ``_FRESH_CHUNK``) draws them in
+    the order of a per-ball loop, so the chunk cannot affect results.
+    """
+    chunk = int(chunk_size) if chunk_size else _FRESH_CHUNK
+    for start in range(0, n_balls, chunk):
+        yield start, stream.take_matrix(min(chunk, n_balls - start), d)
+
+
 def chunked_memory_hand_off(
     stream: "ProbeStream",
     counts,
@@ -178,64 +195,27 @@ def chunked_memory_hand_off(
     k: int,
     assignments: list[int] | None = None,
     chunk_size: int | None = None,
+    weights: list[float] | None = None,
 ) -> list[int]:
     """Drive :func:`memory_hand_off` over ``n_balls`` chunked fresh draws.
 
-    Each chunk's ``d`` fresh choices come from one bulk
-    :meth:`~repro.runtime.probes.ProbeStream.take_matrix` call of
-    ``chunk_size`` balls (default ``_FRESH_CHUNK``; consumption order
-    identical to a per-ball loop).  This is the general loop of
-    :meth:`KernelBackend.memory_fallback` (``d > 1`` or ``k >= 2``) and the
-    baseline the ``memory-engine(1,1)`` row of
+    ``weights`` (a list covering the ``n_balls`` balls; ``None`` for unit
+    balls) gives each chunk its slice of increments.  This is the general
+    loop of :meth:`KernelBackend.memory_fallback` (weighted balls, ``d >
+    1`` or ``k >= 2``) and the baseline the ``memory-engine(1,1)`` row of
     ``bench_baseline_throughput.py`` measures the (1,1) loop against.
     Returns the new remembered set; ``counts`` (and ``assignments``) are
     mutated in place.
     """
-    chunk = int(chunk_size) if chunk_size else _FRESH_CHUNK
-    placed = 0
-    while placed < n_balls:
-        count = min(chunk, n_balls - placed)
-        fresh = stream.take_matrix(count, d).tolist()
-        memory = memory_hand_off(counts, fresh, memory, k, assignments=assignments)
-        placed += count
-    return memory
-
-
-def weighted_memory_hand_off(
-    loads,
-    fresh_rows: list[list[int]],
-    memory: list[int],
-    k: int,
-    weights: list[float],
-    assignments: list[int] | None = None,
-) -> list[int]:
-    """The (d,k)-memory rule on weighted balls: float loads, weight increments.
-
-    Identical structure to :func:`memory_hand_off` — first least
-    weighted-loaded candidate wins, the ``k`` least loaded distinct
-    candidate bins are remembered (stable sort, candidate order breaks
-    ties) — except each placement adds the ball's weight instead of 1.
-    ``loads`` is a plain list of floats (or any element-wise container);
-    mutated in place.
-    """
-    for row, weight in zip(fresh_rows, weights):
-        candidates = row + memory
-        best = candidates[0]
-        best_load = loads[best]
-        for bin_index in candidates[1:]:
-            load = loads[bin_index]
-            if load < best_load:
-                best, best_load = bin_index, load
-        loads[best] = best_load + weight
-        if assignments is not None:
-            assignments.append(best)
-        if k:
-            seen: set[int] = set()
-            unique = [
-                b for b in candidates if not (b in seen or seen.add(b))
-            ]
-            unique.sort(key=loads.__getitem__)
-            memory = unique[:k]
+    for start, fresh in _fresh_chunks(stream, n_balls, d, chunk_size):
+        memory = memory_hand_off(
+            counts,
+            fresh.tolist(),
+            memory,
+            k,
+            assignments,
+            None if weights is None else weights[start : start + len(fresh)],
+        )
     return memory
 
 
@@ -530,16 +510,17 @@ class KernelBackend:
         k: int,
         assignments: np.ndarray | None = None,
         chunk_size: int | None = None,
+        weights: np.ndarray | None = None,
     ) -> list[int]:
         """Place ``n_balls`` (d,k)-memory balls with the sequential rule.
 
         The commit path of
         :func:`repro.baselines.memory_engine.chunked_memory_commit` for
-        every ``k >= 1``: ``d = k = 1`` runs the two-candidate loop
-        :func:`memory11_hand_off` over blocks of ``chunk_size`` fresh bins,
-        every other configuration the general
-        :func:`chunked_memory_hand_off` (every NumPy decomposition of the
-        rule measured slower than these loops).  ``loads`` is int64,
+        every ``k >= 1``: unit balls at ``d = k = 1`` run the two-candidate
+        loop :func:`memory11_hand_off` over blocks of ``chunk_size`` fresh
+        bins, every other call the general :func:`chunked_memory_hand_off`
+        (every NumPy decomposition of the rule measured slower than these
+        loops).  ``loads`` is int64, or float64 with per-ball ``weights``,
         updated in place; returns the new remembered set.  ``chunk_size``
         only bounds the bulk fresh draws and cannot affect results.
 
@@ -557,17 +538,22 @@ class KernelBackend:
         else:
             counts = loads.tolist()
         out: list[int] | None = [] if assignments is not None else None
-        if d == 1 and k == 1:
-            chunk = int(chunk_size) if chunk_size else _FRESH_CHUNK
-            placed = 0
-            while placed < n_balls:
-                count = min(chunk, n_balls - placed)
-                fresh = stream.take_matrix(count, 1).ravel().tolist()
-                memory = memory11_hand_off(counts, fresh, memory, assignments=out)
-                placed += count
+        if d == 1 and k == 1 and weights is None:
+            for _, fresh in _fresh_chunks(stream, n_balls, 1, chunk_size):
+                memory = memory11_hand_off(
+                    counts, fresh.ravel().tolist(), memory, assignments=out
+                )
         else:
             memory = chunked_memory_hand_off(
-                stream, counts, memory, n_balls, d, k, out, chunk_size
+                stream,
+                counts,
+                memory,
+                n_balls,
+                d,
+                k,
+                out,
+                chunk_size,
+                None if weights is None else weights.tolist(),
             )
         if counts is not loads:
             loads[:] = counts
@@ -586,37 +572,24 @@ class KernelBackend:
         assignments: np.ndarray | None = None,
         chunk_size: int | None = None,
     ) -> list[int]:
-        """Place all ``weights`` under the weighted (d,k)-memory rule.
+        """:meth:`memory_fallback` placing one weighted ball per ``weights`` entry.
 
-        The commit path of
-        :func:`repro.baselines.memory_engine.chunked_weighted_memory_commit`:
-        float loads make the rule's sequential dependency continuous-valued,
-        so the base implementation runs the chunk-drawn scalar rule over
-        plain Python floats.  ``weighted_loads`` (float64) is updated in
-        place; returns the new remembered set.
+        :func:`~repro.baselines.memory_engine.chunked_memory_commit` calls
+        :meth:`memory_fallback` for unit and weighted balls alike; this
+        spelling keeps the weighted entry's signature for callers that name
+        it.
         """
-        n_balls = int(weights.size)
-        chunk = int(chunk_size) if chunk_size else _FRESH_CHUNK
-        loads_list = weighted_loads.tolist()
-        weight_list = weights.tolist()
-        out: list[int] | None = [] if assignments is not None else None
-        placed = 0
-        while placed < n_balls:
-            count = min(chunk, n_balls - placed)
-            fresh = stream.take_matrix(count, d).tolist()
-            memory = weighted_memory_hand_off(
-                loads_list,
-                fresh,
-                memory,
-                k,
-                weight_list[placed : placed + count],
-                assignments=out,
-            )
-            placed += count
-        weighted_loads[:] = loads_list
-        if assignments is not None:
-            assignments[:n_balls] = out
-        return memory
+        return self.memory_fallback(
+            stream,
+            weighted_loads,
+            memory,
+            int(weights.size),
+            d,
+            k,
+            assignments=assignments,
+            chunk_size=chunk_size,
+            weights=weights,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"

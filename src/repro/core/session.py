@@ -22,9 +22,9 @@ other protocol only while it records a trace — cuts each chunk at them with
 :meth:`ProtocolSession._close_stage`.  That is where every
 :class:`~repro.runtime.trace.StageRecord` is built (the memory sessions add
 their remembered set through :meth:`ProtocolSession._remembered`) and where
-the constant-limit sessions log their probe checkpoints, so a trace and its
-checkpoints land on the same balls however the run is split.  Any other
-session places each chunk in one engine call.
+ADAPTIVE logs its probe checkpoints, so a trace and its checkpoints land on
+the same balls however the run is split.  Any other session places each
+chunk in one engine call.
 
 Sessions are created through
 :meth:`~repro.core.protocol.AllocationProtocol.begin`; protocols whose
@@ -264,7 +264,9 @@ class StagedWindowSession(ProtocolSession):
     1-indexed ball ``i``.  Each chunk :meth:`place` hands :meth:`_place` is
     one window: a whole stage piece for ADAPTIVE (``staged``), whose limit
     is constant within a stage, and the whole chunk for untraced THRESHOLD,
-    whose limit never changes.  Every stage end logs a probe checkpoint.
+    whose limit never changes.  ADAPTIVE logs a probe checkpoint at every
+    stage end, traced or not; THRESHOLD logs none, so a trace adds a trace
+    and changes nothing else.
     """
 
     def __init__(
@@ -307,7 +309,8 @@ class StagedWindowSession(ProtocolSession):
         self.costs.add_probes(outcome.probes)
 
     def _close_stage(self, stage: int) -> None:
-        self.costs.log_probe_checkpoint()
+        if self.staged:
+            self.costs.log_probe_checkpoint()
         super()._close_stage(stage)
 
     def _finalize(self) -> RunResult:

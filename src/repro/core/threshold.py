@@ -11,8 +11,8 @@ potential is ``Ω(n^{9/8})`` and the max−min gap ``Ω(n^{1/8})``).
 Because the acceptance limit is a single constant for the entire run, the
 whole allocation is one window of :func:`repro.core.window.fill_window`.  A
 traced run (``record_trace=True``) is cut at stage ends by the session's
-stage walk, so its per-stage trajectory and checkpoints line up with
-ADAPTIVE's for the smoothness experiments.
+stage walk, so its per-stage trajectory lines up with ADAPTIVE's for the
+smoothness experiments; the trace is all it adds.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class _ThresholdSession(StagedWindowSession):
     """Streaming THRESHOLD: one fixed acceptance limit for the whole run.
 
     Untraced, a chunk is one window; traced, it is cut at stage ends so the
-    trace and its checkpoints are comparable to ADAPTIVE's.
+    trace is comparable to ADAPTIVE's.  It logs no probe checkpoints.
     """
 
     def _limit_for_ball(self, i: int) -> int:

@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.baselines.greedy import DChoiceSession
 from repro.baselines.left import left_source, replay_group_map, seeded_group_choices
-from repro.baselines.memory_engine import chunked_weighted_memory_commit
+from repro.baselines.memory import _MemorySession
 from repro.core.protocol import AllocationProtocol, register_protocol
 from repro.core.result import RunResult, register_record_kind
 from repro.core.session import ProtocolSession
@@ -237,6 +237,8 @@ def _validate_weighted_run(
         raise ConfigurationError(f"n_bins must be positive, got {n_bins}")
     if w_max is None:
         w_max = float(weights.max()) if weights.size else 1.0
+    elif not 0 < w_max < np.inf:
+        raise ConfigurationError(f"w_max must be positive and finite, got {w_max}")
     elif weights.size and w_max < weights.max():
         raise ConfigurationError("w_max must dominate every ball weight")
     stream = probe_stream or RandomProbeStream(n_bins, seed)
@@ -248,14 +250,18 @@ def _validate_weighted_run(
 
 
 class _CountTally:
-    """Per-bin ball counts of a weighted session, tallied from ``assignments``.
+    """What a weighted session adds to the engine session it runs on.
 
-    Each read of :attr:`loads` bins only the balls placed since the previous
-    read, so a traced or polled run pays for its new balls and the bins at
-    each stage, not for every ball placed so far.
+    Per-bin ball counts tallied from ``assignments``: each read of
+    :attr:`loads` bins only the balls placed since the previous read, so a
+    traced or polled run pays for its new balls and the bins at each stage,
+    not for every ball placed so far.  ``w_max`` is the weight bound the
+    session resolved, and the finished record is the unified
+    :class:`WeightedRunResult` with the protocol's registry parameters.
     """
 
-    def _start_tally(self, n_bins: int) -> None:
+    def _start_tally(self, n_bins: int, w_max: float) -> None:
+        self.w_max = w_max
         self._counts = np.zeros(n_bins, dtype=np.int64)
         self._tallied = 0
 
@@ -265,6 +271,18 @@ class _CountTally:
         self._counts += np.bincount(new, minlength=self.n_bins)
         self._tallied = self.placed
         return self._counts
+
+    def _finalize(self) -> WeightedRunResult:
+        run = _result(
+            self.protocol.name,
+            self._weights,
+            self.weighted_loads,
+            self.loads,
+            self.probes,
+            self.w_max,
+        )
+        run.params = self.protocol.params()
+        return run
 
 
 def _result(
@@ -584,10 +602,9 @@ def run_weighted_memory(
     Candidates are the ``d`` fresh draws followed by the ``k`` remembered
     bins; the first least weighted-loaded candidate receives the ball's
     weight, and the ``k`` least loaded distinct candidates are remembered.
-    Runs through :func:`repro.baselines.memory_engine.chunked_weighted_memory_commit`
-    — bulk fresh draws with the scalar float commit rule, since the
-    continuous load values cannot ride the integer provisional scan; see
-    the engine module for the honest cost accounting.  With all-equal
+    Runs through :func:`repro.baselines.memory_engine.chunked_memory_commit`
+    given the weights — the unit protocol's scalar hand-off on float loads,
+    and the conflict-free commit engine at ``k = 0``.  With all-equal
     weights the per-bin counts reproduce the unit protocol probe-for-probe.
     This is :class:`WeightedMemoryProtocol`'s session on ``weights``, run to
     completion.
@@ -650,24 +667,6 @@ def _run(session: ProtocolSession) -> WeightedRunResult:
     return run
 
 
-def _finish(session) -> WeightedRunResult:
-    """The record every weighted session finishes with.
-
-    It carries the protocol's registry parameters and the weight bound the
-    session resolved.
-    """
-    run = _result(
-        session.protocol.name,
-        session._weights,
-        session.weighted_loads,
-        session.loads,
-        session.probes,
-        session.w_max,
-    )
-    run.params = session.protocol.params()
-    return run
-
-
 class _WeightedProtocolBase(AllocationProtocol):
     """Shared scaffolding of the weighted registry protocols.
 
@@ -698,8 +697,8 @@ class _WeightedProtocolBase(AllocationProtocol):
                 f"unknown weight distribution {weight_dist!r}; "
                 f"available: {sorted(WEIGHT_DISTRIBUTIONS)}"
             )
-        if w_max is not None and w_max <= 0:
-            raise ConfigurationError(f"w_max must be positive, got {w_max}")
+        if w_max is not None and not 0 < w_max < np.inf:
+            raise ConfigurationError(f"w_max must be positive and finite, got {w_max}")
         if chunk_size is not None and chunk_size < 1:
             raise ConfigurationError(f"chunk_size must be positive, got {chunk_size}")
         self.weight_dist = weight_dist
@@ -765,47 +764,16 @@ class _WeightedProtocolBase(AllocationProtocol):
         raise NotImplementedError
 
 
-class _WeightedSession(_CountTally, ProtocolSession):
-    """A weighted session over a fixed weight vector.
-
-    Each ball's bin lands in ``assignments``, from which the per-bin ball
-    counts are tallied; ``w_max`` is the weight bound the session resolved.
-    """
-
-    def __init__(
-        self,
-        protocol: _WeightedProtocolBase,
-        n_bins: int,
-        stream: ProbeStream,
-        weights: np.ndarray,
-        w_max: float,
-        record_trace: bool,
-    ) -> None:
-        super().__init__(
-            protocol, int(weights.size), n_bins, stream, record_trace=record_trace
-        )
-        self._weights = weights
-        self.w_max = w_max
-        self._wloads = np.zeros(n_bins, dtype=np.float64)
-        self.assignments = np.empty(weights.size, dtype=np.int64)
-        self._start_tally(n_bins)
-
-    @property
-    def weighted_loads(self) -> np.ndarray:
-        return self._wloads
-
-    def _finalize(self) -> WeightedRunResult:
-        return _finish(self)
-
-
-class _WeightedEngineSession(_WeightedSession):
+class _WeightedEngineSession(_CountTally, ProtocolSession):
     """Streaming weighted ADAPTIVE/THRESHOLD via the chunked engine.
 
     The full weight vector and the per-ball thresholds are fixed up front,
     so each :meth:`place` call simply drives
     :func:`~repro.core.weighted_engine.chunked_weighted_assign` over the
     next slice — the engine's chunk invariance makes any split of the
-    placement bit-identical.  ``max_probes`` is the runners' per-ball cap.
+    placement bit-identical.  Each ball's bin lands in ``assignments``,
+    from which the per-bin ball counts are tallied; ``w_max`` is the weight
+    bound the session resolved and ``max_probes`` the runners' per-ball cap.
     """
 
     def __init__(
@@ -819,10 +787,20 @@ class _WeightedEngineSession(_WeightedSession):
         thresholds: np.ndarray,
         max_probes: int | None,
     ) -> None:
-        super().__init__(protocol, n_bins, stream, weights, w_max, record_trace)
+        super().__init__(
+            protocol, int(weights.size), n_bins, stream, record_trace=record_trace
+        )
+        self._weights = weights
+        self._wloads = np.zeros(n_bins, dtype=np.float64)
+        self.assignments = np.empty(weights.size, dtype=np.int64)
+        self._start_tally(n_bins, w_max)
         self._thresholds = thresholds
         self._max_probes = max_probes
         self._probes = 0
+
+    @property
+    def weighted_loads(self) -> np.ndarray:
+        return self._wloads
 
     @property
     def probes(self) -> int:
@@ -932,11 +910,7 @@ class _WeightedDChoiceSession(_CountTally, DChoiceSession):
             chunk_size=protocol.chunk_size,
             record_trace=record_trace,
         )
-        self.w_max = w_max
-        self._start_tally(n_bins)
-
-    def _finalize(self) -> WeightedRunResult:
-        return _finish(self)
+        self._start_tally(n_bins, w_max)
 
 
 @register_protocol
@@ -1051,38 +1025,25 @@ class WeightedLeftProtocol(_WeightedProtocolBase):
         )
 
 
-class _WeightedMemorySession(_WeightedSession):
-    """Streaming weighted (d,k)-memory: remembered set persists across steps.
+class _WeightedMemorySession(_CountTally, _MemorySession):
+    """Streaming weighted (d,k)-memory finalising to the unified record.
 
-    The weight vector is fixed up front and each ``place`` call drives the
-    chunk-drawn scalar commit over the next slice; the scalar state (float
-    loads, remembered set) is exact at every boundary, so any split is
-    bit-identical.
+    The engine-side behaviour is
+    :class:`~repro.baselines.memory._MemorySession` given the weights; only
+    the finished record differs.
     """
 
     def __init__(self, protocol, n_bins, stream, weights, w_max, record_trace) -> None:
-        super().__init__(protocol, n_bins, stream, weights, w_max, record_trace)
-        self._memory: list[int] = []
-
-    @property
-    def probes(self) -> int:
-        return self.placed * self.protocol.d
-
-    def _remembered(self) -> tuple[int, ...]:
-        return tuple(int(b) for b in self._memory)
-
-    def _place(self, k: int) -> None:
-        start = self.placed
-        self._memory = chunked_weighted_memory_commit(
-            self.stream,
-            self._wloads,
-            self._memory,
-            self._weights[start : start + k],
-            self.protocol.d,
-            self.protocol.k,
-            assignments=self.assignments[start : start + k],
-            chunk_size=self.protocol.chunk_size,
+        super().__init__(
+            protocol,
+            int(weights.size),
+            n_bins,
+            stream,
+            record_trace=record_trace,
+            weights=weights,
+            chunk_size=protocol.chunk_size,
         )
+        self._start_tally(n_bins, w_max)
 
 
 @register_protocol

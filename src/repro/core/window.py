@@ -204,7 +204,7 @@ def _check_writeable(array, name: str = "loads") -> None:
         )
 
 
-def _check_weighted(loads, name: str = "loads") -> None:
+def _check_weighted(loads) -> None:
     """Reject loads that cannot hold weights: an integer vector truncates them.
 
     Every weighted in-place engine entry point calls this (after
@@ -212,7 +212,7 @@ def _check_weighted(loads, name: str = "loads") -> None:
     """
     if loads.dtype != np.float64:
         raise ConfigurationError(
-            f"{name} must be float64 to take ball weights, got {loads.dtype}"
+            f"loads must be float64 to take ball weights, got {loads.dtype}"
         )
 
 

@@ -284,8 +284,8 @@ class Dispatcher:
             raise ConfigurationError(f"d must be at least 1, got {d}")
         if k < 0:
             raise ConfigurationError(f"k must be non-negative, got {k}")
-        if w_max is not None and w_max <= 0:
-            raise ConfigurationError(f"w_max must be positive, got {w_max}")
+        if w_max is not None and not 0 < w_max < np.inf:
+            raise ConfigurationError(f"w_max must be positive and finite, got {w_max}")
         if policy in ("left", "weighted-left"):
             # Validates the equal-groups requirement of the replay contract.
             replay_group_map(n_servers, d)
@@ -508,18 +508,29 @@ class Dispatcher:
         stream's running total, so batch splits cannot perturb the float
         accumulation) and ``w_max_i`` either the fixed ``w_max`` parameter or
         the running maximum of all sizes seen.  ``self.work`` is updated in
-        place by the engine, in exact sequential per-server order.
+        place by the engine, in exact sequential per-server order; the
+        running totals move only once the engine has placed every job, so
+        a batch it fails leaves them as they were.
         """
-        thresholds = self._weighted_thresholds(sizes)
+        cumulative = np.cumsum(np.concatenate(([self.weight_dispatched], sizes)))[1:]
+        if self.w_max is not None:
+            bounds = np.full(sizes.size, self.w_max)
+        else:
+            bounds = np.maximum.accumulate(
+                np.concatenate(([self._w_max_seen], sizes))
+            )[1:]
         assignments = np.empty(sizes.size, dtype=np.int64)
         probes = chunked_weighted_assign(
             self.work,
             sizes,
-            thresholds,
+            cumulative / self.n_servers + bounds,
             self._stream,
             chunk_size=self.block_size,
             assignments=assignments,
         )
+        self.weight_dispatched = float(cumulative[-1])
+        if self.w_max is None:
+            self._w_max_seen = float(bounds[-1])
         _add_counts(self.job_counts, assignments)
         return assignments, probes
 
@@ -576,29 +587,6 @@ class Dispatcher:
             raise ConfigurationError(
                 f"job size {sizes.max()} exceeds the declared w_max={self.w_max}"
             )
-
-    def _weighted_thresholds(self, sizes: np.ndarray) -> np.ndarray:
-        """Per-job weighted acceptance thresholds; updates the running totals.
-
-        Thresholds are ``W_i/n + w_max_i`` with ``W_i`` the exact sequential
-        cumulative work (the batch cumsum is seeded with the stream's running
-        total, so batch splits cannot perturb the float accumulation) and
-        ``w_max_i`` either the fixed ``w_max`` parameter or the running
-        maximum of all sizes seen.  :meth:`_assign_batch` validates the
-        sizes before any state update, so a rejected batch leaves the
-        dispatcher untouched.
-        """
-        cumulative = np.cumsum(np.concatenate(([self.weight_dispatched], sizes)))[1:]
-        if self.w_max is not None:
-            bounds = np.full(sizes.size, self.w_max)
-        else:
-            bounds = np.maximum.accumulate(
-                np.concatenate(([self._w_max_seen], sizes))
-            )[1:]
-            self._w_max_seen = float(bounds[-1])
-        thresholds = cumulative / self.n_servers + bounds
-        self.weight_dispatched = float(cumulative[-1])
-        return thresholds
 
     # ------------------------------------------------------------------ #
     # Small-burst route
@@ -812,22 +800,6 @@ class Dispatcher:
             )
             for key in ("n_servers", "d", "k", *_OPTIONAL_INTS)
         }
-        try:
-            stream = probe_stream_from_state(state["probe_stream"])
-            dispatcher = cls(
-                ints.pop("n_servers"),
-                policy=config["policy"],
-                w_max=config["w_max"],
-                probe_stream=stream,
-                backend=config["backend"],
-                **ints,
-            )
-        except ConfigurationError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"dispatcher-state config or probe_stream is malformed: {exc!r}"
-            ) from exc
         probes = _state_int(state["probes"], "probes")
         jobs_dispatched = _state_int(state["jobs_dispatched"], "jobs_dispatched")
         try:
@@ -844,12 +816,28 @@ class Dispatcher:
                 "dispatcher-state job_counts must be a flat list of integers "
                 "and work a flat list of numbers"
             )
-        job_counts = job_counts.astype(np.int64, copy=False)
-        if job_counts.size != dispatcher.n_servers or work.size != dispatcher.n_servers:
+        # Checked before construction, which allocates n_servers-long state.
+        if not job_counts.size == work.size == ints["n_servers"]:
             raise ConfigurationError(
-                "dispatcher-state arrays do not match n_servers="
-                f"{dispatcher.n_servers}"
+                f"dispatcher-state arrays do not match n_servers={ints['n_servers']}"
             )
+        job_counts = job_counts.astype(np.int64, copy=False)
+        try:
+            stream = probe_stream_from_state(state["probe_stream"])
+            dispatcher = cls(
+                ints.pop("n_servers"),
+                policy=config["policy"],
+                w_max=config["w_max"],
+                probe_stream=stream,
+                backend=config["backend"],
+                **ints,
+            )
+        except ConfigurationError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"dispatcher-state config or probe_stream is malformed: {exc!r}"
+            ) from exc
         if job_counts.min() < 0:
             raise ConfigurationError(
                 "dispatcher-state job_counts hold a negative count "

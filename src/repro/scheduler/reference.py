@@ -54,8 +54,8 @@ def reference_dispatch(
         raise ConfigurationError(f"d must be at least 1, got {d}")
     if k < 0:
         raise ConfigurationError(f"k must be non-negative, got {k}")
-    if w_max is not None and w_max <= 0:
-        raise ConfigurationError(f"w_max must be positive, got {w_max}")
+    if w_max is not None and not 0 < w_max < np.inf:
+        raise ConfigurationError(f"w_max must be positive and finite, got {w_max}")
     if policy in ("left", "weighted-left") and n_servers % d:
         raise ConfigurationError(
             "the left policy needs n_servers divisible by d, got "

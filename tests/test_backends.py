@@ -22,10 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import DispatchSpec, Simulation, SimulationSpec, WorkloadSpec, simulate
 from repro.baselines.engine import _TAIL_ROWS, chunked_argmin_commit, matrix_source
-from repro.baselines.memory_engine import (
-    chunked_memory_commit,
-    chunked_weighted_memory_commit,
-)
+from repro.baselines.memory_engine import chunked_memory_commit
 from repro.core.backend import (
     DEFAULT_BACKEND,
     NumpyBackend,
@@ -499,9 +496,9 @@ class TestChunkInvariancePerBackend:
             states = []
             for chunk in (chunk_size, None):
                 loads = np.zeros(n, dtype=np.float64)
-                memory = chunked_weighted_memory_commit(
-                    FixedProbeStream(n, choices), loads, [], weights, d, k,
-                    chunk_size=chunk,
+                memory = chunked_memory_commit(
+                    FixedProbeStream(n, choices), loads, [], m, d, k,
+                    chunk_size=chunk, weights=weights,
                 )
                 states.append((loads, memory))
         assert np.array_equal(states[0][0], states[1][0])

@@ -292,6 +292,29 @@ class TestWeightedPolicy:
         )
         assert refused.state_dict() == control.state_dict()
 
+    @pytest.mark.parametrize("small_burst", [None, 0])
+    def test_failed_dispatch_leaves_running_totals_unchanged(self, small_burst):
+        """The running totals move only once the engine has placed the batch.
+
+        A restored state may hold pre-existing work; at 1e9 on every server
+        no job fits, so each call fails.  Its sizes exceed every size seen,
+        so both totals would move if they were written before the engine ran.
+        """
+        from repro.errors import SimulationError
+
+        dispatcher = Dispatcher(50, policy="weighted", small_burst=small_burst, seed=3)
+        dispatcher.dispatch_batch(np.full(10, 1.0))
+        state = dispatcher.state_dict()
+        state["work"] = [1e9] * 50
+        restored = Dispatcher.from_state(state)
+        for _ in range(2):
+            with pytest.raises(SimulationError):
+                restored.dispatch_batch(np.array([3.0, 4.0]))
+            after = restored.state_dict()
+            for key in ("weight_dispatched", "w_max_seen", "jobs_dispatched",
+                        "probes", "job_counts", "work"):
+                assert after[key] == state[key], key
+
     def test_reset_clears_weighted_state(self):
         dispatcher = Dispatcher(10, policy="weighted", seed=0)
         dispatcher.dispatch_batch(np.full(40, 2.5))

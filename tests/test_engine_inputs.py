@@ -22,10 +22,7 @@ from repro.baselines.engine import (
     chunked_argmin_commit,
     chunked_move_sweep,
 )
-from repro.baselines.memory_engine import (
-    chunked_memory_commit,
-    chunked_weighted_memory_commit,
-)
+from repro.baselines.memory_engine import chunked_memory_commit
 from repro.core.weighted_engine import chunked_weighted_assign
 from repro.errors import ConfigurationError
 from repro.runtime.probes import RandomProbeStream
@@ -212,8 +209,9 @@ class TestMemoryAndWeightedInputs:
             loads, assignments = UNWRITEABLE[case](), None
         stream = RandomProbeStream(len(loads), seed=1)
         with pytest.raises(ConfigurationError):
-            chunked_weighted_memory_commit(
-                stream, loads, [], FRACTIONAL, 2, 1, assignments=assignments
+            chunked_memory_commit(
+                stream, loads, [], BALLS, 2, 1, assignments=assignments,
+                weights=FRACTIONAL,
             )
         assert stream.consumed == 0
         assert not np.any(loads)

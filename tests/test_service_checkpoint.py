@@ -388,6 +388,19 @@ class TestRestoreValidation:
         restored = Dispatcher.from_state(state)
         assert restored.state_dict()["threshold_total"] == state["jobs_dispatched"]
 
+    def test_array_lengths_checked_before_allocating(self, tmp_path):
+        """A config and probe stream claiming 10^15 servers beside 10-entry
+        arrays used to raise MemoryError from the constructor's allocation."""
+        state = roundtrip(Dispatcher(10, policy="adaptive", seed=SEED).state_dict())
+        state["config"]["n_servers"] = 10**15
+        state["probe_stream"]["n_bins"] = 10**15
+        with pytest.raises(ConfigurationError, match="do not match n_servers"):
+            Dispatcher.from_state(state)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(state))
+        with pytest.raises(CheckpointError, match="huge.json"):
+            DispatchService.from_checkpoint(str(path))
+
     @pytest.mark.parametrize(
         "edit",
         [

@@ -32,11 +32,10 @@ STREAMING_PROTOCOLS = tuple(
 ROUND_AND_SWEEP_PROTOCOLS = ("rebalancing", "parallel-greedy", "parallel-collision")
 
 
-def assert_same_run(a, b, checkpoints: bool = True) -> None:
+def assert_same_run(a, b) -> None:
     assert np.array_equal(a.loads, b.loads)
     assert a.allocation_time == b.allocation_time
-    if checkpoints:
-        assert a.costs.probe_checkpoints == b.costs.probe_checkpoints
+    assert a.costs.probe_checkpoints == b.costs.probe_checkpoints
     wa = getattr(a, "weighted_loads", None)
     wb = getattr(b, "weighted_loads", None)
     assert (wa is None) == (wb is None)
@@ -81,8 +80,7 @@ class TestEveryStreamingProtocolTraces:
         traced = simulate(
             SimulationSpec(name, self.M, self.N, seed=3, record_trace=True)
         )
-        # Traced THRESHOLD also logs a checkpoint per stage; the run is the same.
-        assert_same_run(traced, plain, checkpoints=False)
+        assert_same_run(traced, plain)
         assert plain.trace is None
         assert len(traced.trace) == math.ceil(self.M / self.N)
         assert [r.stage for r in traced.trace] == list(range(len(traced.trace)))

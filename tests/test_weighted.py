@@ -82,6 +82,49 @@ class TestValidation:
             run(np.array([1.0, bad, 2.0]), 4, probe_stream=stream)
         assert stream.consumed == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "entry",
+        ["dispatcher", "reference-dispatch", "from-state", "dispatch-spec",
+         "simulation-spec", "protocol", "weighted-run"],
+    )
+    def test_non_finite_w_max_rejected_before_any_probe(self, entry, bad):
+        """``w_max <= 0`` is False for NaN, which passed every check: each
+        job then drew its whole probe cap and failed with SimulationError."""
+        from repro.api import DispatchSpec, SimulationSpec
+        from repro.core.weighted import WeightedAdaptiveProtocol
+        from repro.scheduler.dispatcher import Dispatcher
+        from repro.scheduler.jobs import uniform_workload
+        from repro.scheduler.reference import reference_dispatch
+
+        stream = FixedProbeStream(10, np.random.default_rng(1).integers(0, 10, 1000))
+        with pytest.raises(ConfigurationError, match="w_max"):
+            if entry == "dispatcher":
+                Dispatcher(10, policy="weighted", w_max=bad)
+            elif entry == "reference-dispatch":
+                reference_dispatch(
+                    uniform_workload(5),
+                    10,
+                    policy="weighted",
+                    w_max=bad,
+                    probe_stream=stream,
+                )
+            elif entry == "from-state":
+                state = Dispatcher(10, policy="weighted", w_max=2.0).state_dict()
+                state["config"]["w_max"] = bad
+                Dispatcher.from_state(state)
+            elif entry == "dispatch-spec":
+                DispatchSpec(policy="weighted", n_servers=10, params={"w_max": bad})
+            elif entry == "simulation-spec":
+                SimulationSpec("weighted-adaptive", 100, 10, params={"w_max": bad})
+            elif entry == "protocol":
+                WeightedAdaptiveProtocol(w_max=bad)
+            else:
+                reference_weighted_adaptive(
+                    np.ones(5), 10, probe_stream=stream, w_max=bad
+                )
+        assert stream.consumed == 0
+
 
 class TestAllocation:
     def test_zero_balls(self):
