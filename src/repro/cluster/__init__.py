@@ -4,12 +4,14 @@
 stream over N worker processes and streams schema-v1 record rows back as
 JSONL.  The moving parts:
 
-* :mod:`~repro.cluster.coordinator` — the asyncio coordinator:
-  pipelined dispatch (two shards per worker once it has replied once),
-  counter-based termination detection (``active``/``finished`` instead of
-  joins), shard retry on worker death, dedup of double-completed shards,
-  and the :func:`~repro.cluster.coordinator.run_cluster_sweep` synchronous
-  facade (``workers=0`` = in-process reference path);
+* :mod:`~repro.cluster.coordinator` — the coordinator, one driver thread
+  per worker calling its blocking handle directly: pipelined dispatch (two
+  shards per worker once it has replied once), counter-based termination
+  detection (``active``/``finished`` under one lock instead of joins),
+  shard retry on worker death, a deadline watchdog for hung workers, dedup
+  of double-completed shards, and the
+  :func:`~repro.cluster.coordinator.run_cluster_sweep` facade
+  (``workers=0`` = in-process reference path);
 * :mod:`~repro.cluster.worker` — the shard executor and blocking worker
   loop (shared by the in-process path, so rows are bit-identical);
 * :mod:`~repro.cluster.transport` — the :class:`Transport` seam (JSON

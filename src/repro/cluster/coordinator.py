@@ -1,20 +1,23 @@
-"""Async shard coordinator with counter-based termination detection.
+"""Threaded shard coordinator with counter-based termination detection.
 
 The coordinator turns a sweep — a list of :class:`~repro.api.SimulationSpec`
 shards — into a fan-out over N workers: every worker streams each shard's
 schema-v1 record rows back and takes the next pending shard as soon as it
 can, so a slow cell never staples the fast ones to a barrier.
 
+Each worker has one driver thread, which calls its handle's blocking
+``spawn``, ``send`` and ``recv`` directly: no event loop, and no thread
+pool between the driver and the pipe.
+
 Dispatch is pipelined, not stop-and-wait.  A worker's first shard goes
 alone (so the sweep's first streamed row waits on nothing else); once its
 first reply is in, the worker's driver keeps a window of
 :data:`_WINDOW` (two) shards on it: the one it is computing and one queued
 in its pipe, so it starts the next shard without waiting for the
-coordinator's round trip (a thread-pool hop to receive, the JSONL append,
-a hop to send).  Only an idle driver waits on the shard queue; with a
-shard in flight it tops its window up only from shards already queued,
-because waiting there would never read that shard's reply and the sweep's
-tail would deadlock.
+coordinator's round trip (the receive, the JSONL append, the next send).
+Only an idle driver waits on the shard queue; with a shard in flight it
+tops its window up only from shards already queued, because waiting there
+would never read that shard's reply and the sweep's tail would deadlock.
 
 Termination is detected the way the chaotic-relaxation SSSP engines do it —
 two monotone counters instead of joins:
@@ -25,17 +28,17 @@ two monotone counters instead of joins:
 * ``finished`` — distinct shards completed.
 
 The sweep is done exactly when ``finished == total`` and ``active == 0``;
-whichever worker-driver observes that state broadcasts stop sentinels to
-the rest.  A ``join()`` would hang on a killed worker; the counters instead
-convert worker loss into "the in-flight shards are lost": every one of
-them is requeued, the worker is respawned, and because shards are
-deterministic functions of their spec the retry regenerates bit-identical
-rows.  Only the oldest in-flight shard — the one the worker was running —
-is charged a retry (``stats["retries"]``, bounded per shard by
-``max_shard_retries``, then :class:`~repro.errors.ClusterError`); the one
-still queued in the dead worker's pipe goes back to the queue uncharged.
-Completions are deduplicated by shard id, so a transport that redelivers
-(or a retry racing a slow original) can never emit a shard's rows twice.
+whichever driver observes that state wakes the rest to stop.  A ``join()``
+on a worker would hang on a killed one; the counters instead convert
+worker loss into "the in-flight shards are lost": every one of them is
+requeued, the worker is respawned, and because shards are deterministic
+functions of their spec the retry regenerates bit-identical rows.  Only the
+oldest in-flight shard — the one the worker was running — is charged a
+retry (``stats["retries"]``, bounded per shard by ``max_shard_retries``,
+then :class:`~repro.errors.ClusterError`); the one still queued in the dead
+worker's pipe goes back to the queue uncharged.  Completions are
+deduplicated by shard id, so a transport that redelivers (or a retry racing
+a slow original) can never emit a shard's rows twice.
 
 Death is not the only failure mode: a merely *hung* worker (wedged process,
 stalled link, dropped frame) produces no EOF, so EOF-based loss detection
@@ -44,24 +47,30 @@ while a shard is in flight the coordinator requires *some* frame — the
 result, or a worker heartbeat sent every ``heartbeat_interval`` seconds
 while the shard computes — within every ``shard_deadline`` window, and
 every send must return within one window too (a send can block on a full
-or stalled link as surely as a receive).  A window that expires means the
-worker is hung; it is hard-killed and its shards go down the exact
-:class:`~repro.cluster.transport.WorkerLost` path (requeue, respawn,
-bit-identical retry), counted separately in ``stats["worker_hangs"]``.
-Heartbeats keep long-but-healthy shards from tripping the deadline, so the
-deadline can be set from acceptable *detection latency* rather than
-worst-case shard runtime.
+or stalled link as surely as a receive).  One watchdog thread, started
+only when a deadline is set, hard-kills the handle of any send or receive
+that outlives its window; the kill makes the blocked call raise
+:class:`~repro.cluster.transport.WorkerLost`, and its driver takes the
+exact loss path (requeue, respawn, bit-identical retry), counted
+separately in ``stats["worker_hangs"]``.  Heartbeats keep long-but-healthy
+shards from tripping the deadline, so the deadline can be set from
+acceptable *detection latency* rather than worst-case shard runtime.
 
-Inside the single-threaded asyncio loop the counters need no atomics — the
-fetch-and-add of the HPX exemplar degenerates to plain increments — but the
-protocol is the same, which is what lets a future TCP transport (or several
-coordinators sharing a work queue) keep the termination argument.
+The drivers share the shard queue, the counters, the dedup set, the stats
+and the row sink under one lock: the fetch-and-add of the HPX exemplar
+(``sync_fadd``) becomes an increment under that lock, and the termination
+argument is unchanged.  ``on_record`` and the JSONL append therefore run
+one call at a time, on the driver thread that received the rows.  Any
+exception in a driver aborts the sweep: the other drivers are woken, every
+blocked send or receive is killed, and :meth:`ClusterCoordinator.run`
+re-raises the exception once every worker is gone.
 """
 
 from __future__ import annotations
 
-import asyncio
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -86,19 +95,43 @@ DEFAULT_MAX_SHARD_RETRIES = 3
 #: and one queued in its pipe.  A window of 3 measured no better than 2.
 _WINDOW = 2
 
-#: Queue sentinel telling a worker driver to shut down.
+#: :meth:`ClusterCoordinator._next_shard`'s answer telling a driver to stop.
 _STOP = object()
 
 
 class _ShardHung(WorkerLost):
-    """Internal: a deadline window expired in a send or without any frame.
+    """Internal: a send or receive was killed by the coordinator.
 
-    A :class:`~repro.cluster.transport.WorkerLost` subtype so the driver's
-    loss handling applies unchanged; the extra type only routes the handle
-    teardown (hard kill — the worker may be alive but wedged, and killing
-    it is also what unblocks the abandoned executor ``send`` or ``recv``)
-    and the ``worker_hangs`` stat.
+    The watchdog kills a call that outlived its deadline window (an abort
+    kills every blocked call the same way).  A
+    :class:`~repro.cluster.transport.WorkerLost` subtype, so the driver's
+    loss handling applies unchanged; the extra type only routes the
+    ``worker_hangs`` stat and leaves the handle's teardown to the killer.
     """
+
+
+class _Call:
+    """A driver's blocking send or receive, open to the watchdog and aborts.
+
+    ``killed`` is set under the coordinator's lock by the one thread that
+    claims the kill; that thread then kills the handle and owns its
+    teardown, so the driver neither waits for nor repeats it.
+    """
+
+    __slots__ = ("handle", "expires", "killed")
+
+    def __init__(self, handle: Any, expires: float) -> None:
+        self.handle = handle
+        self.expires = expires
+        self.killed = False
+
+
+def _kill(calls: list[_Call]) -> None:
+    for call in calls:
+        try:
+            call.handle.kill()
+        except Exception:  # pragma: no cover - already dead
+            pass
 
 
 @dataclass(frozen=True)
@@ -168,7 +201,9 @@ class ClusterCoordinator:
         queued behind it.
     on_record:
         Optional callback invoked with every row as its shard completes
-        (the JSONL streaming hook).
+        (the JSONL streaming hook).  It runs on the driver thread that
+        received the rows, under the coordinator's lock, one call at a
+        time; an exception it raises aborts the sweep.
     completed_shards:
         Shard ids already done (the ``--resume`` prefix); they are skipped
         entirely and their rows are *not* re-emitted.
@@ -258,43 +293,60 @@ class ClusterCoordinator:
         self._handles: dict[int, Any] = {}
         self._error: BaseException | None = None
         self._stopped = False
+        # What the drivers share (the state above, the queue and the calls
+        # below) is read and written under this one lock; idle drivers and
+        # the watchdog wait on its condition.
+        self._lock = threading.Lock()
+        self._wake = threading.Condition(self._lock)
+        self._queue: deque[Shard] = deque()
+        self._calls: dict[int, _Call] = {}  # worker id -> its blocked call
 
     # ------------------------------------------------------------------ #
     def worker_pids(self) -> dict[int, int | None]:
-        """Live worker ids → OS pids (fault-injection/test hook)."""
-        return {wid: handle.pid for wid, handle in self._handles.items()}
+        """Live worker ids → OS pids (fault-injection/test hook).
+
+        Lock-free, so ``on_record`` (which runs under the lock) may call it.
+        """
+        return {wid: handle.pid for wid, handle in list(self._handles.items())}
 
     # ------------------------------------------------------------------ #
-    async def run(self) -> list[dict[str, Any]]:
-        """Execute every pending shard; return the newly computed rows."""
-        pending = [s for s in self.shards if s.shard_id not in self._resumed]
+    def run(self) -> list[dict[str, Any]]:
+        """Execute every pending shard; return the newly computed rows.
+
+        Blocks until the sweep is done or aborted; re-raises the first
+        exception of any driver (or of the calling thread, such as a
+        ``KeyboardInterrupt``) after every worker has been killed.
+        """
         self._total = len(self.shards)
-        if not pending:
+        self._queue.extend(s for s in self.shards if s.shard_id not in self._resumed)
+        if not self._queue:
             return []
-        self._queue: asyncio.Queue = asyncio.Queue()
-        for shard in pending:
-            self._queue.put_nowait(shard)
-        loop = asyncio.get_running_loop()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.workers + 1, thread_name_prefix="repro-cluster"
-        )
-        try:
-            drivers = [
-                loop.create_task(self._drive(wid)) for wid in range(self.workers)
-            ]
-            results = await asyncio.gather(*drivers, return_exceptions=True)
-            for outcome in results:
-                if isinstance(outcome, BaseException) and self._error is None:
-                    self._error = outcome
-            if self._error is not None:
-                raise self._error
-            if not self.counters.quiescent(self._total):  # pragma: no cover
-                raise ClusterError(
-                    "coordinator stopped non-quiescent: "
-                    f"finished={self.counters.finished}/{self._total}, "
-                    f"active={self.counters.active}"
+        threads = [
+            threading.Thread(
+                target=self._drive,
+                args=(wid,),
+                name=f"repro-cluster-driver-{wid}",
+                daemon=True,
+            )
+            for wid in range(self.workers)
+        ]
+        if self.shard_deadline is not None:
+            threads.append(
+                threading.Thread(
+                    target=self._watch, name="repro-cluster-watchdog", daemon=True
                 )
-            return self._records
+            )
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        except BaseException as exc:  # the calling thread was interrupted
+            self._abort(exc)
+            for thread in threads:
+                if thread.ident is not None:
+                    thread.join()
+            raise
         finally:
             for handle in list(self._handles.values()):
                 try:
@@ -303,29 +355,42 @@ class ClusterCoordinator:
                     pass
             self._handles.clear()
             self.transport.shutdown()
-            self._executor.shutdown(wait=False)
+        if self._error is not None:
+            raise self._error
+        if not self.counters.quiescent(self._total):  # pragma: no cover
+            raise ClusterError(
+                "coordinator stopped non-quiescent: "
+                f"finished={self.counters.finished}/{self._total}, "
+                f"active={self.counters.active}"
+            )
+        return self._records
 
     # ------------------------------------------------------------------ #
-    def _call(self, fn, *args) -> asyncio.Future:
-        # A bare executor future, so ``wait_for`` wraps no task around it:
-        # fewer event-loop turns per send and recv, each of which waits for
-        # the GIL while forks and executor threads hold it.
-        return asyncio.get_running_loop().run_in_executor(self._executor, fn, *args)
-
+    # Shared state: every method below that takes no lock runs under it.
+    # ------------------------------------------------------------------ #
     def _abort(self, exc: BaseException) -> None:
-        if self._error is None:
-            self._error = exc
-        self._broadcast_stop()
+        """Stop the sweep on ``exc``: wake every driver, kill every call."""
+        with self._lock:
+            if self._error is None:
+                self._error = exc
+            self._stop()
+            calls = self._claim(self._calls.values())
+        _kill(calls)
 
-    def _broadcast_stop(self) -> None:
-        if not self._stopped:
-            self._stopped = True
-            for _ in range(self.workers):
-                self._queue.put_nowait(_STOP)
+    def _stop(self) -> None:
+        self._stopped = True
+        self._wake.notify_all()
+
+    def _claim(self, calls: Iterable[_Call]) -> list[_Call]:
+        """Take the kill of each call not already claimed by another thread."""
+        claimed = [call for call in calls if not call.killed]
+        for call in claimed:
+            call.killed = True
+        return claimed
 
     def _check_done(self) -> None:
         if self.counters.quiescent(self._total):
-            self._broadcast_stop()
+            self._stop()
 
     def _complete(self, shard_id: int, records: list[dict[str, Any]]) -> None:
         """Record a shard completion; duplicates are counted and dropped."""
@@ -335,9 +400,9 @@ class ClusterCoordinator:
         self._completed.add(shard_id)
         self.counters.completed()
         self.stats["shards_run"] += 1
-        for record in records:
-            self._records.append(record)
-            if self.on_record is not None:
+        self._records.extend(records)
+        if self.on_record is not None:
+            for record in records:
                 self.on_record(record)
 
     def _lose(self, in_flight: list[Shard]) -> None:
@@ -363,121 +428,152 @@ class ClusterCoordinator:
                         f"to worker death {attempts} times "
                         f"(max_shard_retries={self.max_shard_retries})"
                     )
-            self._queue.put_nowait(shard)
+            self._queue.append(shard)
+        self._wake.notify_all()
 
-    async def _within_deadline(self, handle, operation: str, *args) -> Any:
-        """Run ``handle.<operation>`` off the loop, bounded by the deadline.
-
-        Sends run in the executor too: a send can block (a full pipe, a
-        stalled link, a chaos delay or hang), and the event loop drives
-        every worker.  The executor thread stays blocked past a timeout (a
-        thread cannot be cancelled); the caller's hang handling hard-kills
-        the worker, which severs the pipe/socket and unblocks that thread
-        with :class:`WorkerLost` — whose result is then discarded with the
-        abandoned future.
-        """
-        future = self._call(getattr(handle, operation), *args)
-        if self.shard_deadline is None:
-            return await future
-        try:
-            return await asyncio.wait_for(future, timeout=self.shard_deadline)
-        except asyncio.TimeoutError:
-            raise _ShardHung(
-                f"worker {handle.worker_id}: {operation} made no progress for "
-                f"{self.shard_deadline:g}s (shard deadline exceeded)"
-            ) from None
-
-    async def _next_shard(self, busy: bool) -> Any:
+    def _next_shard(self, busy: bool) -> Any:
         """The next shard to dispatch, ``_STOP``, or ``None`` for "none now".
 
         An idle driver waits for work; a busy one only takes what is
         already queued (see the module docstring).  Shards completed while
         they sat in the queue are skipped.
         """
-        while True:
-            if busy:
-                if self._queue.empty():
-                    return None
-                shard = self._queue.get_nowait()
+        while not self._stopped:
+            if self._queue:
+                shard = self._queue.popleft()
+                if shard.shard_id not in self._completed:
+                    return shard
+                self._check_done()
+            elif busy:
+                return None
             else:
-                shard = await self._queue.get()
-            if shard is _STOP or self._error is not None:
-                return _STOP
-            if shard.shard_id not in self._completed:
-                return shard
-            self._check_done()
+                self._wake.wait()
+        return _STOP
 
-    async def _drive(self, worker_id: int) -> None:
-        """One worker's driver: spawn it, keep its window full, absorb loss."""
-        handle = await self._call(self.transport.spawn, worker_id)
-        self._handles[worker_id] = handle
+    # ------------------------------------------------------------------ #
+    # Driver and watchdog threads
+    # ------------------------------------------------------------------ #
+    def _blocking(self, worker_id: int, handle: Any, operation: str, *args) -> Any:
+        """``handle.<operation>(*args)``, killable by the watchdog or an abort.
+
+        A killed call raises :class:`_ShardHung` whatever the handle did:
+        its reply, if one raced the kill, is discarded with the worker,
+        whose teardown belongs to the killing thread.
+        """
+        window = self.shard_deadline
+        call = _Call(handle, time.monotonic() + window if window else 0.0)
+        with self._lock:
+            if self._error is not None:
+                raise WorkerLost("sweep aborted")
+            self._calls[worker_id] = call
+        try:
+            return getattr(handle, operation)(*args)
+        finally:
+            with self._lock:
+                del self._calls[worker_id]
+            if call.killed:
+                raise _ShardHung(
+                    f"worker {worker_id}: {operation} made no progress "
+                    "within the shard deadline"
+                )
+
+    def _spawn(self, worker_id: int) -> Any:
+        """Spawn worker ``worker_id``; ``None`` if the sweep stopped meanwhile."""
+        handle = self.transport.spawn(worker_id)
+        with self._lock:
+            self._handles[worker_id] = handle
+            return None if self._error is not None else handle
+
+    def _drive(self, worker_id: int) -> None:
+        """A driver thread: any exception aborts the sweep; ``run`` re-raises it."""
+        try:
+            self._run_worker(worker_id)
+        except BaseException as exc:
+            self._abort(exc)
+
+    def _run_worker(self, worker_id: int) -> None:
+        """Spawn worker ``worker_id``, keep its window full, absorb its loss."""
+        handle = self._spawn(worker_id)
         in_flight: list[Shard] = []  # oldest first: the one the worker runs
         window = 1  # opens to _WINDOW once this handle's first reply is in
-        while True:
+        while handle is not None:
             try:
                 while len(in_flight) < window:
-                    shard = await self._next_shard(busy=bool(in_flight))
-                    if shard is _STOP:
-                        return
-                    if shard is None:
-                        break
+                    with self._lock:
+                        shard = self._next_shard(busy=bool(in_flight))
+                        if shard is _STOP:
+                            return
+                        if shard is None:
+                            break
+                        self.counters.dispatched()
+                        in_flight.append(shard)
                     payload = shard.payload()
                     if self.heartbeat_interval is not None:
                         payload["heartbeat"] = self.heartbeat_interval
-                    self.counters.dispatched()
-                    in_flight.append(shard)
-                    await self._within_deadline(handle, "send", payload)
-                reply = await self._within_deadline(handle, "recv")
+                    self._blocking(worker_id, handle, "send", payload)
+                reply = self._blocking(worker_id, handle, "recv")
             except WorkerLost as lost:
-                if isinstance(lost, _ShardHung):
-                    # The worker may be alive but wedged: hard-kill it so
-                    # its shards can't complete twice and the executor
-                    # thread blocked in send or recv gets its EOF.
-                    self.stats["worker_hangs"] += 1
+                with self._lock:
+                    if self._error is not None:
+                        return  # the abort's kill, not a loss to retry
+                    hung = isinstance(lost, _ShardHung)
+                    if hung:
+                        self.stats["worker_hangs"] += 1
+                    self.stats["worker_deaths"] += 1
+                    self._lose(in_flight)
+                    self._check_done()
+                in_flight, window = [], 1
+                if not hung:  # a hung handle is the watchdog's to tear down
                     try:
-                        await self._call(handle.kill)
+                        handle.close()
                     except Exception:  # pragma: no cover - already dead
                         pass
-                self.stats["worker_deaths"] += 1
-                try:
-                    self._lose(in_flight)
-                except ClusterError as exc:
-                    self._abort(exc)
-                    raise
-                in_flight, window = [], 1
-                self._check_done()
-                try:
-                    handle.close()
-                except Exception:  # pragma: no cover - already dead
-                    pass
-                handle = await self._call(self.transport.spawn, worker_id)
-                self._handles[worker_id] = handle
+                handle = self._spawn(worker_id)
                 continue
             if reply.get("type") == "heartbeat":
                 # Liveness proof from a long-running shard: the deadline
                 # window restarts with the next recv.
                 continue
             if reply.get("type") == "error":
-                self.counters.resolved()
-                exc = ClusterError(
+                raise ClusterError(
                     f"shard {reply.get('shard_id')} failed "
                     f"deterministically on worker {worker_id}: "
                     f"{reply.get('error')} (not retried — the same "
                     "spec would fail the same way)"
                 )
-                self._abort(exc)
-                raise exc
             shard_id = int(reply["shard_id"])
-            self._complete(shard_id, list(reply.get("records", [])))
-            # A reply for no shard in flight here is a stale or duplicate
-            # delivery, already absorbed by _complete: keep waiting.
-            for index, shard in enumerate(in_flight):
-                if shard.shard_id == shard_id:
-                    del in_flight[index]
-                    self.counters.resolved()
-                    window = _WINDOW
-                    self._check_done()
-                    break
+            records = list(reply.get("records", []))
+            with self._lock:
+                if self._error is not None:
+                    return  # an aborted sweep emits no more rows
+                self._complete(shard_id, records)
+                # A reply for no shard in flight here is a stale or duplicate
+                # delivery, already absorbed by _complete: keep waiting.
+                for index, shard in enumerate(in_flight):
+                    if shard.shard_id == shard_id:
+                        del in_flight[index]
+                        self.counters.resolved()
+                        window = _WINDOW
+                        self._check_done()
+                        break
+
+    def _watch(self) -> None:
+        """The watchdog thread: kill each call that outlives its window."""
+        while True:
+            with self._lock:
+                if self._stopped:
+                    return
+                now = time.monotonic()
+                live = [call for call in self._calls.values() if not call.killed]
+                expired = self._claim(call for call in live if call.expires <= now)
+                if not expired:
+                    wake = min(
+                        (call.expires for call in live),
+                        default=now + self.shard_deadline,
+                    )
+                    self._wake.wait(wake - now)
+                    continue
+            _kill(expired)
 
 
 # --------------------------------------------------------------------- #
@@ -512,7 +608,8 @@ def run_cluster_sweep(
     workers:
         ``0`` (default) runs every shard in-process — the single-process
         reference the distributed row multiset is certified against;
-        ``N >= 1`` spawns N transport workers behind the async coordinator.
+        ``N >= 1`` spawns N transport workers, each driven by one coordinator
+        thread.
     out:
         Optional JSONL path; rows stream to it as shards complete.
     resume:
@@ -588,7 +685,7 @@ def run_cluster_sweep(
                 shard_deadline=shard_deadline,
                 heartbeat_interval=heartbeat_interval,
             )
-            new_records = asyncio.run(coordinator.run())
+            new_records = coordinator.run()
             run_stats = coordinator.stats
 
     if stats is not None:

@@ -72,19 +72,25 @@ def iter_jsonl(path: str | os.PathLike) -> Iterator[dict[str, Any]]:
     """Yield records from a JSONL file, tolerating a truncated final line.
 
     A crash mid-append leaves at most one torn line at the end of the file;
-    that line is silently skipped.  A malformed line anywhere *else* is
-    corruption, not truncation, and raises
+    that line is silently skipped.  A malformed line anywhere *else* (not
+    UTF-8, or not JSON) is corruption, not truncation, and raises
     :class:`~repro.errors.ConfigurationError` naming the line number.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    for _, record in _numbered_jsonl(path):
+        yield record
+
+
+def _numbered_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, Any]]:
+    """``(line number, value)`` for each non-blank line; see :func:`iter_jsonl`."""
+    with open(path, "rb") as handle:
         lines = handle.readlines()
     for number, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
         try:
-            yield json.loads(stripped)
-        except json.JSONDecodeError as exc:
+            yield number, json.loads(stripped.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # not UTF-8, JSON or shallow
             if number == len(lines):
                 return  # torn final line from an interrupted append
             raise ConfigurationError(
@@ -119,22 +125,25 @@ def resume_scan(path: str | os.PathLike, shards: list["Shard"]) -> ResumeState:
     A shard counts as complete when the file holds one row for every one of
     its ``trials`` distinct trial indices.  Duplicate (shard, trial) rows —
     possible only if a file was concatenated by hand — keep their first
-    occurrence.  Rows that cannot belong to the sweep (shard id out of
+    occurrence.  Lines that cannot belong to the sweep (not a JSON object,
+    a ``shard`` or ``trial`` that is not an integer, a shard id out of
     range, or identity fields disagreeing with the shard's spec) raise
-    :class:`~repro.errors.ConfigurationError`: resuming someone else's
-    results file silently would corrupt the sweep.
+    :class:`~repro.errors.ConfigurationError` naming the line: resuming
+    someone else's results file silently would corrupt the sweep.
     """
     by_shard: dict[int, dict[int, dict[str, Any]]] = {}
-    for row in iter_jsonl(path):
-        if "shard" not in row or "trial" not in row:
+    for number, row in _numbered_jsonl(path):
+        where = f"{path}: line {number}"
+        if not isinstance(row, dict) or "shard" not in row or "trial" not in row:
             raise ConfigurationError(
-                f"{path}: row without shard/trial provenance — not a cluster "
-                "sweep results file"
+                f"{where}: not a row with shard/trial provenance — not a "
+                "cluster sweep results file"
             )
-        shard_id = int(row["shard"])
+        shard_id = _provenance(row, "shard", where)
+        trial = _provenance(row, "trial", where)
         if shard_id < 0 or shard_id >= len(shards):
             raise ConfigurationError(
-                f"{path}: row references shard {shard_id} but the sweep has "
+                f"{where}: row references shard {shard_id} but the sweep has "
                 f"{len(shards)} shards — results file belongs to a different sweep"
             )
         spec = shards[shard_id].spec
@@ -145,11 +154,11 @@ def resume_scan(path: str | os.PathLike, shards: list["Shard"]) -> ResumeState:
         ):
             if row.get(key) != expected:
                 raise ConfigurationError(
-                    f"{path}: shard {shard_id} row has {key}={row.get(key)!r} "
+                    f"{where}: shard {shard_id} row has {key}={row.get(key)!r} "
                     f"but the sweep's spec says {expected!r} — results file "
                     "belongs to a different sweep"
                 )
-        by_shard.setdefault(shard_id, {}).setdefault(int(row["trial"]), row)
+        by_shard.setdefault(shard_id, {}).setdefault(trial, row)
 
     state = ResumeState()
     for shard_id, rows in by_shard.items():
@@ -163,6 +172,14 @@ def resume_scan(path: str | os.PathLike, shards: list["Shard"]) -> ResumeState:
         rows = by_shard[shard_id]
         state.records.extend(rows[trial] for trial in sorted(rows))
     return state
+
+
+def _provenance(row: dict[str, Any], key: str, where: str) -> int:
+    """A row's ``shard`` or ``trial`` index, which must be a JSON integer."""
+    value = row[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{where}: {key} must be an integer, got {value!r}")
+    return value
 
 
 def rewrite_jsonl(path: str | os.PathLike, records: list[dict[str, Any]]) -> None:

@@ -13,6 +13,14 @@ Loss semantics are part of the contract: :meth:`WorkerHandle.send` and
 signal, not a user-facing error, so it derives from plain ``Exception``
 rather than the :mod:`repro.errors` hierarchy.
 
+Threading is part of it too.  The coordinator drives each handle from one
+thread of its own, which calls ``send`` and ``recv`` directly and may block
+in them.  :meth:`WorkerHandle.kill` may be called from another thread (the
+coordinator's deadline watchdog, or an aborting sweep) while that ``send``
+or ``recv`` blocks, and it must make the blocked call raise
+:class:`WorkerLost` promptly.  Rows reach the coordinator's ``on_record``
+on its driver threads, one call at a time.
+
 :class:`MultiprocessingTransport` is the default implementation: one
 ``multiprocessing.Process`` per worker, a duplex pipe per process, and the
 :func:`repro.cluster.worker.worker_main` loop on the far side.
@@ -73,7 +81,11 @@ class WorkerHandle(Protocol):
         ...
 
     def kill(self) -> None:
-        """Hard-kill the worker (fault injection / abort paths)."""
+        """Hard-kill the worker (fault injection / deadline / abort paths).
+
+        May run on another thread while ``send`` or ``recv`` blocks; that
+        call must then raise :class:`WorkerLost`.
+        """
         ...
 
     @property

@@ -26,7 +26,10 @@ fault            observable effect
 A chaos sweep therefore **requires** a ``shard_deadline`` on the
 coordinator whenever ``drop``/``hang`` probabilities are non-zero: those
 faults produce no EOF, and only the deadline converts them into
-:class:`~repro.cluster.transport.WorkerLost`.
+:class:`~repro.cluster.transport.WorkerLost`.  A ``delay`` or ``hang`` is
+waited out on an event that :meth:`ChaosWorkerHandle.kill` sets, so the
+deadline's kill frees the blocked ``send`` or ``recv`` at once, as the
+handle contract requires.
 
 :class:`ChaosConnection` applies the same scheduled faults to the service's
 blocking client framing (drop/truncate sever the connection, duplicate
@@ -72,6 +75,7 @@ class ChaosWorkerHandle:
         self._incarnation = incarnation
         self._log_lock = threading.Lock()
         self._dup_pending: list[dict[str, Any]] = []
+        self._killed = threading.Event()
 
     # ------------------------------------------------------------------ #
     @property
@@ -86,6 +90,14 @@ class ChaosWorkerHandle:
         with self._log_lock:
             self._log.append(
                 (self._inner.worker_id, self._incarnation, operation, kind)
+            )
+
+    def _wait(self, operation: str, kind: str, seconds: float) -> None:
+        """Sleep out an injected delay or hang, cut short by :meth:`kill`."""
+        if self._killed.wait(seconds):
+            raise WorkerLost(
+                f"worker {self.worker_id} killed during an injected {kind} "
+                f"of its {operation}"
             )
 
     def _sever(self) -> None:
@@ -107,8 +119,8 @@ class ChaosWorkerHandle:
         self._record("send", fault.kind)
         if fault.kind == "drop":
             return  # the frame evaporates: no delivery, no error, no EOF
-        if fault.kind == "delay":
-            time.sleep(fault.seconds)
+        if fault.kind in ("delay", "hang"):
+            self._wait("send", fault.kind, fault.seconds)
             self._inner.send(message)
             return
         if fault.kind == "duplicate":
@@ -129,10 +141,6 @@ class ChaosWorkerHandle:
             except WorkerLost:
                 pass
             return
-        if fault.kind == "hang":
-            time.sleep(fault.seconds)
-            self._inner.send(message)
-            return
         raise ConfigurationError(  # pragma: no cover - FAULT_KINDS is closed
             f"unknown fault kind {fault.kind!r}"
         )
@@ -146,13 +154,11 @@ class ChaosWorkerHandle:
             if fault.kind == "drop":
                 self._inner.recv()  # the delivered frame evaporates
                 return self._inner.recv()
-            if fault.kind == "delay":
-                time.sleep(fault.seconds)
-            elif fault.kind == "hang":
-                # The worker (or the link) wedges: nothing is delivered for
-                # hang_seconds.  If the coordinator's deadline killed the
-                # worker meanwhile, the recv below raises WorkerLost.
-                time.sleep(fault.seconds)
+            if fault.kind in ("delay", "hang"):
+                # A hang is the worker (or the link) wedging: nothing is
+                # delivered for hang_seconds, unless the coordinator's
+                # deadline kills the handle first.
+                self._wait("recv", fault.kind, fault.seconds)
             elif fault.kind in ("truncate", "kill"):
                 self._sever()
             elif fault.kind == "duplicate":
@@ -166,6 +172,7 @@ class ChaosWorkerHandle:
         self._inner.close()
 
     def kill(self) -> None:
+        self._killed.set()
         self._inner.kill()
 
 

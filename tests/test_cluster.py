@@ -10,11 +10,15 @@ active/finished counters rather than process joins.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
+import tempfile
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     ClusterCoordinator,
@@ -293,9 +297,7 @@ class TestFaultTolerance:
             SWEEP.specs(), workers=2, transport=transport, on_record=on_record
         )
         coordinator_box["c"] = coordinator
-        import asyncio
-
-        rows = asyncio.run(coordinator.run())
+        rows = coordinator.run()
         assert killed, "kill hook never fired"
         assert_same_rows(rows, reference_rows)
 
@@ -340,6 +342,153 @@ class TestFaultTolerance:
 
         with pytest.raises(ClusterError, match="deterministically"):
             run_cluster_sweep(SWEEP, workers=1, transport=ErrorTransport())
+
+
+# --------------------------------------------------------------------- #
+# Aborts and teardown: a failed sweep stops at once and leaves nothing
+# --------------------------------------------------------------------- #
+#: Twelve THRESHOLD shards: enough that both workers are mid-sweep when
+#: the third row is emitted.
+ABORT_SPECS = SweepConfig(
+    protocols=("threshold",),
+    n_bins=50,
+    ball_grid=tuple(100 + 10 * i for i in range(12)),
+    trials=3,
+    seed=7,
+).specs()
+
+
+def cluster_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("repro-cluster")]
+
+
+def finish_within(call, timeout=30.0):
+    """Run ``call()`` in a thread; fail (not hang) past ``timeout`` seconds.
+
+    Returns ``{"result": ...}`` or ``{"error": exception}``.
+    """
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = call()
+        except BaseException as exc:  # handed to the test
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"sweep still running after {timeout} s"
+    return outcome
+
+
+class BadSpecTransport(MultiprocessingTransport):
+    """Real worker processes that receive an invalid spec for shard 1.
+
+    The worker's ``SimulationSpec.from_dict`` rejects it, so the worker
+    replies with a deterministic ``error`` frame.
+    """
+
+    def spawn(self, worker_id):
+        handle = super().spawn(worker_id)
+        send = handle.send
+
+        def corrupt(message):
+            if message.get("shard_id") == 1:
+                message = dict(message, spec=dict(message["spec"], n_balls=-1))
+            send(message)
+
+        handle.send = corrupt
+        return handle
+
+
+class TestAbortAndTeardown:
+    @pytest.mark.parametrize("sink", ["on_record", "jsonl"])
+    def test_failing_row_sink_aborts_the_sweep(self, sink, monkeypatch, tmp_path):
+        # A driver whose row sink raised used to die with its shard still
+        # counted active: quiescence never came and the other driver waited
+        # on the queue forever, with both workers alive.
+        from repro.cluster import coordinator
+        from repro.cluster.stream import JsonlWriter
+
+        emitted = []
+
+        def on_record(record):
+            emitted.append(record)
+            if sink == "on_record" and len(emitted) == 3:
+                raise RuntimeError("row sink failed")
+
+        class FailingWriter(JsonlWriter):
+            def write(self, record):
+                if len(emitted) == 2:
+                    raise OSError("disk full")
+                super().write(record)
+
+        if sink == "jsonl":
+            monkeypatch.setattr(coordinator, "JsonlWriter", FailingWriter)
+        before = set(multiprocessing.active_children())
+        outcome = finish_within(
+            lambda: run_cluster_sweep(
+                ABORT_SPECS, workers=2, out=str(tmp_path / "rows.jsonl"), on_record=on_record
+            )
+        )
+        expected = RuntimeError if sink == "on_record" else OSError
+        assert isinstance(outcome.get("error"), expected), outcome
+        assert len(emitted) < 3 * len(ABORT_SPECS)
+        assert cluster_threads() == []
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_drivers_share_state_without_lost_updates(self):
+        # More drivers than cores, every reply delivered twice, and a
+        # switch interval short enough to interleave the drivers inside
+        # any unlocked read-modify-write: a lost update of the counters or
+        # the dedup set would emit a shard twice or never reach quiescence.
+        import sys
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stats = {}
+            outcome = finish_within(
+                lambda: run_cluster_sweep(
+                    ABORT_SPECS, workers=4, transport=DuplicatingTransport(), stats=stats
+                )
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_rows(outcome["result"], run_cluster_sweep(ABORT_SPECS, workers=0))
+        assert stats["shards_run"] == len(ABORT_SPECS)
+        assert cluster_threads() == []
+
+    @pytest.mark.parametrize("ending", ["success", "shard_error", "hung_retries"])
+    def test_nothing_left_running(self, ending, reference_rows):
+        # Whether the sweep returns, aborts on a deterministic shard error
+        # or exhausts its retries on workers whose sends always hang, every
+        # coordinator thread is joined and every worker process reaped.
+        from repro.resilience import ChaosTransport, FaultPlan, FaultSchedule
+
+        before = set(multiprocessing.active_children())
+        kwargs = dict(workers=2)
+        if ending == "shard_error":
+            kwargs["transport"] = BadSpecTransport()
+        elif ending == "hung_retries":
+            plan = FaultPlan(hang=1.0, hang_seconds=5.0)
+            kwargs.update(
+                transport=ChaosTransport(FaultSchedule(plan, seed=1)),
+                shard_deadline=0.2,
+                max_shard_retries=1,
+            )
+        outcome = finish_within(lambda: run_cluster_sweep(SWEEP, **kwargs))
+        if ending == "success":
+            assert_same_rows(outcome["result"], reference_rows)
+        elif ending == "shard_error":
+            assert isinstance(outcome.get("error"), ClusterError)
+            assert "deterministically" in str(outcome["error"])
+        else:
+            assert isinstance(outcome.get("error"), ClusterError)
+            assert "max_shard_retries" in str(outcome["error"])
+        assert cluster_threads() == []
+        assert set(multiprocessing.active_children()) <= before
 
 
 # --------------------------------------------------------------------- #
@@ -390,9 +539,10 @@ class ScriptedHandle(FakeHandle):
 
 def run_coordinator(coordinator):
     """Run a sweep, failing (not hanging) if it never terminates."""
-    import asyncio
-
-    return asyncio.run(asyncio.wait_for(coordinator.run(), timeout=60))
+    outcome = finish_within(coordinator.run, timeout=60)
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
 
 
 class TestPipelinedDispatch:
@@ -500,6 +650,47 @@ class TestConfigurationErrors:
 # --------------------------------------------------------------------- #
 # Resume
 # --------------------------------------------------------------------- #
+#: Three small shards of two trials each for the resume-file fuzz.
+RESUME_SHARDS = [
+    Shard(i, spec)
+    for i, spec in enumerate(
+        SweepConfig(
+            protocols=("threshold",), n_bins=50, ball_grid=(100, 110, 120), trials=2
+        ).specs()
+    )
+]
+RESUME_IDENTITY = [
+    {"protocol": s.spec.protocol, "n_balls": s.spec.n_balls, "n_bins": s.spec.n_bins}
+    for s in RESUME_SHARDS
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+INDICES = st.integers(-1, 3) | JSON_VALUES
+
+
+@st.composite
+def resume_line(draw):
+    """One line of a resume file: mostly rows, some foreign or torn."""
+    kind = draw(st.sampled_from(["row"] * 6 + ["foreign", "value", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=12).filter(lambda b: b"\n" not in b))
+    if kind == "value":
+        return json.dumps(draw(JSON_VALUES)).encode()
+    shard = draw(st.integers(0, 2) | INDICES)
+    row = {"shard": shard, "trial": draw(st.integers(0, 2) | INDICES)}
+    if isinstance(shard, int) and 0 <= shard < len(RESUME_SHARDS):
+        row.update(RESUME_IDENTITY[shard])
+    if kind == "foreign":
+        row.pop(draw(st.sampled_from(sorted(row))))
+        row[draw(st.sampled_from(sorted(RESUME_IDENTITY[0])))] = draw(JSON_VALUES)
+    return json.dumps(row).encode()
+
+
+
 class TestResume:
     def _write(self, path, rows):
         with open(path, "w") as handle:
@@ -563,6 +754,68 @@ class TestResume:
             handle.write(json.dumps(reference_rows[0]) + "\n")
         with pytest.raises(ConfigurationError, match="line 1"):
             run_cluster_sweep(SWEEP, workers=0, out=str(out), resume=True)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"shard": "x", "trial": 0}',
+            '{"shard": null, "trial": 0}',
+            '{"shard": 1.5, "trial": 0}',
+            '{"shard": true, "trial": 0}',
+            '{"shard": 0, "trial": 0.5}',
+            "5",
+            "[0, 1]",
+            '"row"',
+        ],
+    )
+    def test_resume_rejects_malformed_rows_naming_the_line(
+        self, line, reference_rows, tmp_path
+    ):
+        # These used to raise ValueError / TypeError, or (shard 1.5) to be
+        # read silently as shard 1.
+        out = tmp_path / "rows.jsonl"
+        first = sorted(reference_rows, key=row_key)[0]
+        with open(out, "w") as handle:
+            handle.write(json.dumps(first) + "\n" + line + "\n")
+            handle.write(json.dumps(first) + "\n")
+        shards = [Shard(i, s) for i, s in enumerate(SWEEP.specs())]
+        with pytest.raises(ConfigurationError, match="line 2"):
+            resume_scan(out, shards)
+
+    def test_non_utf8_line_is_corruption(self, reference_rows, tmp_path):
+        out = tmp_path / "rows.jsonl"
+        with open(out, "wb") as handle:
+            handle.write(b'{"shard": 0, "trial": \xff}\n')
+            handle.write(json.dumps(reference_rows[0]).encode() + b"\n")
+        with pytest.raises(ConfigurationError, match="line 1"):
+            list(iter_jsonl(out))
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(resume_line(), max_size=12), torn=st.binary(max_size=8))
+    @example(
+        lines=[
+            json.dumps(dict(RESUME_IDENTITY[shard], shard=shard, trial=trial)).encode()
+            for shard, trial in ((0, 1), (1, 0), (0, 0), (0, 1))
+        ],
+        torn=b'{"sha',
+    )
+    def test_resume_scan_fuzz(self, lines, torn):
+        # A resume file is untrusted input: it either fails with a typed
+        # error or yields complete shards, each holding exactly its trials.
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "rows.jsonl")
+            with open(path, "wb") as handle:
+                handle.write(b"".join(line + b"\n" for line in lines) + torn)
+            try:
+                state = resume_scan(path, RESUME_SHARDS)
+            except ConfigurationError:
+                return
+        kept = {}
+        for row in state.records:
+            kept.setdefault(row["shard"], []).append(row["trial"])
+        assert set(kept) == state.completed
+        for shard_id, trials in kept.items():
+            assert trials == list(range(RESUME_SHARDS[shard_id].spec.trials))
 
     def test_resume_scan_drops_partial_and_rewrite_is_atomic(
         self, reference_rows, tmp_path

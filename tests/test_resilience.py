@@ -310,8 +310,6 @@ class TestShardDeadline:
         assert stats["worker_hangs"] == 1 and stats["retries"] == 1
 
     def test_always_hanging_worker_exhausts_retries(self):
-        import asyncio
-
         from repro.cluster import ClusterCoordinator
 
         transport = _HangingTransport()
@@ -323,7 +321,7 @@ class TestShardDeadline:
             max_shard_retries=2,
         )
         with pytest.raises(ClusterError, match="max_shard_retries"):
-            asyncio.run(coordinator.run())
+            coordinator.run()
         assert coordinator.stats["worker_hangs"] >= 3  # try + 2 retries
         assert transport.spawned > 2  # hung workers were respawned
 
@@ -374,6 +372,51 @@ class TestShardDeadline:
         # Without a send callable the beat thread is skipped entirely and
         # the reply is unchanged (the pre-resilience wire behaviour).
         assert handle_shard_message(dict(message), worker_id=4)["type"] == "result"
+
+
+class _IdleTransport:
+    """Spawns fake workers that accept every frame and never reply."""
+
+    def spawn(self, worker_id: int) -> _HangingHandle:
+        return _HangingHandle(worker_id)
+
+    def shutdown(self) -> None:
+        pass
+
+
+class TestChaosHandleKill:
+    @pytest.mark.parametrize("operation", ["send", "recv"])
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan(hang=1.0, hang_seconds=5.0),
+            FaultPlan(delay=1.0, delay_range=(5.0, 5.0)),
+        ],
+        ids=["hang", "delay"],
+    )
+    def test_kill_from_another_thread_frees_the_call_at_once(self, plan, operation):
+        # The coordinator's watchdog kills a hung handle from its own
+        # thread; the blocked send or recv must raise WorkerLost at once
+        # rather than sleep out the scheduled 5 s.
+        transport = ChaosTransport(FaultSchedule(plan, seed=3), inner=_IdleTransport())
+        handle = transport.spawn(0)
+        args = ({"type": "shard", "shard_id": 0},) if operation == "send" else ()
+        outcome: dict[str, BaseException] = {}
+
+        def call() -> None:
+            try:
+                getattr(handle, operation)(*args)
+            except WorkerLost as exc:
+                outcome["lost"] = exc
+
+        thread = threading.Thread(target=call, daemon=True)
+        thread.start()
+        time.sleep(0.05)
+        handle.kill()
+        thread.join(0.5)
+        assert not thread.is_alive(), f"{operation} still blocked 0.5 s after kill"
+        assert "lost" in outcome
+        assert sum(transport.fault_counts().values()) == 1
 
 
 # --------------------------------------------------------------------- #
