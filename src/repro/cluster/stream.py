@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.errors import ConfigurationError
+from repro.core.result import RunResult
+from repro.errors import ConfigurationError, ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.coordinator import Shard
@@ -129,7 +130,12 @@ def resume_scan(path: str | os.PathLike, shards: list["Shard"]) -> ResumeState:
     a ``shard`` or ``trial`` that is not an integer, a shard id out of
     range, or identity fields disagreeing with the shard's spec) raise
     :class:`~repro.errors.ConfigurationError` naming the line: resuming
-    someone else's results file silently would corrupt the sweep.
+    someone else's results file silently would corrupt the sweep.  So does
+    a row that is not exactly what :func:`~repro.cluster.worker.run_shard`
+    writes — a full record that round-trips through
+    :meth:`~repro.core.result.RunResult.from_record` unchanged, plus its
+    ``shard`` and ``trial`` — since a resumed row is returned and rewritten
+    as if computed.
     """
     by_shard: dict[int, dict[int, dict[str, Any]]] = {}
     for number, row in _numbered_jsonl(path):
@@ -158,6 +164,12 @@ def resume_scan(path: str | os.PathLike, shards: list["Shard"]) -> ResumeState:
                     f"but the sweep's spec says {expected!r} — results file "
                     "belongs to a different sweep"
                 )
+        if not _is_shard_row(row):
+            raise ConfigurationError(
+                f"{where}: shard {shard_id} trial {trial} row is not a full "
+                "result record as a sweep writes it (a field is missing, "
+                "extra, retyped or inconsistent with its loads)"
+            )
         by_shard.setdefault(shard_id, {}).setdefault(trial, row)
 
     state = ResumeState()
@@ -172,6 +184,16 @@ def resume_scan(path: str | os.PathLike, shards: list["Shard"]) -> ResumeState:
         rows = by_shard[shard_id]
         state.records.extend(rows[trial] for trial in sorted(rows))
     return state
+
+
+def _is_shard_row(row: dict[str, Any]) -> bool:
+    """Is ``row`` a result record plus its provenance, exactly as written?"""
+    try:
+        record = RunResult.from_record(row).as_record()
+    except (ReproError, TypeError, ValueError, OverflowError):
+        return False
+    record["shard"], record["trial"] = row["shard"], row["trial"]
+    return json.dumps(record, sort_keys=True) == json.dumps(row, sort_keys=True)
 
 
 def _provenance(row: dict[str, Any], key: str, where: str) -> int:

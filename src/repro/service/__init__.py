@@ -20,7 +20,6 @@ from repro.service.framing import (
     decode_frame,
     encode_frame,
     read_frame,
-    write_frame,
 )
 from repro.service.requests import DEFAULT_REQUEST_LOG_CAPACITY, RequestLog
 from repro.service.server import (
@@ -50,5 +49,4 @@ __all__ = [
     "decode_frame",
     "encode_frame",
     "read_frame",
-    "write_frame",
 ]

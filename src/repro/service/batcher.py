@@ -2,31 +2,34 @@
 
 The live service accepts jobs asynchronously but dispatches them through
 :meth:`~repro.scheduler.Dispatcher.dispatch_batch`, whose vectorised engines
-want *bulk*.  The :class:`MicroBatcher` reconciles the two: submissions
-enqueue jobs and park on a future; a single flush task drains **everything
-queued at that moment** into one ``dispatch_batch`` call per event-loop
-tick, then yields so new submissions (including those that arrived while
-the engine ran) form the next tick's batch.  Under light traffic a batch is
-a few jobs and the dispatcher's measured ``small_burst`` crossover runs it
-under the scalar backend, whose kernels cost what they touch; under heavy
-traffic batches grow to thousands of jobs and ride the vectorised numpy
-kernels — the same engines either way, the backend picked per tick by batch
-size, with bit-identical assignments.
+want *bulk*.  The :class:`MicroBatcher` reconciles the two: a submission is
+admitted synchronously with a reply callback, and the first enqueue of an
+event-loop pass schedules one flush with ``loop.call_soon``.  The flush is a
+plain method: it drains **everything queued at that moment** into one
+``dispatch_batch`` call and hands each submission's assignments to its reply
+callback, so submissions that arrive while it runs form the next pass's
+batch.  Under light traffic a batch is a few jobs and the dispatcher's
+measured ``small_burst`` crossover runs it under the scalar backend, whose
+kernels cost what they touch; under heavy traffic batches grow to thousands
+of jobs and ride the vectorised numpy kernels — the same engines either
+way, the backend picked per batch by its size, with bit-identical
+assignments.  The awaitable :meth:`MicroBatcher.submit` is the same
+admission with a future as its callback.
 
 Backpressure is a bounded job count: when producers outrun the engine the
-queue refuses to grow past ``max_queue_jobs`` and either **blocks** the
-submitter (``overflow="block"``, the lossless default) or **sheds** the
-submission (``overflow="shed"``, raising :class:`QueueOverflow`, which the
-server reports as an error reply so the client can retry).
+queue refuses to grow past ``max_queue_jobs`` and either **parks** the
+submission (``overflow="block"``, the lossless default) until a flush frees
+room, or **sheds** it (``overflow="shed"``, raising :class:`QueueOverflow`,
+which the server reports as an error reply so the client can retry).
 
 Ordering is strict FIFO over submissions — including under backpressure:
-once any producer is parked on a full queue, later submissions park behind
-it in arrival order rather than slipping into freed space, so a stream of
-submits always produces exactly the job order (and therefore the
+once any submission is parked on a full queue, later submissions park
+behind it in arrival order rather than slipping into freed space, so a
+stream of submits always produces exactly the job order (and therefore the
 bit-identical assignments) of feeding the same groups to a bare dispatcher.
 
 A submission the dispatcher would reject (a non-positive or over-``w_max``
-job size under the weighted policy) is refused at submit time, alone, via
+job size under the weighted policy) is refused at admission, alone, via
 :meth:`~repro.scheduler.Dispatcher.validate_sizes` — it never poisons the
 micro-batch it would have been coalesced into.  Should a fused batch fail
 anyway, the flush falls back to dispatching its submissions one by one so
@@ -34,11 +37,12 @@ only the offender errors (batch splits never change assignments).
 
 Submissions may carry an idempotency ``request_id`` (the retrying client's
 reconnect-replay key).  The batcher is the single arbiter of "has this id
-been applied": a replayed id whose original is still *queued* shares the
-original's future instead of enqueueing twice, and a committed id is
-recorded into the service's :class:`~repro.service.requests.RequestLog`
-**inside the flush** — under the same ``flush_lock`` checkpoints quiesce
-on — so a snapshot can never contain a dispatch without its log entry.
+been applied": a replayed id whose original is still *queued* or parked
+joins the original's replies instead of enqueueing twice, and a committed
+id is recorded into the service's :class:`~repro.service.requests.RequestLog`
+**inside the flush**, so a snapshot can never contain a dispatch without
+its log entry.  A checkpoint quiesces on ``flush_lock``: a flush that finds
+it held waits for its release in a one-off task.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 import numpy as np
 
@@ -61,28 +66,42 @@ DEFAULT_MAX_QUEUE_JOBS = 100_000
 
 _OVERFLOW_POLICIES = ("block", "shed")
 
+#: A reply callback: handed the submission's assignments, or the exception
+#: that failed it, exactly once.
+Reply = Callable[[Any], None]
+
 
 class QueueOverflow(ReproError):
     """A submission was shed because the bounded queue is full.
 
-    Raised only under ``overflow="shed"``; the ``"block"`` policy suspends
-    the submitter instead.  Carries no partial state — none of the shed
+    Raised only under ``overflow="shed"``; the ``"block"`` policy parks the
+    submission instead.  Carries no partial state — none of the shed
     submission's jobs were enqueued.
     """
 
 
-@dataclass
+@dataclass(slots=True)
 class _Submission:
-    """One queued submit call: its job sizes, arrival time, and reply future."""
+    """One admitted submit: its job sizes, reply callbacks, and enqueue time."""
 
     sizes: np.ndarray
-    enqueued_at: float
-    future: asyncio.Future
-    request_id: str | None = None
+    replies: list[Reply]
+    request_id: str | None
+    enqueued_at: float = 0.0
+
+
+def _settle(future: asyncio.Future, outcome: Any) -> None:
+    """A reply callback that resolves ``future`` (unless its waiter left)."""
+    if future.done():  # the submitter was cancelled
+        return
+    if isinstance(outcome, BaseException):
+        future.set_exception(outcome)
+    else:
+        future.set_result(outcome)
 
 
 class MicroBatcher:
-    """Queue + flush loop turning async submissions into dispatch batches.
+    """Queue + flush callback turning submissions into dispatch batches.
 
     Parameters
     ----------
@@ -92,13 +111,13 @@ class MicroBatcher:
     max_queue_jobs:
         Bound on jobs queued and not yet dispatched (backpressure knob).
     overflow:
-        ``"block"`` (default) suspends submitters until the queue drains;
+        ``"block"`` (default) parks submissions until the queue drains;
         ``"shed"`` fails the submission with :class:`QueueOverflow`.
     max_batch_jobs:
         Optional cap on jobs per ``dispatch_batch`` call; a longer queue is
-        flushed as several consecutive batches (bit-identical — batch splits
-        never change assignments).  ``None`` flushes the whole queue per
-        tick.
+        flushed as several consecutive batches, one per loop pass
+        (bit-identical — batch splits never change assignments).  ``None``
+        flushes the whole queue at once.
     total_jobs:
         Forwarded to ``dispatch_batch`` (the ``"threshold"`` policy needs
         the stream length up front; other policies ignore it).
@@ -108,9 +127,8 @@ class MicroBatcher:
     request_log:
         Optional :class:`~repro.service.requests.RequestLog`.  When given,
         submissions carrying a ``request_id`` are recorded into it as their
-        micro-batch commits (under ``flush_lock``), and replayed ids are
-        deduplicated — against the log for committed submits and against
-        the in-flight queue for still-pending ones.
+        micro-batch commits, and :meth:`submit` answers replayed ids from it.
+        Replays of still-pending ids are deduplicated against the queue.
     """
 
     def __init__(
@@ -147,20 +165,23 @@ class MicroBatcher:
         self._clock = clock
         self._queue: deque[_Submission] = deque()
         self._queued_jobs = 0
-        # Queued-but-uncommitted submissions by request id: the replay of a
-        # still-pending submit must share its future, not enqueue again.
+        # Queued-or-parked, uncommitted submissions by request id: the
+        # replay of a still-pending submit joins its replies instead of
+        # enqueueing again.
         self._inflight: dict[str, _Submission] = {}
-        # Producers parked on backpressure, in arrival order: the head is
-        # the only one allowed to enqueue when room frees, so blocked
+        # Submissions parked on backpressure, in arrival order: a flush
+        # moves them into the queue head first as room frees, so parked
         # submissions keep strict FIFO instead of being overtaken.
-        self._waiters: deque[object] = deque()
+        self._parked: deque[_Submission] = deque()
+        # Futures of drain()/stop() callers, resolved by the next flush.
+        self._listeners: list[asyncio.Future] = []
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._flush_scheduled = False
+        self._unlock_task: asyncio.Task | None = None
         self._running = False
         self._stopping = False
-        self._task: asyncio.Task | None = None
-        self._wake: asyncio.Event | None = None
-        self._changed: asyncio.Condition | None = None
-        # Serialises flush ticks against checkpoint quiescing: whoever holds
-        # this lock sees the dispatcher exactly between two batches.
+        # Quiesces flushes for checkpoints: whoever holds this lock sees the
+        # dispatcher exactly between two batches.
         self.flush_lock: asyncio.Lock = asyncio.Lock()
 
     # ------------------------------------------------------------------ #
@@ -170,39 +191,34 @@ class MicroBatcher:
         return self._queued_jobs
 
     def start(self) -> None:
-        """Start the flush task on the running event loop."""
+        """Bind the batcher to the running event loop."""
         if self._running:
             raise ConfigurationError("batcher is already running")
-        self._wake = asyncio.Event()
-        self._changed = asyncio.Condition()
+        self._loop = asyncio.get_running_loop()
         self._running = True
         self._stopping = False
-        self._task = asyncio.get_running_loop().create_task(self._run())
 
     async def stop(self) -> None:
-        """Flush whatever is queued, then stop the flush task."""
+        """Fail parked submissions, flush whatever is queued, then stop."""
         if not self._running:
             return
         self._stopping = True
-        self._wake.set()
-        async with self._changed:
-            # Wake producers parked on backpressure so they fail cleanly
-            # instead of waiting for room that will never be made.
-            self._changed.notify_all()
-        await self._task
+        # Parked submissions fail cleanly instead of waiting for room that
+        # will never be made.
+        error = ConfigurationError("batcher stopped while blocked on backpressure")
+        while self._parked:
+            self._fail(self._parked.popleft(), error)
+        await self.drain()
         self._running = False
-        self._task = None
 
     async def drain(self) -> None:
-        """Wait until every queued job has been dispatched and replied to."""
+        """Wait until every queued or parked job has been dispatched."""
         if not self._running:
             return
-        async with self._changed:
-            await self._changed.wait_for(lambda: self._queued_jobs == 0)
-        # One lock round ensures an in-flight flush (which already popped
-        # the queue) has also resolved its futures.
-        async with self.flush_lock:
-            pass
+        while self._queue or self._parked:
+            listener = self._loop.create_future()
+            self._listeners.append(listener)
+            await listener
 
     # ------------------------------------------------------------------ #
     async def submit(self, sizes, request_id: str | None = None) -> np.ndarray:
@@ -216,27 +232,47 @@ class MicroBatcher:
 
         A ``request_id`` makes the submission idempotent: a replay of an
         already-committed id returns the recorded assignments without
-        dispatching anything, and a replay of a still-queued id awaits the
-        original's future — either way the jobs are applied exactly once.
+        dispatching anything, and a replay of a still-pending id resolves
+        with the original — either way the jobs are applied exactly once.
+        """
+        if not self._running or self._stopping:
+            raise ConfigurationError("batcher is not accepting submissions")
+        if request_id is not None and self.request_log is not None:
+            recorded = self.request_log.get(request_id)
+            if recorded is not None:
+                return recorded
+        future = self._loop.create_future()
+        self.admit(sizes, partial(_settle, future), request_id)
+        return await future
+
+    def admit(self, sizes, reply: Reply, request_id: str | None = None) -> None:
+        """Admit one submission now; ``reply`` gets its outcome exactly once.
+
+        ``reply`` is called with the assignments — at once for an empty
+        submission, otherwise from the flush that dispatches it — or with
+        the exception that failed the dispatch.  A submission refused at
+        admission (batcher stopped, sizes the dispatcher rejects, a full
+        queue under ``overflow="shed"``) raises instead, and ``reply`` is
+        never called.  A replay of a pending ``request_id`` shares the
+        original's outcome.
         """
         if not self._running or self._stopping:
             raise ConfigurationError("batcher is not accepting submissions")
         sizes = np.asarray(sizes, dtype=np.float64).ravel()
         if request_id is not None:
-            if self.request_log is not None:
-                recorded = self.request_log.get(request_id)
-                if recorded is not None:
-                    return recorded
             pending = self._inflight.get(request_id)
             if pending is not None:
-                return await pending.future
+                pending.replies.append(reply)
+                return
         if sizes.size == 0:
-            return np.empty(0, dtype=np.int64)
+            reply(np.empty(0, dtype=np.int64))
+            return
         validate = getattr(self.dispatcher, "validate_sizes", None)
         if validate is not None:
             validate(sizes)
-        if not self._waiters and self._has_room(sizes.size):
-            submission = self._enqueue(sizes, request_id)
+        submission = _Submission(sizes, [reply], request_id)
+        if not self._parked and self._has_room(sizes.size):
+            self._enqueue(submission)
         elif self.overflow == "shed":
             self.telemetry.record_shed(sizes.size)
             raise QueueOverflow(
@@ -244,8 +280,9 @@ class MicroBatcher:
                 f"jobs): shed a {sizes.size}-job submission"
             )
         else:
-            submission = await self._submit_blocking(sizes, request_id)
-        return await submission.future
+            self._parked.append(submission)
+            if request_id is not None:
+                self._inflight[request_id] = submission
 
     def _has_room(self, n_jobs: int) -> bool:
         """Can an ``n_jobs`` submission be enqueued right now?
@@ -257,60 +294,19 @@ class MicroBatcher:
             self._queued_jobs == 0 and n_jobs > self.max_queue_jobs
         )
 
-    async def _submit_blocking(
-        self, sizes: np.ndarray, request_id: str | None = None
-    ) -> _Submission:
-        """Park until this producer is head of the waiter line *and* fits.
-
-        The queue-count reservation happens under the condition lock, so
-        concurrently parked producers cannot all wake on the same slot and
-        overfill the bound; the head-of-line predicate keeps dispatch order
-        equal to submission order even when later submissions would fit the
-        freed space immediately.
-        """
-        token = object()
-        self._waiters.append(token)
-        async with self._changed:
-            try:
-                await self._changed.wait_for(
-                    lambda: self._stopping
-                    or (self._waiters[0] is token and self._has_room(sizes.size))
-                )
-                if self._stopping:
-                    raise ConfigurationError(
-                        "batcher stopped while blocked on backpressure"
-                    )
-                return self._enqueue(sizes, request_id)
-            finally:
-                # On success, error, or cancellation alike: leave the line
-                # and let the next parked producer re-check its turn.
-                self._waiters.remove(token)
-                self._changed.notify_all()
-
-    def _enqueue(self, sizes: np.ndarray, request_id: str | None = None) -> _Submission:
-        """Append one reserved submission and wake the flush task (no awaits)."""
-        if request_id is not None:
-            # A replay can race past submit()'s dedup check while the
-            # original is parked on backpressure; re-check at the enqueue
-            # point, which is the single place submissions become real.
-            duplicate = self._inflight.get(request_id)
-            if duplicate is not None:
-                return duplicate
-        submission = _Submission(
-            sizes=sizes,
-            enqueued_at=self._clock(),
-            future=asyncio.get_running_loop().create_future(),
-            request_id=request_id,
-        )
+    def _enqueue(self, submission: _Submission) -> None:
+        """Append one admitted submission and schedule the pass's flush."""
+        submission.enqueued_at = self._clock()
         self._queue.append(submission)
-        self._queued_jobs += int(sizes.size)
-        if request_id is not None:
-            self._inflight[request_id] = submission
-        self._wake.set()
-        return submission
+        self._queued_jobs += int(submission.sizes.size)
+        if submission.request_id is not None:
+            self._inflight[submission.request_id] = submission
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            self._loop.call_soon(self._flush)
 
     def _commit_request(self, submission: _Submission, assignments) -> None:
-        """Record a committed idempotent submission (runs under flush_lock).
+        """Record a committed idempotent submission.
 
         Recording inside the flush — not when the submitter observes the
         reply — is what keeps the request log checkpoint-consistent with
@@ -322,21 +318,29 @@ class MicroBatcher:
             self.request_log.record(submission.request_id, assignments)
         self._inflight.pop(submission.request_id, None)
 
-    # ------------------------------------------------------------------ #
-    async def _run(self) -> None:
-        while True:
-            await self._wake.wait()
-            self._wake.clear()
-            while self._queue:
-                async with self.flush_lock:
-                    await self._flush_once()
-                # Yield one loop tick so submissions that arrived while the
-                # engine ran (readers, parked producers) join the next batch.
-                await asyncio.sleep(0)
-            if self._stopping:
-                return
+    def _fail(self, submission: _Submission, exc: BaseException) -> None:
+        """Hand one submission's failure to every reply waiting on it."""
+        if submission.request_id is not None:
+            self._inflight.pop(submission.request_id, None)
+        for reply in submission.replies:
+            reply(exc)
 
-    async def _flush_once(self) -> None:
+    # ------------------------------------------------------------------ #
+    def _flush(self) -> None:
+        """The pass's flush: dispatch one micro-batch unless quiesced."""
+        if self.flush_lock.locked():
+            # A checkpoint holds the dispatcher still; flush once it lets go.
+            self._unlock_task = self._loop.create_task(self._flush_when_unlocked())
+            return
+        self._flush_scheduled = False
+        self._flush_once()
+
+    async def _flush_when_unlocked(self) -> None:
+        async with self.flush_lock:
+            self._flush_scheduled = False
+            self._flush_once()
+
+    def _flush_once(self) -> None:
         """Dispatch one micro-batch: everything queued, up to the batch cap."""
         batch: list[_Submission] = []
         jobs = 0
@@ -369,25 +373,20 @@ class MicroBatcher:
             # them one by one so only the offender errors (batch splits
             # never change assignments, and a rejected dispatch leaves the
             # dispatcher untouched).
+            self._release(jobs)
             if len(batch) == 1:
-                if batch[0].request_id is not None:
-                    self._inflight.pop(batch[0].request_id, None)
-                if not batch[0].future.done():
-                    batch[0].future.set_exception(exc)
+                self._fail(batch[0], exc)
             else:
                 self._dispatch_individually(batch)
             return
-        finally:
-            self._queued_jobs -= jobs
-            async with self._changed:
-                self._changed.notify_all()
         finished = self._clock()
+        self._release(jobs)
         offset = 0
         for submission in batch:
             end = offset + submission.sizes.size
             self._commit_request(submission, assignments[offset:end])
-            if not submission.future.cancelled():
-                submission.future.set_result(assignments[offset:end])
+            for reply in submission.replies:
+                reply(assignments[offset:end])
             offset = end
         self.telemetry.record_batch(
             finished - np.array([s.enqueued_at for s in batch]).repeat(
@@ -395,6 +394,21 @@ class MicroBatcher:
             ),
             finished - started,
         )
+
+    def _release(self, jobs: int) -> None:
+        """Free a flushed batch's room: unpark, reschedule, wake listeners."""
+        self._queued_jobs -= jobs
+        while self._parked and self._has_room(self._parked[0].sizes.size):
+            self._enqueue(self._parked.popleft())
+        if self._queue and not self._flush_scheduled:
+            # The rest (past the batch cap, or just unparked) goes next pass.
+            self._flush_scheduled = True
+            self._loop.call_soon(self._flush)
+        if self._listeners:
+            listeners, self._listeners = self._listeners, []
+            for listener in listeners:
+                if not listener.done():
+                    listener.set_result(None)
 
     def _dispatch_individually(self, batch: list[_Submission]) -> None:
         """Fallback after a failed fused batch: one dispatch per submission.
@@ -410,15 +424,12 @@ class MicroBatcher:
                     submission.sizes, total_jobs=self.total_jobs
                 )
             except Exception as exc:
-                if submission.request_id is not None:
-                    self._inflight.pop(submission.request_id, None)
-                if not submission.future.done():
-                    submission.future.set_exception(exc)
+                self._fail(submission, exc)
                 continue
             finished = self._clock()
             self._commit_request(submission, assignments)
-            if not submission.future.cancelled():
-                submission.future.set_result(assignments)
+            for reply in submission.replies:
+                reply(assignments)
             self.telemetry.record_batch(
                 np.full(submission.sizes.size, finished - submission.enqueued_at),
                 finished - started,

@@ -11,9 +11,10 @@ format, which is also the JSONL record format of :mod:`repro.cluster.stream`
 
 Three consumer shapes are supported:
 
-* :func:`encode_frame` / :func:`decode_frame` — pure bytes-level codec;
-* :func:`read_frame` / :func:`write_frame` — asyncio stream helpers for the
-  service's event loop;
+* :func:`encode_frame` / :func:`decode_frame` — pure bytes-level codec (the
+  service writes its replies as ``encode_frame`` bytes);
+* :func:`read_frame` — the asyncio stream reader of the service's event
+  loop;
 * :class:`FrameConnection` — a blocking socket wrapper for synchronous
   peers (the cluster's TCP worker handles, the :class:`ServiceClient`).
 
@@ -42,7 +43,6 @@ __all__ = [
     "encode_frame",
     "decode_frame",
     "read_frame",
-    "write_frame",
     "FrameConnection",
 ]
 
@@ -78,11 +78,23 @@ def encode_frame(message: dict[str, Any]) -> bytes:
     return text.encode("utf-8") + b"\n"
 
 
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"{name} is not strict JSON")
+
+
+#: Frames are strict JSON both ways: :func:`encode_frame` writes no NaN or
+#: Infinity, and a frame carrying one is malformed — its echoed ``id``
+#: could not be written back.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def decode_frame(line: bytes) -> dict[str, Any]:
     """Parse one wire line back into a message dict."""
     try:
-        message = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        message = _DECODER.decode(line.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and the NaN/Infinity
+        # literals; RecursionError a line nested too deep to parse.
         raise FramingError(f"malformed frame: {exc}") from exc
     if not isinstance(message, dict):
         raise FramingError(
@@ -120,12 +132,6 @@ async def read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
             f"frame of {len(line)} bytes exceeds MAX_FRAME_BYTES"
         )
     return decode_frame(line)
-
-
-async def write_frame(writer: asyncio.StreamWriter, message: dict[str, Any]) -> None:
-    """Write one frame to an asyncio stream and drain the transport buffer."""
-    writer.write(encode_frame(message))
-    await writer.drain()
 
 
 class FrameConnection:

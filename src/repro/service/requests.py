@@ -22,7 +22,9 @@ Two properties make this safe across crashes:
 
 The log is bounded (FIFO eviction) — request ids are a reconnect-replay
 mechanism, not an unbounded ledger; a client only ever replays its most
-recent unacknowledged pipeline window.
+recent unacknowledged pipeline window.  Each entry is its own int64 array,
+which the garbage collector does not track, so a full log adds one object
+per entry to a collection instead of a list of ints.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ class RequestLog:
                 f"capacity: must be at least 1, got {capacity}"
             )
         self.capacity = int(capacity)
-        self._entries: "OrderedDict[str, list[int]]" = OrderedDict()
+        self._entries: "OrderedDict[str, np.ndarray]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -62,17 +64,18 @@ class RequestLog:
         return request_id in self._entries
 
     def get(self, request_id: str) -> np.ndarray | None:
-        """The recorded assignments for ``request_id``, or ``None``."""
+        """A copy of the recorded assignments for ``request_id``, or ``None``."""
         entry = self._entries.get(request_id)
         if entry is None:
             return None
-        return np.asarray(entry, dtype=np.int64)
+        return entry.copy()
 
     def record(self, request_id: str, assignments) -> None:
-        """Remember one committed submit (evicting the oldest past capacity)."""
-        self._entries[request_id] = (
-            np.asarray(assignments, dtype=np.int64).ravel().tolist()
-        )
+        """Remember one committed submit (evicting the oldest past capacity).
+
+        The log keeps its own flat int64 copy of ``assignments``.
+        """
+        self._entries[request_id] = np.asarray(assignments, dtype=np.int64).flatten()
         self._entries.move_to_end(request_id)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -83,7 +86,7 @@ class RequestLog:
         return {
             "version": self.STATE_VERSION,
             "capacity": self.capacity,
-            "entries": [[rid, list(entry)] for rid, entry in self._entries.items()],
+            "entries": [[rid, entry.tolist()] for rid, entry in self._entries.items()],
         }
 
     @classmethod

@@ -2,10 +2,12 @@
 
 :class:`DispatchService` wraps a :class:`~repro.scheduler.Dispatcher` in a
 long-running asyncio loop: job submissions arrive asynchronously (over TCP
-or in-process), are micro-batched per event-loop tick by the
+or in-process), are micro-batched per event-loop pass by the
 :class:`~repro.service.batcher.MicroBatcher`, and liveness is a matter of
-counters and futures — there is no join anywhere, mirroring the
-message-driven design of the cluster coordinator.
+counters and callbacks — there is no join anywhere.  A TCP frame costs no
+task: the connection loop admits each ``submit`` and ``stats`` frame
+synchronously, and the flush that dispatches a micro-batch writes the
+replies of its submissions itself.
 
 Wire protocol — one newline-delimited JSON frame per message (see
 :mod:`repro.service.framing`), requests carrying a client-chosen ``id``
@@ -60,21 +62,21 @@ import socket
 import threading
 import time
 import uuid
-from typing import Any
+from functools import partial
+from typing import Any, Callable, Coroutine
 
 import numpy as np
 
 from repro.errors import CheckpointError, ConfigurationError, ReproError
 from repro.scheduler.dispatcher import Dispatcher
 from repro.service import framing
-from repro.service.batcher import MicroBatcher, QueueOverflow
+from repro.service.batcher import MicroBatcher, _settle
 from repro.service.requests import RequestLog
 from repro.service.framing import (
     FrameConnection,
     FramingError,
     FrameTooLargeError,
     read_frame,
-    write_frame,
 )
 from repro.service.telemetry import ServiceTelemetry
 
@@ -153,6 +155,7 @@ class DispatchService:
         self._server: asyncio.AbstractServer | None = None
         self._closed: asyncio.Event | None = None
         self._autosave: asyncio.Task | None = None
+        self._stopper: asyncio.Task | None = None
         self.address: tuple[str, int] | None = None
 
     @classmethod
@@ -333,9 +336,32 @@ class DispatchService:
     async def handle(self, message: dict[str, Any]) -> dict[str, Any]:
         """Process one protocol message and return the reply frame.
 
-        The single message-handling path: the TCP connection handler and
-        in-process clients (tests, :meth:`ServiceThread.request`) both call
-        exactly this, so the protocol cannot fork between transports.
+        The awaitable face of the service's single admission function,
+        which the TCP connection loop calls directly: frames get the same
+        checks and replies whichever transport brings them, so the protocol
+        cannot fork between transports.  Tests and
+        :meth:`ServiceThread.request` drive the protocol through here.
+        """
+        future = asyncio.get_running_loop().create_future()
+        waiting = self._admit(message, partial(_settle, future))
+        if waiting is not None:
+            await waiting
+        return await future
+
+    def _admit(
+        self, message: Any, reply: Callable[[dict[str, Any]], None]
+    ) -> Coroutine[Any, Any, None] | None:
+        """Admit one protocol message; ``reply`` gets its reply frame once.
+
+        ``submit``, ``stats`` and ``shutdown`` are admitted synchronously.
+        The reply goes out now — errors, ``stats``, a replay answered from
+        the request log, an empty submit — or, for queued jobs, from the
+        micro-batch flush that dispatches them.  Every submit check lives
+        here: the ``request_id`` type, replays of committed ids, the sizes
+        parse and the finite check (the batcher adds in-flight dedup, size
+        validation and backpressure).  ``checkpoint`` and ``drain`` must
+        wait for the batcher: for them the caller gets a coroutine that
+        sends the reply when run.
         """
         reply_id = message.get("id") if isinstance(message, dict) else None
         try:
@@ -343,72 +369,80 @@ class DispatchService:
                 raise ServiceError("message must be a dict with a 'type' field")
             kind = message["type"]
             if kind == "submit":
-                request_id = message.get("request_id")
-                if request_id is not None and not isinstance(request_id, str):
-                    raise ServiceError("request_id must be a string when given")
-                if request_id is not None:
-                    recorded = self.request_log.get(request_id)
-                    if recorded is not None:
-                        # Replay of a committed submit: answer from the log,
-                        # dispatch nothing (exactly-once application).
-                        return {
-                            "type": "result",
-                            "id": reply_id,
-                            "assignments": recorded.tolist(),
-                            "replayed": True,
-                        }
-                sizes = message.get("sizes")
-                if not isinstance(sizes, list):
-                    raise ServiceError("submit needs a 'sizes' list")
-                try:
-                    sizes_array = np.asarray(sizes, dtype=np.float64)
-                except (TypeError, ValueError) as exc:
-                    raise ServiceError(
-                        f"sizes must be a flat list of numbers: {exc}"
-                    ) from exc
-                if sizes_array.ndim != 1:
-                    raise ServiceError(
-                        f"sizes must be a flat list of numbers, got a "
-                        f"{sizes_array.ndim}-dimensional nested list"
-                    )
-                if sizes_array.size and not np.isfinite(sizes_array).all():
-                    # NaN/inf cannot round-trip the JSON wire format
-                    # (allow_nan=False) and would poison the work gauges.
-                    raise ServiceError("sizes must be finite numbers")
-                assignments = await self.submit(sizes_array, request_id)
+                frame = self._admit_submit(message, reply_id, reply)
+            elif kind == "stats":
+                frame = {"type": "stats", "id": reply_id, "stats": self.stats()}
+            elif kind in ("checkpoint", "drain"):
+                return self._reply_when_quiesced(kind, reply_id, reply)
+            elif kind == "shutdown":
+                # Reply first; the stop closes the endpoint after.
+                self._stopper = asyncio.get_running_loop().create_task(self.stop())
+                frame = {"type": "stopped", "id": reply_id}
+            else:
+                raise ServiceError(f"unknown message type {kind!r}")
+        except ReproError as exc:
+            frame = _error_frame(reply_id, exc)
+        if frame is not None:
+            reply(frame)
+        return None
+
+    def _admit_submit(
+        self, message: dict[str, Any], reply_id: Any, reply
+    ) -> dict[str, Any] | None:
+        """Check and enqueue one ``submit``: its reply frame, or ``None`` if queued."""
+        request_id = message.get("request_id")
+        if request_id is not None:
+            if not isinstance(request_id, str):
+                raise ServiceError("request_id must be a string when given")
+            recorded = self.request_log.get(request_id)
+            if recorded is not None:
+                # Replay of a committed submit: answer from the log,
+                # dispatch nothing (exactly-once application).
                 return {
                     "type": "result",
                     "id": reply_id,
-                    "assignments": assignments.tolist(),
+                    "assignments": recorded.tolist(),
+                    "replayed": True,
                 }
-            if kind == "stats":
-                return {"type": "stats", "id": reply_id, "stats": self.stats()}
+        sizes = message.get("sizes")
+        if not isinstance(sizes, list):
+            raise ServiceError("submit needs a 'sizes' list")
+        try:
+            sizes_array = np.asarray(sizes, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ServiceError(f"sizes must be a flat list of numbers: {exc}") from exc
+        if sizes_array.ndim != 1:
+            raise ServiceError(
+                f"sizes must be a flat list of numbers, got a "
+                f"{sizes_array.ndim}-dimensional nested list"
+            )
+        if sizes_array.size and not np.isfinite(sizes_array).all():
+            # NaN/inf cannot round-trip the JSON wire format
+            # (allow_nan=False) and would poison the work gauges.
+            raise ServiceError("sizes must be finite numbers")
+        self.batcher.admit(sizes_array, partial(_result_frame, reply, reply_id), request_id)
+        return None
+
+    async def _reply_when_quiesced(self, kind: str, reply_id: Any, reply) -> None:
+        """Send a ``checkpoint`` or ``drain`` reply once the batcher allows it."""
+        try:
             if kind == "checkpoint":
-                state = await self.checkpoint()
-                return {
+                frame = {
                     "type": "checkpoint",
                     "id": reply_id,
-                    "state": state,
+                    "state": await self.checkpoint(),
                     "path": self.checkpoint_path,
                 }
-            if kind == "drain":
+            else:
                 await self.batcher.drain()
-                return {
+                frame = {
                     "type": "drained",
                     "id": reply_id,
                     "jobs_dispatched": int(self.dispatcher.jobs_dispatched),
                 }
-            if kind == "shutdown":
-                # Reply first; the connection handler closes after writing.
-                asyncio.get_running_loop().create_task(self.stop())
-                return {"type": "stopped", "id": reply_id}
-            raise ServiceError(f"unknown message type {kind!r}")
-        except (ServiceError, QueueOverflow, ReproError) as exc:
-            return {
-                "type": "error",
-                "id": reply_id,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
+        except (ReproError, OSError) as exc:
+            frame = _error_frame(reply_id, exc)
+        reply(frame)
 
     # ------------------------------------------------------------------ #
     # TCP handler
@@ -416,36 +450,41 @@ class DispatchService:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """One client connection: frame in, task out, reply when resolved.
+        """One client connection: frames admitted inline, replies written as they resolve.
 
-        Each request runs as its own task so a pipelining client's submits
-        can sit in the same micro-batch; a per-connection lock serialises
-        reply writes.  Requests are *enqueued* in frame order (tasks start
-        FIFO and the batcher admits synchronously), so pipelined submits
-        keep their job order.
+        A ``submit`` or ``stats`` frame costs no task: it is admitted
+        synchronously, and a submit's reply is written by the micro-batch
+        flush that dispatches it.  Only ``checkpoint`` and ``drain`` run as
+        tasks.  Frames are admitted in arrival order, so pipelined submits
+        keep their job order and share micro-batches.  The loop awaits
+        ``writer.drain()`` before each read: a client that stops reading
+        its replies stops being read once the transport buffer is full,
+        while other connections keep getting theirs.  At EOF the loop waits
+        for the batcher to drain and for its own tasks, so every reply
+        still owed is written before the connection closes.
         """
-        write_lock = asyncio.Lock()
+
+        def send(frame: dict[str, Any]) -> None:
+            if writer.is_closing():
+                return  # client gone; nothing to deliver to
+            try:
+                data = framing.encode_frame(frame)
+            except FramingError as exc:
+                # An echoed id strict JSON cannot carry (a number past the
+                # float range decodes to inf) still gets a reply.
+                data = framing.encode_frame(
+                    {"type": "error", "id": None, "error": str(exc)}
+                )
+            writer.write(data)
+
         tasks: set[asyncio.Task] = set()
-
-        async def respond(message: dict[str, Any]) -> None:
-            reply = await self.handle(message)
-            async with write_lock:
-                try:
-                    await write_frame(writer, reply)
-                except (ConnectionError, OSError):
-                    pass  # client went away; nothing to deliver to
-
         try:
             while True:
+                await writer.drain()
                 try:
                     message = await read_frame(reader)
                 except FramingError as exc:
-                    try:
-                        await write_frame(
-                            writer, {"type": "error", "id": None, "error": str(exc)}
-                        )
-                    except (ConnectionError, OSError):
-                        break  # client gone; nothing to deliver to
+                    send({"type": "error", "id": None, "error": str(exc)})
                     if isinstance(exc, FrameTooLargeError):
                         # The overrun consumed part of the oversized line:
                         # the stream is desynchronised mid-frame, so after
@@ -454,19 +493,36 @@ class DispatchService:
                     continue
                 if message is None:
                     break
-                task = asyncio.get_running_loop().create_task(respond(message))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        except asyncio.CancelledError:
-            pass  # service stopping mid-read; close the connection quietly
+                waiting = self._admit(message, send)
+                if waiting is not None:
+                    task = asyncio.get_running_loop().create_task(waiting)
+                    tasks.add(task)
+                    task.add_done_callback(tasks.discard)
+            await self.batcher.drain()
+            await asyncio.gather(*tasks)
+        except (ConnectionError, OSError, asyncio.CancelledError):
+            # Client gone, or service stopping.  A cancellation ends here:
+            # re-raised, Python 3.11's stream protocol would log it as an
+            # error from its done callback.
+            pass
         finally:
             try:
-                if tasks:
-                    await asyncio.gather(*tasks, return_exceptions=True)
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass  # hard stop mid-cleanup; the loop closes the transport
+
+
+def _error_frame(reply_id: Any, exc: BaseException) -> dict[str, Any]:
+    return {"type": "error", "id": reply_id, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _result_frame(reply, reply_id: Any, outcome) -> None:
+    """Batcher reply callback: a submission's assignments (or failure) as its frame."""
+    if isinstance(outcome, BaseException):
+        reply(_error_frame(reply_id, outcome))
+    else:
+        reply({"type": "result", "id": reply_id, "assignments": outcome.tolist()})
 
 
 # --------------------------------------------------------------------- #

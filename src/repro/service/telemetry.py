@@ -192,7 +192,8 @@ class ServiceTelemetry:
         :meth:`Dispatcher.outcome` state via the shared
         :func:`~repro.scheduler.metrics.compute_metrics` path.
         """
-        # Empty windows yield NaN percentiles; the wire format (strict JSON,
+        # Empty windows yield NaN percentiles, and job sizes summing past
+        # the float range non-finite gauges; the wire format (strict JSON,
         # allow_nan=False) wants None there instead.
         def clean(value: float) -> float | None:
             return float(value) if np.isfinite(value) else None
@@ -224,6 +225,6 @@ class ServiceTelemetry:
                 dispatcher.work, dispatcher.job_counts, dispatcher.probes
             )
             stats.update(
-                {f"gauge_{k}": float(v) for k, v in metrics.as_dict().items()}
+                {f"gauge_{k}": clean(float(v)) for k, v in metrics.as_dict().items()}
             )
         return stats

@@ -158,30 +158,35 @@ class TestEquivalence:
 # Fault injection: worker death, duplicates, retry exhaustion
 # --------------------------------------------------------------------- #
 class KillingTransport(MultiprocessingTransport):
-    """SIGKILLs worker 0 immediately after its first shard dispatch.
+    """SIGKILLs whichever worker receives the first shard, right after the send.
 
     Deterministic: the kill happens synchronously inside ``send``, so the
     coordinator is guaranteed to observe ``WorkerLost`` on the recv and must
-    retry that exact shard.
+    retry that exact shard.  Either worker may be the first to get a shard
+    (the one that starts first can take them all), so each handle is armed
+    and the first shard sent by any of them picks the one to kill.
     """
 
     def __init__(self):
         super().__init__()
         self.killed_shard = None
+        self._first_shard = threading.Lock()
 
     def spawn(self, worker_id):
         handle = super().spawn(worker_id)
-        if worker_id == 0 and self.killed_shard is None:
-            transport = self
-            orig_send = handle.send
+        orig_send = handle.send
 
-            def send(message):
-                orig_send(message)
-                if transport.killed_shard is None and message.get("type") == "shard":
-                    transport.killed_shard = message["shard_id"]
-                    os.kill(handle.pid, signal.SIGKILL)
+        def send(message):
+            orig_send(message)
+            if message.get("type") != "shard":
+                return
+            with self._first_shard:
+                if self.killed_shard is not None:
+                    return
+                self.killed_shard = message["shard_id"]
+            os.kill(handle.pid, signal.SIGKILL)
 
-            handle.send = send
+        handle.send = send
         return handle
 
 
@@ -781,6 +786,27 @@ class TestResume:
         shards = [Shard(i, s) for i, s in enumerate(SWEEP.specs())]
         with pytest.raises(ConfigurationError, match="line 2"):
             resume_scan(out, shards)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda row: row.update(n_balls=float(row["n_balls"])),
+            lambda row: row.update(max_load="junk"),
+            lambda row: row.pop("loads"),
+        ],
+        ids=["float-n_balls", "junk-max_load", "no-loads"],
+    )
+    def test_resume_rejects_rows_a_sweep_never_writes(
+        self, corrupt, reference_rows, tmp_path
+    ):
+        # Such rows used to count toward a complete shard and came back from
+        # the resumed sweep (the row without loads too) as if computed.
+        out = tmp_path / "rows.jsonl"
+        rows = [dict(row) for row in sorted(reference_rows, key=row_key)]
+        corrupt(rows[1])
+        self._write(out, rows[: SWEEP.trials])
+        with pytest.raises(ConfigurationError, match="line 2"):
+            run_cluster_sweep(SWEEP, workers=0, out=str(out), resume=True)
 
     def test_non_utf8_line_is_corruption(self, reference_rows, tmp_path):
         out = tmp_path / "rows.jsonl"

@@ -11,7 +11,9 @@ protocol never change a single assignment.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import logging
 import socket
 import subprocess
 import sys
@@ -20,7 +22,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ReproError
@@ -42,6 +44,28 @@ from repro.service import (
     decode_frame,
     encode_frame,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_asyncio_errors():
+    """Fail a test during which the ``asyncio`` logger records an error.
+
+    asyncio reports an exception nobody retrieved from a future or task,
+    and one raised by a loop callback, only through that logger; a test
+    would pass without it.  Those reports come when the object is
+    collected, hence the collection before the check.
+    """
+    records: list[logging.LogRecord] = []
+    handler = logging.Handler(logging.ERROR)
+    handler.emit = records.append
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(handler)
+    try:
+        yield
+        gc.collect()
+    finally:
+        logger.removeHandler(handler)
+    assert not records, [record.getMessage() for record in records]
 
 
 def make_dispatcher(**kwargs) -> Dispatcher:
@@ -73,8 +97,11 @@ class TestFraming:
             encode_frame({"x": object()})
 
     def test_malformed_line_rejected(self):
-        with pytest.raises(FramingError, match="malformed"):
-            decode_frame(b"not json\n")
+        # Strict JSON: no NaN/Infinity literals; nesting past the parser's
+        # recursion limit is malformed too, not a RecursionError.
+        for line in (b"not json\n", b'{"id":NaN}\n', b'{"id":-Infinity}\n', b"[" * 10**5):
+            with pytest.raises(FramingError, match="malformed"):
+                decode_frame(line)
         with pytest.raises(FramingError, match="dict"):
             decode_frame(b"[1,2]\n")
 
@@ -366,6 +393,18 @@ class TestRecordPaths:
         assert state["entries"] == [["a", [9]], ["b", expected]]
         assert all(type(a) is int for a in state["entries"][1][1])
         json.dumps(state, allow_nan=False)
+
+    def test_request_log_entries_are_untracked_copies(self):
+        log = RequestLog()
+        assignments = np.array([4, 0, 7], dtype=np.int64)
+        log.record("a", assignments)
+        assignments[0] = 99  # the caller's array is not the log's
+        (entry,) = log._entries.values()
+        assert not gc.is_tracked(entry)
+        replay = log.get("a")
+        replay[:] = -1  # nor is a replay's
+        assert log.get("a").tolist() == [4, 0, 7]
+        assert log.state_dict()["entries"] == [["a", [4, 0, 7]]]
 
     def test_snapshot_matches_the_parent_formulas(self):
         now = [0.0]
@@ -910,6 +949,370 @@ class TestServiceOverTcp:
 
 
 # --------------------------------------------------------------------- #
+# The connection loop: frames admitted inline, replies from the flush
+# --------------------------------------------------------------------- #
+class RawPeer:
+    """A test peer writing raw bytes to the service and reading reply frames."""
+
+    def __init__(self, address, timeout: float = 10.0, rcvbuf: int | None = None):
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        if rcvbuf is not None:
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+        self.sock.settimeout(timeout)
+        self.sock.connect(address)
+        self._rfile = self.sock.makefile("rb")
+
+    def send(self, data: bytes) -> None:
+        self.sock.sendall(data)
+
+    def recv(self) -> dict:
+        line = self._rfile.readline()
+        if not line.endswith(b"\n"):
+            raise ConnectionError("service closed the connection")
+        return decode_frame(line)
+
+    def close(self) -> None:
+        self._rfile.close()
+        self.sock.close()
+
+    def __enter__(self) -> "RawPeer":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def submit_frame(frame_id, sizes, request_id=None) -> bytes:
+    message = {"type": "submit", "id": frame_id, "sizes": list(sizes)}
+    if request_id is not None:
+        message["request_id"] = request_id
+    return encode_frame(message)
+
+
+@st.composite
+def replay_rounds(draw):
+    """Rounds of submit frames, some replaying an earlier round's request id.
+
+    Each round is ``(frames, cuts, pause)``: the frames as
+    ``(request_id, sizes, original)`` triples (``original`` indexes the
+    replayed frame, or is ``None``), the byte offsets its payload is cut at,
+    and whether to pause between the chunks.
+    """
+    frames: list = []
+    rounds = []
+    for _ in range(draw(st.integers(1, 4))):
+        start = len(frames)
+        for _ in range(draw(st.integers(1, 8))):
+            committed = [i for i in range(start) if frames[i][0] is not None]
+            if committed and draw(st.integers(0, 3)) == 0:
+                original = draw(st.sampled_from(committed))
+                frames.append((frames[original][0], frames[original][1], original))
+                continue
+            sizes = draw(st.lists(st.sampled_from([0.5, 1.0, 2.5]), min_size=1, max_size=12))
+            keyed = draw(st.booleans())
+            frames.append((f"r{len(frames)}" if keyed else None, sizes, None))
+        payload = b"".join(
+            submit_frame(i, sizes, request_id)
+            for i, (request_id, sizes, _) in enumerate(frames[start:], start)
+        )
+        cuts = sorted(set(draw(st.lists(st.integers(1, len(payload) - 1), max_size=6))))
+        rounds.append((range(start, len(frames)), cuts, draw(st.booleans())))
+    return frames, rounds
+
+
+class TestConnectionLoop:
+    N_SERVERS = 1000
+
+    def service(self, **kwargs) -> DispatchService:
+        return DispatchService(make_dispatcher(n_servers=self.N_SERVERS), **kwargs)
+
+    def test_small_submits_and_stats_create_no_tasks(self):
+        # Each frame used to cost one task; now only checkpoint and drain do.
+        created = []
+
+        def counting_factory(loop, coro, **kwargs):
+            created.append(type(coro).__name__)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        rng = np.random.default_rng(1)
+        with ServiceThread(self.service()) as thread:
+            installed = threading.Event()
+
+            def install() -> None:
+                thread._loop.set_task_factory(counting_factory)
+                installed.set()
+
+            thread._loop.call_soon_threadsafe(install)
+            assert installed.wait(10)
+            with thread.client() as client:
+                for i in range(200):
+                    client.submit(rng.uniform(0.5, 2.0, int(rng.integers(1, 33))))
+                    if i % 20 == 0:
+                        client.stats()
+                frames_created = len(created)
+        # The connection's own handler is the one task left.
+        assert frames_created < 5, created
+
+    def test_one_sendall_of_eight_submits_is_one_dispatch(self):
+        groups = [[1.0 + i] * (i + 1) for i in range(8)]
+        payload = b"".join(submit_frame(i, g) for i, g in enumerate(groups))
+        assert len(payload) < 1024
+        service = self.service()
+        calls = []
+        dispatch = service.dispatcher.dispatch_batch
+
+        def counting_dispatch(sizes, **kwargs):
+            calls.append(len(sizes))
+            return dispatch(sizes, **kwargs)
+
+        service.dispatcher.dispatch_batch = counting_dispatch
+        with ServiceThread(service) as thread:
+            with RawPeer(thread.address) as peer:
+                peer.send(payload)
+                replies = [peer.recv() for _ in groups]
+        assert calls == [sum(len(g) for g in groups)]
+        by_id = {reply["id"]: reply["assignments"] for reply in replies}
+        reference = make_dispatcher(n_servers=self.N_SERVERS)
+        for i, group in enumerate(groups):
+            assert by_id[i] == reference.dispatch_batch(np.asarray(group)).tolist()
+
+    @settings(max_examples=30, deadline=None)
+    @given(stream=replay_rounds())
+    def test_chunked_stream_with_replays_matches_a_bare_dispatcher(self, stream):
+        # Frames split mid-line across writes, fused into micro-batches
+        # however they arrive, still get exactly a bare dispatcher's
+        # assignments; a replay of a committed id is answered from the log.
+        frames, rounds = stream
+        reference = make_dispatcher(n_servers=self.N_SERVERS)
+        expected = []
+        for request_id, sizes, original in frames:
+            if original is None:
+                expected.append(reference.dispatch_batch(np.asarray(sizes)).tolist())
+            else:
+                expected.append(expected[original])
+        with ServiceThread(self.service()) as thread:
+            with RawPeer(thread.address) as peer:
+                for indices, cuts, pause in rounds:
+                    payload = b"".join(
+                        submit_frame(i, frames[i][1], frames[i][0]) for i in indices
+                    )
+                    for lo, hi in zip([0, *cuts], [*cuts, len(payload)]):
+                        peer.send(payload[lo:hi])
+                        if pause:
+                            time.sleep(0.001)
+                    replies = {}
+                    for _ in indices:
+                        reply = peer.recv()
+                        replies[reply["id"]] = reply
+                    assert sorted(replies) == list(indices)
+                    for i in indices:
+                        assert replies[i]["type"] == "result"
+                        assert replies[i]["assignments"] == expected[i]
+                        assert replies[i].get("replayed", False) is (frames[i][2] is not None)
+        # Replays dispatched nothing.  (The probe stream's position is not
+        # compared: it depends on how the jobs were split into batches.)
+        served = thread.service.dispatcher
+        assert served.jobs_dispatched == reference.jobs_dispatched
+        assert np.array_equal(served.job_counts, reference.job_counts)
+        assert np.array_equal(served.work, reference.work)
+
+    def test_a_client_that_half_closes_gets_every_reply(self):
+        # Replies still owed at EOF are written before the service closes.
+        groups = [[1.0] * (1 + i % 5) for i in range(50)]
+        with ServiceThread(self.service(max_queue_jobs=8)) as thread:
+            with RawPeer(thread.address) as peer:
+                peer.send(b"".join(submit_frame(i, g) for i, g in enumerate(groups)))
+                peer.sock.shutdown(socket.SHUT_WR)
+                replies = [peer.recv() for _ in groups]
+                with pytest.raises(ConnectionError):
+                    peer.recv()
+        reference = make_dispatcher(n_servers=self.N_SERVERS)
+        expected = reference.dispatch_batch(np.concatenate(groups)).tolist()
+        got = {reply["id"]: reply["assignments"] for reply in replies}
+        assert sum((got[i] for i in range(len(groups))), []) == expected
+
+    def test_an_id_past_the_float_range_still_gets_a_reply(self):
+        # 1e400 is a JSON number that decodes to inf, which strict JSON
+        # cannot echo back: the reply is an error without the id.
+        with ServiceThread(self.service()) as thread:
+            with RawPeer(thread.address) as peer:
+                peer.send(b'{"type":"stats","id":1e400}\n')
+                reply = peer.recv()
+                assert reply["type"] == "error" and reply["id"] is None
+                peer.send(submit_frame(1, [1.0]))
+                assert peer.recv()["type"] == "result"
+
+    def test_a_client_that_stops_reading_does_not_stall_others(self):
+        service = self.service()
+        flood = b"".join(submit_frame(i, [1.0]) for i in range(50_000))
+        with ServiceThread(service) as thread:
+            with RawPeer(thread.address, rcvbuf=4096) as stalled:
+                # It never reads its replies.  How many the kernel buffers
+                # before the service stops taking its frames varies.
+                stalled.send(flood)
+                deadline = time.monotonic() + 10
+                while service.dispatcher.jobs_dispatched < 1000:
+                    assert time.monotonic() < deadline, "the flood was not served"
+                    time.sleep(0.01)
+                with thread.client(timeout=10) as client:
+                    for _ in range(20):
+                        assignments = client.submit([1.0, 2.0])
+                        assert assignments.size == 2
+                        assert ((0 <= assignments) & (assignments < self.N_SERVERS)).all()
+                    stats = client.stats()
+        assert stats["jobs_dispatched"] >= 1000 + 40
+
+
+# --------------------------------------------------------------------- #
+# Frame fuzz: whatever a client sends, one reply per line
+# --------------------------------------------------------------------- #
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+FUZZ_SIZES = (
+    st.lists(
+        st.floats(allow_nan=False, allow_infinity=False) | st.integers(),
+        max_size=6,
+    )
+    | st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=6)
+    | JSON_VALUES
+)
+
+
+def is_json_line(line: bytes) -> bool:
+    try:
+        json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError):
+        return False
+    return True
+
+
+@st.composite
+def fuzz_line(draw) -> bytes:
+    """One client line: a protocol-shaped dict, any JSON value, or junk bytes."""
+    kind = draw(st.sampled_from(["frame"] * 6 + ["value", "bytes"]))
+    if kind == "bytes":
+        return draw(
+            st.binary(max_size=16).filter(
+                lambda b: b"\n" not in b and not is_json_line(b)
+            )
+        )
+    if kind == "value":
+        return json.dumps(draw(JSON_VALUES)).encode()
+    frame = draw(st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=2))
+    kind = draw(
+        st.sampled_from(["submit"] * 5 + ["stats", "drain", "checkpoint", "teleport"])
+        | JSON_VALUES
+    )
+    frame["type"] = kind
+    for key, values in (
+        ("id", JSON_VALUES),
+        ("sizes", FUZZ_SIZES),
+        ("request_id", st.sampled_from(["a", "b", "c"]) | JSON_VALUES),
+    ):
+        if draw(st.integers(0, 3)):
+            frame[key] = draw(values)
+    if draw(st.integers(0, 9)) == 0:
+        del frame["type"]
+    return json.dumps(frame).encode()
+
+
+def expected_reply(line: bytes, reference: Dispatcher, log: dict) -> tuple:
+    """The ``(type, id)`` the service must answer ``line`` with.
+
+    A successful fresh submit is dispatched on ``reference`` (and its
+    request id logged); the expectation then carries its assignments,
+    or the logged ones for a replay.
+    """
+    try:
+        message = decode_frame(line)
+    except FramingError:
+        return "error", None, None
+    reply_id = message.get("id")
+    kind = message.get("type", None)
+    if "type" not in message or kind not in ("submit", "stats", "drain", "checkpoint"):
+        return "error", reply_id, None
+    if kind != "submit":
+        return {"stats": "stats", "drain": "drained"}.get(kind, kind), reply_id, None
+    request_id = message.get("request_id")
+    if request_id is not None and not isinstance(request_id, str):
+        return "error", reply_id, None
+    if request_id in log:
+        return "replayed", reply_id, log[request_id]
+    sizes = message.get("sizes")
+    if not isinstance(sizes, list):
+        return "error", reply_id, None
+    try:
+        sizes = np.asarray(sizes, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return "error", reply_id, None
+    if sizes.ndim != 1 or not np.isfinite(sizes).all():
+        return "error", reply_id, None
+    assignments = reference.dispatch_batch(sizes).tolist()
+    if request_id is not None and sizes.size:
+        log[request_id] = assignments
+    return "result", reply_id, assignments
+
+
+def state_of(dispatcher: Dispatcher) -> str:
+    # As JSON text: work summed past the float range is NaN, which no
+    # dict comparison equates with itself.
+    return json.dumps(dispatcher.state_dict(), sort_keys=True)
+
+
+class TestFrameFuzz:
+    N_SERVERS = 1000
+
+    @settings(max_examples=40, deadline=None)
+    @given(lines=st.lists(fuzz_line(), max_size=25))
+    # A size numpy cannot make a float used to kill the frame's handler,
+    # and work summed past the float range the next stats reply.
+    @example(lines=[b'{"type":"submit","id":1,"sizes":[1' + b"0" * 400 + b"]}"])
+    @example(
+        lines=[
+            json.dumps({"type": "submit", "id": 1, "sizes": [1.5e308] * 3000}).encode(),
+            b'{"type":"stats","id":2}',
+        ]
+    )
+    # So did an id a reply cannot carry, and a line nested too deep to parse.
+    @example(lines=[b'{"type":"submit","id":NaN,"sizes":[1.0]}', b"[" * 100_000])
+    def test_every_line_gets_one_reply_and_errors_change_nothing(self, lines):
+        reference = Dispatcher(self.N_SERVERS, policy="adaptive", seed=9)
+        log: dict = {}
+        service = DispatchService(Dispatcher(self.N_SERVERS, policy="adaptive", seed=9))
+        with ServiceThread(service) as thread:
+            with RawPeer(thread.address) as peer:
+                for line in [*lines, submit_frame("last", [1.0, 1.0]).rstrip(b"\n")]:
+                    before = state_of(service.dispatcher)
+                    with np.errstate(all="ignore"):
+                        kind, reply_id, assignments = expected_reply(line, reference, log)
+                    peer.send(line + b"\n")
+                    reply = peer.recv()
+                    assert reply.get("id") == reply_id, (line, reply)
+                    if kind == "error":
+                        assert reply["type"] == "error", (line, reply)
+                        assert state_of(service.dispatcher) == before
+                        continue
+                    if kind in ("result", "replayed"):
+                        assert reply["type"] == "result", (line, reply)
+                        assert reply["assignments"] == assignments
+                        assert reply.get("replayed", False) is (kind == "replayed")
+                    else:
+                        assert reply["type"] == kind, (line, reply)
+                    assert state_of(service.dispatcher) == state_of(reference)
+                # No line was answered twice: the next reply is the last one's.
+                peer.send(encode_frame({"type": "stats", "id": "sentinel"}))
+                assert peer.recv()["id"] == "sentinel"
+
+
+# --------------------------------------------------------------------- #
 # CLI: repro serve / --version
 # --------------------------------------------------------------------- #
 class TestServeCli:
@@ -975,3 +1378,4 @@ class TestServeCli:
             if proc.poll() is None:  # pragma: no cover - cleanup on failure
                 proc.kill()
                 proc.wait()
+            proc.stderr.close()

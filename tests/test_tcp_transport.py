@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 
 import pytest
 
@@ -81,10 +82,13 @@ class TestTcpTransportProtocol:
         transport = TcpTransport()
         try:
             handle = transport.spawn(0)
-            os.kill(handle.pid, signal.SIGKILL)
-            with pytest.raises(WorkerLost):
-                handle.send({"type": "shard", "shard_id": 0, "spec": {}})
-                handle.recv()
+            try:
+                os.kill(handle.pid, signal.SIGKILL)
+                with pytest.raises(WorkerLost):
+                    handle.send({"type": "shard", "shard_id": 0, "spec": {}})
+                    handle.recv()
+            finally:
+                handle.close()
         finally:
             transport.shutdown()
 
@@ -124,30 +128,36 @@ class TestTcpEquivalence:
 
 
 class KillingTcpTransport(TcpTransport):
-    """SIGKILLs worker 0 immediately after its first shard dispatch.
+    """SIGKILLs whichever worker receives the first shard, right after the send.
 
     Mirror of the multiprocessing fault-injection transport: the kill is
     synchronous inside ``send``, so the coordinator must observe
-    ``WorkerLost`` on the recv and retry that exact shard over TCP.
+    ``WorkerLost`` on the recv and retry that exact shard over TCP.  Spawns
+    are serialised, and the worker that is up first may run every shard
+    before the other says hello, so each handle is armed and the first
+    shard sent by any of them picks the one to kill.
     """
 
     def __init__(self):
         super().__init__()
         self.killed_shard = None
+        self._first_shard = threading.Lock()
 
     def spawn(self, worker_id):
         handle = super().spawn(worker_id)
-        if worker_id == 0 and self.killed_shard is None:
-            transport = self
-            orig_send = handle.send
+        orig_send = handle.send
 
-            def send(message):
-                orig_send(message)
-                if transport.killed_shard is None and message.get("type") == "shard":
-                    transport.killed_shard = message["shard_id"]
-                    os.kill(handle.pid, signal.SIGKILL)
+        def send(message):
+            orig_send(message)
+            if message.get("type") != "shard":
+                return
+            with self._first_shard:
+                if self.killed_shard is not None:
+                    return
+                self.killed_shard = message["shard_id"]
+            os.kill(handle.pid, signal.SIGKILL)
 
-            handle.send = send
+        handle.send = send
         return handle
 
 
