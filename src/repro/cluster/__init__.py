@@ -12,11 +12,14 @@ JSONL.  The moving parts:
   of double-completed shards, and the
   :func:`~repro.cluster.coordinator.run_cluster_sweep` facade
   (``workers=0`` = in-process reference path);
-* :mod:`~repro.cluster.worker` — the shard executor and blocking worker
-  loop (shared by the in-process path, so rows are bit-identical);
+* :mod:`~repro.cluster.worker` — the shard executor (shared by the
+  in-process path, so rows are bit-identical) and the one blocking worker
+  loop both transports run;
 * :mod:`~repro.cluster.transport` — the :class:`Transport` seam (JSON
-  bytes, not pickles; :class:`MultiprocessingTransport` today, TCP
-  tomorrow without touching the coordinator);
+  bytes, not pickles) and its two transports, which share one worker
+  handle and one codec: :class:`MultiprocessingTransport` (a pipe per
+  worker, the default) and :class:`TcpTransport` (workers dial back over
+  TCP);
 * :mod:`~repro.cluster.stream` — JSONL streaming plus the ``--resume``
   scan that keeps complete shards and re-runs partial ones.
 

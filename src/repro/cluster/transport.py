@@ -2,16 +2,17 @@
 
 The coordinator talks to workers through a deliberately small seam — a
 :class:`Transport` spawns :class:`WorkerHandle`\\ s, and a handle exchanges
-JSON-serialisable dict messages with one worker — so the process-backed
-default can later be joined by a TCP/socket transport without touching the
-coordinator: the wire format is already JSON bytes, not pickles.
+JSON-serialisable dict messages with one worker — so how a frame crosses
+never reaches the coordinator, and the wire format is JSON bytes, not
+pickles.
 
 Loss semantics are part of the contract: :meth:`WorkerHandle.send` and
 :meth:`WorkerHandle.recv` raise :class:`WorkerLost` when the worker is gone
-(killed, crashed, connection severed).  The coordinator treats that as
-"the in-flight shard is lost, requeue it and respawn the worker" — it is a
-signal, not a user-facing error, so it derives from plain ``Exception``
-rather than the :mod:`repro.errors` hierarchy.
+(killed, crashed, connection severed) or its reply arrives torn or corrupt.
+The coordinator treats that as "the in-flight shard is lost, requeue it
+and respawn the worker" — it is a signal, not a user-facing error, so it
+derives from plain ``Exception`` rather than the :mod:`repro.errors`
+hierarchy.
 
 Threading is part of it too.  The coordinator drives each handle from one
 thread of its own, which calls ``send`` and ``recv`` directly and may block
@@ -21,14 +22,16 @@ or ``recv`` blocks, and it must make the blocked call raise
 :class:`WorkerLost` promptly.  Rows reach the coordinator's ``on_record``
 on its driver threads, one call at a time.
 
-:class:`MultiprocessingTransport` is the default implementation: one
-``multiprocessing.Process`` per worker, a duplex pipe per process, and the
+Both transports here share one wire: a worker process behind a
+:class:`multiprocessing.connection.Connection`, whose length-prefixed
+frames each carry one message as UTF-8 JSON (:func:`_encode` and
+:func:`_decode`, the codec of both ends), with the
 :func:`repro.cluster.worker.worker_main` loop on the far side.
-:class:`TcpTransport` runs the same worker processes over real sockets —
-newline-delimited JSON frames shared with the live service
-(:mod:`repro.service.framing`) — exercising the socket path end-to-end on
-one machine, ready to split across machines when the spawn step grows a
-remote launcher.
+:class:`MultiprocessingTransport`, the default, connects each worker by a
+duplex pipe.  :class:`TcpTransport` has each worker dial back to a
+listening socket and wraps both ends of it in the same connection,
+exercising the socket path end-to-end on one machine, ready to split
+across machines when the spawn step grows a remote launcher.
 """
 
 from __future__ import annotations
@@ -122,16 +125,44 @@ def check_transport(transport: Any) -> Any:
     return transport
 
 
+def _context(start_method: str | None) -> multiprocessing.context.BaseContext:
+    """The ``multiprocessing`` context both transports start workers in."""
+    available = multiprocessing.get_all_start_methods()
+    if start_method is None:
+        start_method = "fork" if "fork" in available else "spawn"
+    if start_method not in available:
+        raise ConfigurationError(
+            f"start_method: {start_method!r} not supported here "
+            f"(available: {available})"
+        )
+    return multiprocessing.get_context(start_method)
+
+
 def _encode(message: dict[str, Any]) -> bytes:
+    """One frame's payload: the message as UTF-8 JSON."""
     return json.dumps(message).encode("utf-8")
 
 
 def _decode(data: bytes) -> dict[str, Any]:
-    return json.loads(data.decode("utf-8"))
+    """Parse one frame's payload; ``ValueError`` unless it is a JSON object.
+
+    Bad UTF-8 and bad JSON raise ``ValueError`` too, and a payload nested
+    too deep to parse raises ``RecursionError``.
+    """
+    message = json.loads(data.decode("utf-8"))
+    if not isinstance(message, dict):
+        raise ValueError(f"frame must decode to a dict, got {type(message).__name__}")
+    return message
 
 
-class _ProcessWorkerHandle:
-    """A ``multiprocessing.Process`` worker behind a duplex pipe."""
+class _WorkerHandle:
+    """A worker process behind a :class:`multiprocessing.connection.Connection`.
+
+    Both transports hand out this class: the connection wraps a duplex pipe
+    (:class:`MultiprocessingTransport`) or a TCP socket
+    (:class:`TcpTransport`), and either way carries the same
+    length-prefixed frames of :func:`_encode` payloads.
+    """
 
     def __init__(
         self,
@@ -150,24 +181,25 @@ class _ProcessWorkerHandle:
     def send(self, message: dict[str, Any]) -> None:
         try:
             self._conn.send_bytes(_encode(message))
-        except (BrokenPipeError, ConnectionError, EOFError, OSError) as exc:
+        except (EOFError, OSError) as exc:
             raise WorkerLost(
                 f"worker {self.worker_id} (pid {self.pid}) is gone: {exc}"
             ) from exc
 
     def recv(self) -> dict[str, Any]:
         try:
-            data = self._conn.recv_bytes()
-        except (EOFError, ConnectionError, OSError) as exc:
+            return _decode(self._conn.recv_bytes())
+        except (EOFError, OSError, ValueError, RecursionError) as exc:
+            # A torn or corrupt frame means the worker died mid-write; the
+            # coordinator's answer is the same either way: retry the shard.
             raise WorkerLost(
                 f"worker {self.worker_id} (pid {self.pid}) died mid-shard: {exc}"
             ) from exc
-        return _decode(data)
 
     def close(self) -> None:
         try:
             self._conn.send_bytes(_encode({"type": "stop"}))
-        except (BrokenPipeError, ConnectionError, EOFError, OSError):
+        except (EOFError, OSError):
             pass  # already dead — nothing to stop
         self._process.join(timeout=5.0)
         if self._process.is_alive():  # pragma: no cover - defensive
@@ -194,18 +226,10 @@ class MultiprocessingTransport:
     """
 
     def __init__(self, start_method: str | None = None) -> None:
-        available = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in available else "spawn"
-        if start_method not in available:
-            raise ConfigurationError(
-                f"start_method: {start_method!r} not supported here "
-                f"(available: {available})"
-            )
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = _context(start_method)
         self._spawn_lock = threading.Lock()
 
-    def spawn(self, worker_id: int) -> _ProcessWorkerHandle:
+    def spawn(self, worker_id: int) -> _WorkerHandle:
         from repro.cluster.worker import worker_main
 
         # The lock serialises the Pipe()..child_conn.close() window across
@@ -224,71 +248,29 @@ class MultiprocessingTransport:
             )
             process.start()
             child_conn.close()
-        return _ProcessWorkerHandle(worker_id, process, parent_conn)
+        return _WorkerHandle(worker_id, process, parent_conn)
 
     def shutdown(self) -> None:
         """Nothing transport-wide to release (handles own their processes)."""
 
 
-class _TcpWorkerHandle:
-    """A worker process reached over a framed TCP connection."""
-
-    def __init__(self, worker_id: int, process, conn) -> None:
-        self.worker_id = worker_id
-        self._process = process
-        self._conn = conn
-
-    @property
-    def pid(self) -> int | None:
-        return self._process.pid
-
-    def send(self, message: dict[str, Any]) -> None:
-        try:
-            self._conn.send(message)
-        except (ConnectionError, EOFError, OSError) as exc:
-            raise WorkerLost(
-                f"worker {self.worker_id} (pid {self.pid}) is gone: {exc}"
-            ) from exc
-
-    def recv(self) -> dict[str, Any]:
-        from repro.service.framing import FramingError
-
-        try:
-            return self._conn.recv()
-        except (ConnectionError, EOFError, OSError, FramingError) as exc:
-            # A torn or corrupt frame means the worker died mid-write; the
-            # coordinator's answer is the same either way: retry the shard.
-            raise WorkerLost(
-                f"worker {self.worker_id} (pid {self.pid}) died mid-shard: {exc}"
-            ) from exc
-
-    def close(self) -> None:
-        try:
-            self._conn.send({"type": "stop"})
-        except (ConnectionError, EOFError, OSError):
-            pass  # already dead — nothing to stop
-        self._process.join(timeout=5.0)
-        if self._process.is_alive():  # pragma: no cover - defensive
-            self._process.terminate()
-            self._process.join(timeout=5.0)
-        self._conn.close()
-
-    def kill(self) -> None:
-        self._process.kill()
-        self._process.join(timeout=5.0)
-        self._conn.close()
+#: Size cap of the ``hello`` frame, the one frame :meth:`TcpTransport.spawn`
+#: reads before it knows which process is on the other end of a socket.
+_HELLO_MAX_BYTES = 1024
 
 
 class TcpTransport:
-    """Socket-backed transport: workers connect back over framed TCP.
+    """Socket-backed transport: workers connect back over TCP.
 
     The transport owns one listening socket.  :meth:`spawn` starts a worker
     process running :func:`repro.cluster.worker.tcp_worker_main`, accepts
     its connection, and matches it by the worker's ``hello`` frame — all
     under a lock, so concurrent spawns cannot cross their connections.
-    Everything after the spawn is plain sockets speaking the shared
-    newline-delimited JSON framing; running the workers on another machine
-    is a matter of replacing the local process launch.
+    Both ends then wrap the socket in a
+    :class:`multiprocessing.connection.Connection`, so the frames and the
+    handle are those of :class:`MultiprocessingTransport`; running the
+    workers on another machine is a matter of replacing the local process
+    launch.
 
     Parameters
     ----------
@@ -317,14 +299,7 @@ class TcpTransport:
         connect_attempts: int = 5,
         connect_backoff: float = 0.05,
     ) -> None:
-        available = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in available else "spawn"
-        if start_method not in available:
-            raise ConfigurationError(
-                f"start_method: {start_method!r} not supported here "
-                f"(available: {available})"
-            )
+        self._ctx = _context(start_method)
         if connect_attempts < 1:
             raise ConfigurationError(
                 f"connect_attempts: must be at least 1, got {connect_attempts}"
@@ -334,7 +309,6 @@ class TcpTransport:
                 "connect_timeout must be positive and connect_backoff "
                 f"non-negative, got {connect_timeout!r} / {connect_backoff!r}"
             )
-        self._ctx = multiprocessing.get_context(start_method)
         self._spawn_lock = threading.Lock()
         self._listener = socket.create_server((host, 0))
         self._listener.settimeout(accept_timeout)
@@ -349,9 +323,8 @@ class TcpTransport:
         bound = self._listener.getsockname()
         return (self._host, bound[1])
 
-    def spawn(self, worker_id: int) -> _TcpWorkerHandle:
+    def spawn(self, worker_id: int) -> _WorkerHandle:
         from repro.cluster.worker import tcp_worker_main
-        from repro.service.framing import FrameConnection
 
         host, port = self.address
         # The lock serialises start()..accept(): each spawned worker has
@@ -372,33 +345,25 @@ class TcpTransport:
                 daemon=True,
             )
             process.start()
+            conn = None
             try:
                 sock, _ = self._listener.accept()
-            except (TimeoutError, OSError) as exc:
+                # A socket with a timeout is non-blocking underneath, and the
+                # connection's reads would then fail instead of waiting.
+                sock.setblocking(True)
+                conn = multiprocessing.connection.Connection(sock.detach())
+                hello = _decode(conn.recv_bytes(_HELLO_MAX_BYTES))
+                if hello != {"type": "hello", "worker_id": worker_id}:
+                    raise ValueError(f"unexpected hello frame {hello!r}")
+            except (EOFError, OSError, ValueError, RecursionError) as exc:
+                if conn is not None:
+                    conn.close()
                 process.kill()
                 process.join(timeout=5.0)
                 raise ClusterError(
-                    f"worker {worker_id} never connected back "
-                    f"(accept on {host}:{port} failed: {exc})"
+                    f"worker {worker_id} never said hello on {host}:{port}: {exc}"
                 ) from exc
-            conn = FrameConnection(sock)
-            try:
-                hello = conn.recv()
-            except (ConnectionError, OSError) as exc:
-                conn.close()
-                process.kill()
-                process.join(timeout=5.0)
-                raise ClusterError(
-                    f"worker {worker_id} connected but died before hello: {exc}"
-                ) from exc
-            if hello.get("type") != "hello" or hello.get("worker_id") != worker_id:
-                conn.close()
-                process.kill()
-                process.join(timeout=5.0)
-                raise ClusterError(
-                    f"worker {worker_id}: unexpected hello frame {hello!r}"
-                )
-        return _TcpWorkerHandle(worker_id, process, conn)
+        return _WorkerHandle(worker_id, process, conn)
 
     def shutdown(self) -> None:
         try:

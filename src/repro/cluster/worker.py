@@ -9,7 +9,10 @@ rows no matter which process (or how many retries) it runs on; the PR-7
 ``backend=`` spec field rides along unchanged, so per-shard backend
 selection needs no extra wiring.
 
-Wire protocol (JSON dicts, see :mod:`repro.cluster.transport`):
+Wire protocol (one JSON dict per frame of a
+:class:`multiprocessing.connection.Connection`, coded at both ends by
+:mod:`repro.cluster.transport`; :func:`worker_main` serves the pipe and
+the TCP transport alike):
 
 * coordinator → worker: ``{"type": "shard", "shard_id": int, "spec": {...}}``
   (optionally carrying ``"heartbeat": seconds``) or ``{"type": "stop"}``;
@@ -30,13 +33,14 @@ which ``--resume`` uses to tell complete shards from truncated ones.
 
 from __future__ import annotations
 
-import json
+import multiprocessing.connection
 import socket
 import threading
 import time
 from typing import Any, Callable
 
 from repro.api.spec import SimulationSpec
+from repro.cluster.transport import _decode, _encode
 from repro.errors import ReproError
 
 __all__ = [
@@ -72,11 +76,10 @@ def handle_shard_message(
 ) -> dict[str, Any] | None:
     """Process one coordinator message; ``None`` means "stop the loop".
 
-    The transport-independent half of the worker: both the pipe-backed
-    :func:`worker_main` and the socket-backed :func:`tcp_worker_main` feed
-    their decoded messages through here, so shard semantics (run, tag,
-    report deterministic failures as ``"error"`` replies) cannot drift
-    between transports.
+    The shard half of the worker: :func:`worker_main` feeds every decoded
+    message through here, so shard semantics (run, tag, report
+    deterministic failures as ``"error"`` replies) have one home, apart
+    from the loop that moves the frames.
 
     When the message carries a ``"heartbeat"`` interval *and* a thread-safe
     ``send`` callable is provided, a daemon thread emits
@@ -133,37 +136,35 @@ def handle_shard_message(
             beat_thread.join(timeout=5.0)
 
 
-def worker_main(conn, worker_id: int) -> None:
+def worker_main(conn: multiprocessing.connection.Connection, worker_id: int) -> None:
     """Blocking worker loop: receive shard messages, reply with records.
 
-    Runs in the worker process (see
-    :class:`~repro.cluster.transport.MultiprocessingTransport`).  A
+    Runs in the worker process of either transport (see
+    :mod:`repro.cluster.transport`), over a pipe or a TCP socket.  A
     deterministic failure inside a shard is caught and reported as an
     ``"error"`` message rather than killing the worker, so the coordinator
     can distinguish "this spec cannot run" (abort) from "this worker died"
     (retry the shard elsewhere).  All sends — result replies and the
     heartbeat thread's frames — share one lock so frames never interleave
-    on the pipe.
+    on the connection.
     """
     send_lock = threading.Lock()
 
     def send(reply: dict[str, Any]) -> None:
         with send_lock:
-            conn.send_bytes(json.dumps(reply).encode("utf-8"))
+            conn.send_bytes(_encode(reply))
 
     while True:
         try:
             data = conn.recv_bytes()
-        except (EOFError, ConnectionError, OSError):
+        except (EOFError, OSError):
             return  # coordinator went away; nothing useful left to do
-        reply = handle_shard_message(
-            json.loads(data.decode("utf-8")), worker_id, send=send
-        )
+        reply = handle_shard_message(_decode(data), worker_id, send=send)
         if reply is None:
             return
         try:
             send(reply)
-        except (BrokenPipeError, ConnectionError, EOFError, OSError):
+        except OSError:
             return
 
 
@@ -204,19 +205,15 @@ def tcp_worker_main(
     connect_attempts: int = 5,
     connect_backoff: float = 0.05,
 ) -> None:
-    """Worker loop over a TCP connection back to the coordinator.
+    """Dial the coordinator over TCP, then serve shards by :func:`worker_main`.
 
     Spawned by :class:`~repro.cluster.transport.TcpTransport`: connects to
     the transport's listening socket (with bounded
     :func:`connect_with_retry` backoff, so racing a not-yet-listening
-    coordinator doesn't kill the worker), identifies itself with a
-    ``hello`` frame (newline-delimited JSON, shared with the service
-    protocol via :mod:`repro.service.framing`), then serves shards exactly
-    like :func:`worker_main` — including heartbeat frames, serialised with
-    result replies under one send lock.
+    coordinator doesn't kill the worker), wraps the socket in the
+    connection the pipe transport uses, and identifies itself with a
+    ``hello`` frame before the shared loop takes over.
     """
-    from repro.service.framing import FrameConnection
-
     sock = connect_with_retry(
         host,
         port,
@@ -226,26 +223,9 @@ def tcp_worker_main(
     )
     if sock is None:
         return  # coordinator's listener is gone; nothing to serve
-    conn = FrameConnection(sock)
-    send_lock = threading.Lock()
-
-    def send(reply: dict[str, Any]) -> None:
-        with send_lock:
-            conn.send(reply)
-
-    try:
-        send({"type": "hello", "worker_id": int(worker_id)})
-        while True:
-            try:
-                message = conn.recv()
-            except (ConnectionError, OSError):
-                return
-            reply = handle_shard_message(message, worker_id, send=send)
-            if reply is None:
-                return
-            try:
-                send(reply)
-            except (ConnectionError, OSError):
-                return
-    finally:
-        conn.close()
+    # The dial timeout must not outlive the dial: the connection needs a
+    # blocking socket, and an idle worker waits for its next shard unbounded.
+    sock.setblocking(True)
+    with multiprocessing.connection.Connection(sock.detach()) as conn:
+        conn.send_bytes(_encode({"type": "hello", "worker_id": int(worker_id)}))
+        worker_main(conn, worker_id)

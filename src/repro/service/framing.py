@@ -1,13 +1,15 @@
-"""Newline-delimited JSON framing shared by the service and TCP transport.
+"""Newline-delimited JSON framing of the live dispatcher service.
 
 One frame is one JSON document on one line, UTF-8 encoded and terminated by
 ``\\n``.  JSON string escaping guarantees the payload itself can never
 contain a raw newline, so the framing needs no length prefix and a frame
 stream can be inspected (or hand-fed) with ordinary line tools.  The live
-dispatcher service (:mod:`repro.service.server`) and the cluster's TCP
-transport (:class:`repro.cluster.transport.TcpTransport`) speak exactly this
-format, which is also the JSONL record format of :mod:`repro.cluster.stream`
-— a service conversation captured to a file *is* a JSONL document.
+dispatcher service (:mod:`repro.service.server`) and its clients speak
+exactly this format, which is also the JSONL record format of
+:mod:`repro.cluster.stream` — a service conversation captured to a file
+*is* a JSONL document.  The cluster's worker transports do not use it: they
+carry :mod:`multiprocessing.connection`'s length-prefixed frames (see
+:mod:`repro.cluster.transport`).
 
 Three consumer shapes are supported:
 
@@ -16,7 +18,7 @@ Three consumer shapes are supported:
 * :func:`read_frame` — the asyncio stream reader of the service's event
   loop;
 * :class:`FrameConnection` — a blocking socket wrapper for synchronous
-  peers (the cluster's TCP worker handles, the :class:`ServiceClient`).
+  peers (the :class:`ServiceClient`).
 
 Malformed input raises :class:`FramingError` (a
 :class:`~repro.errors.ReproError`), so peers can distinguish "the other
@@ -139,8 +141,8 @@ class FrameConnection:
 
     Owns the socket: :meth:`close` shuts it down.  ``recv`` raises
     ``ConnectionError`` when the peer is gone (EOF or a torn final line), so
-    callers that need softer loss semantics (the cluster transport's
-    :class:`~repro.cluster.transport.WorkerLost`) can translate uniformly.
+    callers that retry (the :class:`~repro.service.ServiceClient`) can
+    tell a lost peer from a malformed frame.
     An oversized frame raises :class:`FrameTooLargeError` and closes the
     connection, since the partially-read line desynchronises the stream.
     """

@@ -30,7 +30,8 @@ from repro.cluster import (
     run_shard,
 )
 from repro.cluster.stream import resume_scan, rewrite_jsonl
-from repro.cluster.transport import WorkerLost, check_transport
+from repro.cluster.transport import WorkerLost, _WorkerHandle, check_transport
+from repro.cluster.worker import handle_shard_message
 from repro.errors import ClusterError, ConfigurationError
 from repro.experiments.config import SweepConfig
 from repro.experiments.runner import run_sweep, run_trials
@@ -612,6 +613,98 @@ class TestPipelinedDispatch:
         assert stats["worker_deaths"] == 2
         assert stats["retries"] == 2
         assert stats["shards_run"] == 5
+
+
+# --------------------------------------------------------------------- #
+# Wire frames: whatever the connection delivers, recv gives a dict or
+# WorkerLost
+# --------------------------------------------------------------------- #
+def json_values():
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    return st.recursive(
+        scalars,
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=8), children, max_size=4),
+        max_leaves=30,
+    )
+
+
+def nested_frames():
+    """JSON nested 1 to 10^5 deep: the deep end is past the parser's limit."""
+    return st.integers(1, 100_000).flatmap(
+        lambda depth: st.sampled_from(
+            [
+                b"[" * depth + b"]" * depth,
+                b'{"a":' * depth + b"1" + b"}" * depth,
+                b"[" * depth,
+            ]
+        )
+    )
+
+
+def shard_replies():
+    """Frames a worker really sends: results, errors and heartbeats."""
+    specs = SWEEP.specs()
+    shard_ids = st.integers(0, len(specs) - 1)
+
+    def result(shard_id):
+        message = {"type": "shard", "shard_id": shard_id, "spec": specs[shard_id].to_dict()}
+        return handle_shard_message(message, worker_id=0)
+
+    def error(shard_id):
+        return {"type": "error", "shard_id": shard_id, "worker_id": 0, "error": "boom"}
+
+    def heartbeat(shard_id):
+        return {"type": "heartbeat", "shard_id": shard_id, "worker_id": 0}
+
+    return st.one_of(shard_ids.map(result), shard_ids.map(error), shard_ids.map(heartbeat))
+
+
+def wire_frames():
+    return st.one_of(
+        st.binary(max_size=64),
+        json_values().map(lambda value: json.dumps(value).encode("utf-8")),
+        nested_frames(),
+        shard_replies().map(lambda reply: json.dumps(reply).encode("utf-8")),
+    )
+
+
+class _NoProcess:
+    pid = None
+
+
+class TestWorkerWire:
+    @settings(max_examples=150, deadline=None)
+    @given(frames=st.lists(wire_frames(), max_size=8))
+    # Bad JSON, bad UTF-8, a JSON value that is not an object, and nesting
+    # too deep to parse: each is a lost worker, not an error that aborts.
+    @example(frames=[b"{not json", b"\xff\xfe", b"[1, 2]", b"[" * 100_000])
+    def test_recv_gives_the_dict_sent_or_worker_lost(self, frames):
+        # The frames arrive whole (the connection's length prefix keeps the
+        # stream in step), so the handle alone decides what each one is.
+        # A thread sends them, since a frame may outgrow the pipe's buffer.
+        parent, child = multiprocessing.Pipe()
+        handle = _WorkerHandle(0, _NoProcess(), parent)
+        sender = threading.Thread(
+            target=lambda: [child.send_bytes(data) for data in frames], daemon=True
+        )
+        sender.start()
+        try:
+            for data in frames:
+                try:
+                    sent = json.loads(data)
+                except (ValueError, RecursionError):
+                    sent = None
+                if isinstance(sent, dict):
+                    # As JSON text: a NaN in the frame equals no other NaN.
+                    assert json.dumps(handle.recv()) == json.dumps(sent)
+                else:
+                    with pytest.raises(WorkerLost):
+                        handle.recv()
+            sender.join()
+        finally:
+            parent.close()
+            child.close()
 
 
 # --------------------------------------------------------------------- #

@@ -8,7 +8,9 @@ call it, so those functions import it on first use.  This test keeps it
 that way, and catches the next heavy import before a benchmark does: a
 fresh interpreter imports every entry point, runs a small simulation of
 each protocol, one dispatch batch and one cluster shard, and may load no
-third-party package but numpy.
+third-party package but numpy.  The cluster also stands apart from the
+live service: a TCP sweep loads no ``repro.service`` module, since both
+transports share the cluster's own wire.
 """
 
 from __future__ import annotations
@@ -57,15 +59,37 @@ print(json.dumps(sorted(name for name in new if name not in sys.stdlib_module_na
 """
 
 
-def test_entry_points_load_no_third_party_package_but_numpy():
+TCP_SWEEP_SCRIPT = """
+import json
+import sys
+
+from repro.cluster import TcpTransport, run_cluster_sweep
+from repro.experiments.config import SweepConfig
+
+sweep = SweepConfig(protocols=("adaptive",), n_bins=20, ball_grid=(100, 200), trials=2, seed=0)
+rows = run_cluster_sweep(sweep, workers=2, transport=TcpTransport())
+assert len(rows) == 4, rows
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("repro.service"))))
+"""
+
+
+def run_fresh(script: str):
+    """Run ``script`` in a fresh interpreter; its last stdout line as JSON."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         timeout=120,
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    third_party = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert third_party == ["numpy", "repro"]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_entry_points_load_no_third_party_package_but_numpy():
+    assert run_fresh(SCRIPT) == ["numpy", "repro"]
+
+
+def test_tcp_sweep_loads_no_service_module():
+    assert run_fresh(TCP_SWEEP_SCRIPT) == []

@@ -26,7 +26,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster import run_cluster_sweep
+from repro.cluster import MultiprocessingTransport, TcpTransport, run_cluster_sweep
 from repro.cluster.transport import WorkerLost
 from repro.cluster.worker import connect_with_retry, handle_shard_message, run_shard
 from repro.errors import CheckpointError, ClusterError, ConfigurationError
@@ -434,7 +434,12 @@ COMPANION_SEED = 2574
 
 
 class TestChaosSweep:
-    def test_chaos_sweep_rows_bit_identical(self, reference_rows):
+    # Both wires: the pipe and TCP transports share one handle and one
+    # worker loop, so the same seeded faults must leave the same rows.
+    @pytest.mark.parametrize(
+        "inner", [MultiprocessingTransport, TcpTransport], ids=["pipe", "tcp"]
+    )
+    def test_chaos_sweep_rows_bit_identical(self, inner, reference_rows):
         plan = FaultPlan(
             drop=0.03,
             delay=0.05,
@@ -448,7 +453,7 @@ class TestChaosSweep:
         counts: dict[str, int] = {}
         stats = {"worker_hangs": 0}
         for workers, seed in ((3, CHAOS_SEED), (1, COMPANION_SEED)):
-            transport = ChaosTransport(FaultSchedule(plan, seed=seed))
+            transport = ChaosTransport(FaultSchedule(plan, seed=seed), inner=inner())
             sweep_stats: dict[str, int] = {}
             rows = run_cluster_sweep(
                 SWEEP,

@@ -1,10 +1,10 @@
 """Tests for the TCP cluster transport.
 
 The contract under test: a sweep fanned out over :class:`TcpTransport`
-emits exactly the row multiset of the single-process sweep — same framing
-and worker semantics as the multiprocessing transport, including
-``WorkerLost`` on a SIGKILLed worker and shard retry — because the worker
-loop and the shard executor are shared, only the byte transport differs.
+emits exactly the row multiset of the single-process sweep — same frames,
+handle and worker loop as the multiprocessing transport, including
+``WorkerLost`` on a SIGKILLed worker and shard retry — because only the
+socket under the connection differs.
 """
 
 from __future__ import annotations
@@ -12,15 +12,18 @@ from __future__ import annotations
 import os
 import signal
 import threading
+import time
 
 import pytest
 
+from repro.api import SimulationSpec
 from repro.cluster import (
     MultiprocessingTransport,
     TcpTransport,
     Transport,
     WorkerHandle,
     run_cluster_sweep,
+    run_shard,
 )
 from repro.cluster.transport import WorkerLost, check_transport
 from repro.errors import ClusterError
@@ -87,6 +90,24 @@ class TestTcpTransportProtocol:
                 with pytest.raises(WorkerLost):
                     handle.send({"type": "shard", "shard_id": 0, "spec": {}})
                     handle.recv()
+            finally:
+                handle.close()
+        finally:
+            transport.shutdown()
+
+    def test_idle_worker_outlives_its_dial_timeout(self):
+        # The dial timeout must not stay on the worker's socket: an idle
+        # worker waits for its next shard however long that takes.
+        transport = TcpTransport(connect_timeout=0.5)
+        try:
+            handle = transport.spawn(0)
+            try:
+                time.sleep(1.5)
+                spec = SimulationSpec("adaptive", 100, 50, seed=7, trials=1)
+                handle.send({"type": "shard", "shard_id": 0, "spec": spec.to_dict()})
+                reply = handle.recv()
+                assert reply["type"] == "result"
+                assert reply["records"] == run_shard(spec, 0)
             finally:
                 handle.close()
         finally:
