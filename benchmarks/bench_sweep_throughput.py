@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 
-from repro.experiments.config import TrialConfig
+from repro.api import SimulationSpec
 from repro.experiments.runner import run_trial, run_trials
 
 from conftest import BENCH_SEED, TABLE1_BALLS, TABLE1_BINS, write_bench_json
@@ -35,13 +35,13 @@ CELL_BINS = 1_000
 CELL_TRIALS = 1_000
 
 
-def run_cell(config: TrialConfig, *, batch: bool) -> None:
+def run_cell(spec: SimulationSpec, *, batch: bool) -> None:
     """One whole cell: batched ``run_trials``, or ``run_trial`` per index."""
     if batch:
-        run_trials(config)
+        run_trials(spec)
     else:
-        for i in range(config.trials):
-            run_trial(config, i)
+        for i in range(spec.trials):
+            run_trial(spec, i)
 
 
 def trials_per_second(
@@ -60,21 +60,15 @@ def trials_per_second(
     noise-robust throughput estimator on shared machines (every slowdown
     source is additive).
     """
-    config = TrialConfig(
-        protocol=protocol,
-        n_balls=n_balls,
-        n_bins=n_bins,
-        trials=max(1, trials // 2),
-        seed=BENCH_SEED,
+    warm_up = SimulationSpec(
+        protocol, n_balls, n_bins, seed=BENCH_SEED, trials=max(1, trials // 2)
     )
-    run_cell(config, batch=batch)
-    config = TrialConfig(
-        protocol=protocol, n_balls=n_balls, n_bins=n_bins, trials=trials, seed=BENCH_SEED
-    )
+    run_cell(warm_up, batch=batch)
+    spec = SimulationSpec(protocol, n_balls, n_bins, seed=BENCH_SEED, trials=trials)
     best = 0.0
     for _ in range(reps):
         start = time.perf_counter()
-        run_cell(config, batch=batch)
+        run_cell(spec, batch=batch)
         seconds = time.perf_counter() - start
         best = max(best, trials / seconds)
     return best

@@ -20,22 +20,22 @@ from __future__ import annotations
 import argparse
 import time
 
-from repro.experiments.config import TrialConfig
+from repro.api import SimulationSpec
 from repro.experiments.runner import run_trial, run_trials
 from repro.experiments.table1 import table1_measured, table1_rows
 from repro.reporting import format_markdown_table
 
 
-def _cell_rate(config: TrialConfig, *, batch: bool) -> float:
+def _cell_rate(spec: SimulationSpec, *, batch: bool) -> float:
     """Whole-cell throughput in trials/second: batched ``run_trials``, or
     one ``run_trial`` call per trial index."""
     start = time.perf_counter()
     if batch:
-        run_trials(config)
+        run_trials(spec)
     else:
-        for i in range(config.trials):
-            run_trial(config, i)
-    return config.trials / (time.perf_counter() - start)
+        for i in range(spec.trials):
+            run_trial(spec, i)
+    return spec.trials / (time.perf_counter() - start)
 
 
 def main() -> None:
@@ -100,12 +100,8 @@ def main() -> None:
 
     # Time one ADAPTIVE cell two ways: run_trials' trial blocks (what the
     # table above used) against one run_trial call per trial index.
-    bench = TrialConfig(
-        protocol="adaptive",
-        n_balls=n_balls,
-        n_bins=n_bins,
-        trials=max(100, args.trials),
-        seed=2013,
+    bench = SimulationSpec(
+        "adaptive", n_balls, n_bins, seed=2013, trials=max(100, args.trials)
     )
     batched = _cell_rate(bench, batch=True)
     looped = _cell_rate(bench, batch=False)

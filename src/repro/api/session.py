@@ -274,7 +274,7 @@ def simulate(
         if spec.workload is None:
             raise ConfigurationError(
                 "workload: a DispatchSpec needs a workload to simulate; "
-                "attach a WorkloadSpec or use Dispatcher.from_spec directly"
+                "attach a WorkloadSpec or stream batches through spec.build_dispatcher()"
             )
         dispatcher = spec.build_dispatcher()
         return dispatcher.dispatch(spec.workload.build())

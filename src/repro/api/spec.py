@@ -28,10 +28,10 @@ weight distribution, which the test-suite certifies with hypothesis.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, replace
 from typing import Any, Mapping
 
+from repro.core.backend import validate_backend_name
 from repro.core.protocol import AllocationProtocol, make_protocol
 from repro.errors import ConfigurationError
 
@@ -75,11 +75,27 @@ def _check_params(params: Any, field_name: str) -> dict[str, Any]:
     return out
 
 
-def _check_backend(backend: Any) -> None:
-    """Spec-level backend validation: registered name or ``None``."""
-    from repro.core.backend import validate_backend_name
+def _loads(text: str) -> Any:
+    """``json.loads``, with malformed or too deeply nested text a typed error."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigurationError(f"spec: not a JSON document: {exc}") from None
 
-    validate_backend_name(backend)
+
+def _check_keys(cls, payload: dict[str, Any], where: str = "") -> None:
+    """Refuse a ``from_dict`` payload with an unknown or missing field."""
+    fields = cls.__dataclass_fields__
+    unknown = sorted(set(payload) - set(fields))
+    if unknown:
+        raise ConfigurationError(
+            f"{where}{unknown[0]}: unknown field for {cls.__name__} "
+            f"(allowed: {sorted(fields)})"
+        )
+    for name, spec_field in fields.items():
+        required = spec_field.default is MISSING is spec_field.default_factory
+        if required and name not in payload:
+            raise ConfigurationError(f"{where}{name}: required field is missing")
 
 
 def _from_dict(cls, data: Mapping[str, Any], kind: str, nested=None):
@@ -94,13 +110,7 @@ def _from_dict(cls, data: Mapping[str, Any], kind: str, nested=None):
         raise ConfigurationError(
             f"kind: expected {kind!r}, got {declared!r}"
         )
-    allowed = set(cls.__dataclass_fields__)
-    unknown = set(payload) - allowed
-    if unknown:
-        raise ConfigurationError(
-            f"{sorted(unknown)[0]}: unknown field for {cls.__name__} "
-            f"(allowed: {sorted(allowed)})"
-        )
+    _check_keys(cls, payload)
     if nested:
         for key, build in nested.items():
             if payload.get(key) is not None:
@@ -191,7 +201,7 @@ class SimulationSpec:
             f"must be a bool, got {type(self.record_trace).__name__}",
         )
         object.__setattr__(self, "params", _check_params(self.params, "params"))
-        _check_backend(self.backend)
+        validate_backend_name(self.backend)
         # Validate protocol name and params against the live registry (this
         # also covers weight_dist and distribution parameters, which the
         # weighted protocol constructors check against WEIGHT_DISTRIBUTIONS).
@@ -234,7 +244,7 @@ class SimulationSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SimulationSpec":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(_loads(text))
 
 
 @dataclass(frozen=True)
@@ -307,11 +317,7 @@ class WorkloadSpec:
                 f"workload: expected a mapping, got {type(data).__name__}"
             )
         payload = dict(data)
-        unknown = set(payload) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigurationError(
-                f"workload.{sorted(unknown)[0]}: unknown field for WorkloadSpec"
-            )
+        _check_keys(cls, payload, "workload.")
         return cls(**payload)
 
 
@@ -319,10 +325,18 @@ class WorkloadSpec:
 class DispatchSpec:
     """Declarative description of a scheduler dispatch run.
 
-    ``policy`` is one of the :class:`repro.scheduler.Dispatcher` policies;
-    ``params`` maps onto the dispatcher's policy parameters (``d``, ``k``,
-    ``w_max``).  With a ``workload`` attached, :func:`repro.simulate`
-    dispatches it and returns the unified
+    ``policy``, ``n_servers``, ``block_size``, ``small_burst`` and
+    ``backend`` are the :class:`repro.scheduler.Dispatcher` parameters of
+    the same names, and ``params`` holds its policy parameters (``d``,
+    ``k``, ``w_max``).  The spec is checked by the dispatcher's own config
+    rule, without building a dispatcher (which allocates O(n_servers)
+    state), so a spec accepts exactly the configurations the constructor
+    and :meth:`Dispatcher.from_state
+    <repro.scheduler.Dispatcher.from_state>` accept — except that
+    ``backend`` must be a registered name, not a backend instance, and
+    NumPy integers are stored as ``int``, so the spec serialises to JSON.
+    With a ``workload`` attached, :func:`repro.simulate` dispatches it and
+    returns the unified
     :class:`~repro.scheduler.dispatcher.DispatchResult`.
     """
 
@@ -336,89 +350,59 @@ class DispatchSpec:
     backend: str | None = None
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.policy, str), "policy", "must be a string")
-        _require(
-            isinstance(self.n_servers, int) and not isinstance(self.n_servers, bool),
-            "n_servers",
-            f"must be an int, got {type(self.n_servers).__name__}",
-        )
-        _require(
-            self.n_servers > 0,
-            "n_servers",
-            f"must be positive, got {self.n_servers}",
-        )
+        from repro.scheduler.dispatcher import _check_config
+
         if self.workload is not None and not isinstance(self.workload, WorkloadSpec):
             raise ConfigurationError(
                 "workload: must be a WorkloadSpec or None, "
                 f"got {type(self.workload).__name__}"
             )
         object.__setattr__(self, "seed", _check_seed(self.seed, "seed"))
-        object.__setattr__(self, "params", _check_params(self.params, "params"))
-        for name in ("block_size", "small_burst"):
-            value = getattr(self, name)
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, int)
-            ):
-                raise ConfigurationError(
-                    f"{name}: must be an int or None, got {type(value).__name__}"
-                )
-        _check_backend(self.backend)
+        params = _check_params(self.params, "params")
         allowed = {"d", "k", "w_max"}
-        unknown = set(self.params) - allowed
+        unknown = set(params) - allowed
         if unknown:
             raise ConfigurationError(
                 f"params: unknown dispatch parameter {sorted(unknown)[0]!r} "
                 f"(allowed: {sorted(allowed)})"
             )
+        validate_backend_name(self.backend)
         try:
-            self._validate_policy()
+            _check_config(
+                self.n_servers,
+                self.policy,
+                params.get("d", 2),
+                params.get("k", 1),
+                params.get("w_max"),
+                self.block_size,
+                self.small_burst,
+                self.backend,
+            )
         except ConfigurationError as exc:
             raise ConfigurationError(f"policy/params: {exc}") from exc
-
-    def _validate_policy(self) -> None:
-        """Field-level checks mirroring the Dispatcher constructor.
-
-        Deliberately does *not* build a dispatcher: construction allocates
-        O(n_servers) server state, which a spec that is merely being
-        deserialised, logged or compared should never pay.
-        """
-        from repro.baselines.left import replay_group_map
-        from repro.scheduler.dispatcher import _POLICIES
-
-        if self.policy not in _POLICIES:
-            raise ConfigurationError(
-                f"policy must be one of {_POLICIES}, got {self.policy!r}"
-            )
-        d = self.params.get("d", 2)
-        k = self.params.get("k", 1)
-        w_max = self.params.get("w_max")
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-            raise ConfigurationError(f"d must be an int >= 1, got {d!r}")
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise ConfigurationError(f"k must be a non-negative int, got {k!r}")
-        if w_max is not None and (
-            isinstance(w_max, bool)
-            or not isinstance(w_max, (int, float))
-            or not 0 < w_max < math.inf
-        ):
-            raise ConfigurationError(
-                f"w_max must be positive and finite, got {w_max!r}"
-            )
-        if self.policy in ("left", "weighted-left"):
-            replay_group_map(self.n_servers, d)
-        if self.block_size is not None and self.block_size <= 0:
-            raise ConfigurationError("block_size must be positive when given")
-        if self.small_burst is not None and self.small_burst < 0:
-            raise ConfigurationError(
-                f"small_burst must be non-negative or None (auto), "
-                f"got {self.small_burst}"
-            )
+        for name in ("n_servers", "block_size", "small_burst"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(
+            self,
+            "params",
+            {key: int(v) if key in ("d", "k") else v for key, v in params.items()},
+        )
 
     def build_dispatcher(self, probe_stream=None):
         """Construct the dispatcher this spec describes."""
         from repro.scheduler.dispatcher import Dispatcher
 
-        return Dispatcher.from_spec(self, probe_stream=probe_stream)
+        return Dispatcher(
+            self.n_servers,
+            policy=self.policy,
+            seed=self.seed,
+            probe_stream=probe_stream,
+            block_size=self.block_size,
+            small_burst=self.small_burst,
+            backend=self.backend,
+            **self.params,
+        )
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -444,7 +428,7 @@ class DispatchSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "DispatchSpec":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(_loads(text))
 
 
 _KINDS = {
@@ -473,5 +457,9 @@ def spec_from_dict(data: Mapping[str, Any]) -> SimulationSpec | DispatchSpec:
 
 
 def spec_from_json(text: str) -> SimulationSpec | DispatchSpec:
-    """Rebuild a spec from its JSON form (see :func:`spec_from_dict`)."""
-    return spec_from_dict(json.loads(text))
+    """Rebuild a spec from its JSON form (see :func:`spec_from_dict`).
+
+    Text that is not JSON, or is nested too deeply to parse, raises
+    :class:`~repro.errors.ConfigurationError` like any other bad spec.
+    """
+    return spec_from_dict(_loads(text))

@@ -46,6 +46,7 @@ __all__ = [
     "LeftProtocol",
     "run_left",
     "group_boundaries",
+    "check_replay_groups",
     "replay_group_map",
     "seeded_group_choices",
     "left_source",
@@ -74,18 +75,14 @@ def group_boundaries(n_bins: int, d: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(sizes)))
 
 
-def replay_group_map(n_bins: int, d: int) -> tuple[np.ndarray, int]:
-    """Return ``(group_base, size)`` for mapping uniform probes onto groups.
+def check_replay_groups(n_bins: int, d: int) -> None:
+    """Raise unless ``n_bins`` bins split into ``d`` equal, non-empty groups.
 
-    This is the single home of the left[d] replay contract: it requires
-    ``n_bins`` divisible by ``d`` (equal groups) and a probe ``v`` uniform
-    over ``{0, …, n-1}`` for group ``g`` maps to the uniform in-group choice
-    ``group_base[g] + v % size``.  Both :class:`LeftProtocol` and the
-    dispatcher's ``"left"`` policy (plus their per-ball references) go
-    through this helper, so the mapping cannot silently diverge.  Unequal
-    groups cannot be driven by a uniform stream without biasing some bins,
-    hence the :class:`~repro.errors.ConfigurationError`.  Equal groups
-    start at ``g * size``.
+    The precondition of the replay contract (:func:`replay_group_map`),
+    decided by arithmetic alone, so a configuration check can apply it to
+    any size without building the group map.  Unequal groups cannot be
+    driven by a uniform stream without biasing some bins, hence the
+    :class:`~repro.errors.ConfigurationError`.
     """
     _check_groups(n_bins, d)
     if n_bins % d:
@@ -93,6 +90,20 @@ def replay_group_map(n_bins: int, d: int) -> tuple[np.ndarray, int]:
             "left[d] probe replay needs equal groups: n_bins must be "
             f"divisible by d, got {n_bins} bins and d={d}"
         )
+
+
+def replay_group_map(n_bins: int, d: int) -> tuple[np.ndarray, int]:
+    """Return ``(group_base, size)`` for mapping uniform probes onto groups.
+
+    This is the single home of the left[d] replay contract: it requires
+    equal groups (:func:`check_replay_groups`) and a probe ``v`` uniform
+    over ``{0, …, n-1}`` for group ``g`` maps to the uniform in-group choice
+    ``group_base[g] + v % size``.  Both :class:`LeftProtocol` and the
+    dispatcher's ``"left"`` policy (plus their per-ball references) go
+    through this helper, so the mapping cannot silently diverge.  Equal
+    groups start at ``g * size``.
+    """
+    check_replay_groups(n_bins, d)
     size = n_bins // d
     return np.arange(d, dtype=np.int64) * size, size
 

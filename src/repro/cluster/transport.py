@@ -39,8 +39,10 @@ from __future__ import annotations
 import json
 import multiprocessing
 import multiprocessing.connection
+import os
 import socket
 import threading
+import time
 from typing import Any, Protocol, runtime_checkable
 
 from repro.errors import ClusterError, ConfigurationError
@@ -263,9 +265,11 @@ class TcpTransport:
     """Socket-backed transport: workers connect back over TCP.
 
     The transport owns one listening socket.  :meth:`spawn` starts a worker
-    process running :func:`repro.cluster.worker.tcp_worker_main`, accepts
-    its connection, and matches it by the worker's ``hello`` frame — all
-    under a lock, so concurrent spawns cannot cross their connections.
+    process running :func:`repro.cluster.worker.tcp_worker_main` and
+    accepts connections until one says that worker's ``hello`` frame — all
+    under a lock, so concurrent spawns cannot cross their connections, and
+    within ``accept_timeout``, so a stray peer that connects first cannot
+    stall the spawn.
     Both ends then wrap the socket in a
     :class:`multiprocessing.connection.Connection`, so the frames and the
     handle are those of :class:`MultiprocessingTransport`; running the
@@ -280,8 +284,8 @@ class TcpTransport:
         ``multiprocessing`` start method for the local worker processes;
         same default as :class:`MultiprocessingTransport`.
     accept_timeout:
-        Seconds to wait for a spawned worker to dial back before declaring
-        the spawn failed.
+        Seconds to wait for a spawned worker to dial back and say hello
+        before declaring the spawn failed.
     connect_timeout, connect_attempts, connect_backoff:
         Forwarded to :func:`repro.cluster.worker.connect_with_retry` in
         each spawned worker: per-attempt dial timeout, bounded retry
@@ -312,6 +316,7 @@ class TcpTransport:
         self._spawn_lock = threading.Lock()
         self._listener = socket.create_server((host, 0))
         self._listener.settimeout(accept_timeout)
+        self._accept_timeout = float(accept_timeout)
         self._host = host
         self._connect_timeout = float(connect_timeout)
         self._connect_attempts = int(connect_attempts)
@@ -327,9 +332,8 @@ class TcpTransport:
         from repro.cluster.worker import tcp_worker_main
 
         host, port = self.address
-        # The lock serialises start()..accept(): each spawned worker has
-        # connected (and said hello) before the next spawn begins, so an
-        # accepted connection always belongs to the worker just started.
+        # The lock serialises start()..hello: the connection kept is the one
+        # that says this worker's hello, and no other spawn is accepting.
         with self._spawn_lock:
             process = self._ctx.Process(
                 target=tcp_worker_main,
@@ -345,25 +349,54 @@ class TcpTransport:
                 daemon=True,
             )
             process.start()
-            conn = None
             try:
-                sock, _ = self._listener.accept()
-                # A socket with a timeout is non-blocking underneath, and the
-                # connection's reads would then fail instead of waiting.
-                sock.setblocking(True)
-                conn = multiprocessing.connection.Connection(sock.detach())
-                hello = _decode(conn.recv_bytes(_HELLO_MAX_BYTES))
-                if hello != {"type": "hello", "worker_id": worker_id}:
-                    raise ValueError(f"unexpected hello frame {hello!r}")
-            except (EOFError, OSError, ValueError, RecursionError) as exc:
-                if conn is not None:
-                    conn.close()
+                conn = self._await_hello(worker_id)
+            except (OSError, ValueError) as exc:
                 process.kill()
                 process.join(timeout=5.0)
                 raise ClusterError(
                     f"worker {worker_id} never said hello on {host}:{port}: {exc}"
                 ) from exc
         return _WorkerHandle(worker_id, process, conn)
+
+    def _await_hello(self, worker_id: int) -> multiprocessing.connection.Connection:
+        """Accept until a connection says ``worker_id``'s hello; return it.
+
+        Waits on the listener and on every connection accepted so far
+        together, until ``accept_timeout`` (then ``TimeoutError``), so a
+        peer that connects and stays silent cannot hold the spawn.  The
+        accepted sockets are non-blocking until their hello, so a connection
+        is read only once it has data, and one whose whole frame is not there
+        yet fails its read instead of blocking.  A connection that closes,
+        or sends anything but this hello, is closed and the wait goes on;
+        the ones still pending are closed before returning.
+        """
+        deadline = time.monotonic() + self._accept_timeout
+        pending: list[multiprocessing.connection.Connection] = []
+        try:
+            while (remaining := deadline - time.monotonic()) > 0:
+                for ready in multiprocessing.connection.wait(
+                    [self._listener, *pending], remaining
+                ):
+                    if ready is self._listener:
+                        sock, _ = self._listener.accept()
+                        sock.setblocking(False)
+                        pending.append(multiprocessing.connection.Connection(sock.detach()))
+                        continue
+                    pending.remove(ready)
+                    try:
+                        hello = _decode(ready.recv_bytes(_HELLO_MAX_BYTES))
+                    except (EOFError, OSError, ValueError, RecursionError):
+                        hello = None
+                    if hello == {"type": "hello", "worker_id": worker_id}:
+                        # The handle's reads wait for their frame.
+                        os.set_blocking(ready.fileno(), True)
+                        return ready
+                    ready.close()
+            raise TimeoutError(f"no hello within {self._accept_timeout} s")
+        finally:
+            for conn in pending:
+                conn.close()
 
     def shutdown(self) -> None:
         try:

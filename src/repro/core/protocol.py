@@ -276,15 +276,18 @@ def get_protocol(name: str) -> type[AllocationProtocol]:
 def make_protocol(name: str, **params: Any) -> AllocationProtocol:
     """Instantiate the protocol registered under ``name`` with ``params``.
 
-    Parameter problems — unknown keyword, wrong arity — surface as
+    Parameter problems — unknown keyword, wrong arity, a value no
+    conversion accepts (a NaN or infinite ``d``) — surface as
     :class:`~repro.errors.ConfigurationError` (instead of the bare
-    ``TypeError`` a direct constructor call would raise), so spec validation
-    can report them uniformly.
+    ``TypeError``, ``ValueError`` or ``OverflowError`` a direct constructor
+    call would raise), so spec validation can report them uniformly.
     """
     cls = get_protocol(name)
     try:
         return cls(**params)
-    except TypeError as exc:
+    except ConfigurationError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(
             f"invalid parameters for protocol {name!r}: {exc}"
         ) from exc

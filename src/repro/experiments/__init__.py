@@ -1,17 +1,16 @@
 """Experiment harness: configs, runner, and the paper's tables and figures.
 
-The runner is spec-driven: every entry point accepts a
-:class:`repro.api.SimulationSpec` (the legacy :class:`TrialConfig` is
-converted via :func:`as_spec` on the way in, with identical per-trial
-seeds), and the registry's experiments regenerate the paper's artefacts
-through the same :func:`repro.simulate` facade the CLI and scheduler use.
+The runner is spec-driven: a trial batch is one
+:class:`repro.api.SimulationSpec` and a :class:`SweepConfig` a grid of
+them, and the registry's experiments regenerate the paper's artefacts
+through the same specs and per-trial seeds as the :func:`repro.simulate`
+facade the CLI and scheduler use.
 """
 
 from repro.experiments.config import (
     FIGURE3_DEFAULT,
     TABLE1_DEFAULT,
     SweepConfig,
-    TrialConfig,
 )
 from repro.experiments.figure3 import (
     figure3_report,
@@ -26,7 +25,6 @@ from repro.experiments.registry import (
     run_experiment,
 )
 from repro.experiments.runner import (
-    as_spec,
     run_sweep,
     run_trial,
     run_trials,
@@ -49,7 +47,6 @@ __all__ = [
     "FIGURE3_DEFAULT",
     "TABLE1_DEFAULT",
     "SweepConfig",
-    "TrialConfig",
     "figure3_report",
     "figure3_series",
     "potential_curve",
@@ -58,7 +55,6 @@ __all__ = [
     "ExperimentSpec",
     "get_experiment",
     "run_experiment",
-    "as_spec",
     "run_sweep",
     "run_trial",
     "run_trials",

@@ -287,10 +287,17 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--n-servers", type=int, default=1000, help="server count (default 1000)"
     )
     parser.add_argument(
-        "--d", type=int, default=2, help="probes per round (default 2)"
+        "--d",
+        type=int,
+        default=2,
+        help="number of probes per job for the greedy, left, memory and "
+        "weighted-left policies (default 2)",
     )
     parser.add_argument(
-        "--k", type=int, default=1, help="adaptive accept slack (default 1)"
+        "--k",
+        type=int,
+        default=1,
+        help="number of remembered servers for the memory policy (default 1)",
     )
     parser.add_argument(
         "--w-max",
@@ -610,10 +617,10 @@ def _run_spec(path: str) -> Any:
     """Load a JSON spec from ``path`` (``-`` = stdin) and simulate it."""
     from repro.api import simulate, spec_from_json
 
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(path).read_text()
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"spec: cannot read {path}: {exc}") from exc
     result = simulate(spec_from_json(text))
     # Summary view (arrays=False): tables and CSV want the flat scalars,
     # not a 10^4-entry loads column.

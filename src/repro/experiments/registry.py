@@ -7,7 +7,7 @@ can enumerate them and run one by name, e.g. ``repro-experiment table1`` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from repro.api.spec import SimulationSpec
@@ -59,14 +59,7 @@ def _run_table1(scale: float = 1.0, **kwargs: Any) -> Any:
 def _run_figure3(panel: str, scale: float = 1.0, **kwargs: Any) -> Any:
     sweep = FIGURE3_DEFAULT.scaled(scale)
     if scale < 1.0:
-        sweep = type(sweep)(
-            protocols=sweep.protocols,
-            n_bins=sweep.n_bins,
-            ball_grid=sweep.ball_grid,
-            trials=max(3, int(FIGURE3_DEFAULT.trials * scale)),
-            seed=sweep.seed,
-            params=sweep.params,
-        )
+        sweep = replace(sweep, trials=max(3, int(FIGURE3_DEFAULT.trials * scale)))
     rows = figure3.figure3_series(sweep, **kwargs)
     if panel == "a":
         grid, series = figure3.runtime_curve(rows)

@@ -1,11 +1,10 @@
 """Seeded multi-trial experiment runner.
 
 The runner is the single place that turns a declarative
-:class:`~repro.api.SimulationSpec` into repeated, independently seeded
-protocol runs.  The legacy :class:`~repro.experiments.config.TrialConfig` is
-accepted everywhere a spec is (it is converted on the way in), and the
-derived per-trial seeds are identical either way — and identical to what
-:func:`repro.simulate` derives for multi-trial specs.
+:class:`~repro.api.SimulationSpec` — the one description of a trial batch —
+into repeated, independently seeded protocol runs.  The derived per-trial
+seeds are identical to what :func:`repro.simulate` derives for multi-trial
+specs.
 
 Every trial runs in-process through the protocol's
 :meth:`~repro.core.protocol.AllocationProtocol.allocate_batch`, in
@@ -35,7 +34,7 @@ from repro.api.spec import SimulationSpec
 from repro.core.backend import get_backend, use_backend
 from repro.core.result import RunResult
 from repro.errors import ConfigurationError
-from repro.experiments.config import SweepConfig, TrialConfig
+from repro.experiments.config import SweepConfig
 from repro.runtime.rng import trial_seed, trial_seed_table
 from repro.stats.summary import TrialSummary, summarize_records
 
@@ -46,7 +45,6 @@ __all__ = [
     "summarize_specs",
     "run_sweep",
     "summarize_shard_records",
-    "as_spec",
     "default_trial_block",
 ]
 
@@ -88,23 +86,8 @@ DEFAULT_METRICS: tuple[str, ...] = (
 )
 
 
-def as_spec(config: SimulationSpec | TrialConfig) -> SimulationSpec:
-    """Coerce a legacy :class:`TrialConfig` (or pass a spec through)."""
-    if isinstance(config, SimulationSpec):
-        return config
-    if isinstance(config, TrialConfig):
-        return config.to_spec()
-    raise ConfigurationError(
-        "expected a SimulationSpec or TrialConfig, got "
-        f"{type(config).__name__}"
-    )
-
-
-def run_trial(
-    config: SimulationSpec | TrialConfig, trial_index: int = 0
-) -> RunResult:
-    """Run a single trial of ``config`` (trial ``trial_index`` of the batch)."""
-    spec = as_spec(config)
+def run_trial(spec: SimulationSpec, trial_index: int = 0) -> RunResult:
+    """Run a single trial of ``spec`` (trial ``trial_index`` of the batch)."""
     seed = trial_seed(spec.seed, trial_index, spec.trials)
     return Simulation(spec, seed=seed).run()
 
@@ -132,20 +115,24 @@ def _run_trial_block(
 
 
 def run_trials(
-    config: SimulationSpec | TrialConfig, *, as_records: bool = False
+    spec: SimulationSpec, *, as_records: bool = False
 ) -> list[RunResult] | list[dict[str, Any]]:
-    """Run every trial of ``config`` in-process.
+    """Run every trial of ``spec`` in-process.
 
     Parameters
     ----------
-    config:
-        The trial batch to execute (a :class:`~repro.api.SimulationSpec`;
-        legacy :class:`TrialConfig` accepted).
+    spec:
+        The trial batch to execute; anything but a
+        :class:`~repro.api.SimulationSpec` raises
+        :class:`~repro.errors.ConfigurationError`.
     as_records:
         When true, return flattened record dictionaries instead of
         :class:`~repro.core.result.RunResult` objects.
     """
-    spec = as_spec(config)
+    if not isinstance(spec, SimulationSpec):
+        raise ConfigurationError(
+            f"run_trials expects a SimulationSpec, got {type(spec).__name__}"
+        )
     block = default_trial_block(spec.n_balls, spec.n_bins, spec.trials)
     results = []
     for start in range(0, spec.trials, block):
@@ -156,12 +143,12 @@ def run_trials(
 
 
 def summarize_trials(
-    config: SimulationSpec | TrialConfig,
+    spec: SimulationSpec,
     *,
     metrics: Sequence[str] = DEFAULT_METRICS,
 ) -> dict[str, TrialSummary]:
-    """Run ``config`` and summarise the requested metrics across trials."""
-    return summarize_records(run_trials(config, as_records=True), metrics)
+    """Run ``spec`` and summarise the requested metrics across trials."""
+    return summarize_records(run_trials(spec, as_records=True), metrics)
 
 
 def summarize_specs(

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-
+from repro.api.spec import SimulationSpec
 from repro.core.adaptive import AdaptiveProtocol
 from repro.core.threshold import ThresholdProtocol
 from repro.errors import ConfigurationError
-from repro.experiments.config import TrialConfig
 from repro.experiments.runner import summarize_trials
 from repro.theory.bounds import threshold_excess_probes
 
@@ -51,14 +50,10 @@ def adaptive_time_scaling(
     for phi in phis:
         if phi < 1:
             raise ConfigurationError(f"phi values must be >= 1, got {phi}")
-        config = TrialConfig(
-            protocol="adaptive",
-            n_balls=phi * n_bins,
-            n_bins=n_bins,
-            trials=trials,
-            seed=seed,
+        spec = SimulationSpec(
+            "adaptive", phi * n_bins, n_bins, seed=seed, trials=trials
         )
-        summary = summarize_trials(config, metrics=("probes_per_ball", "gap"))
+        summary = summarize_trials(spec, metrics=("probes_per_ball", "gap"))
         rows.append(
             {
                 "phi": phi,
@@ -90,10 +85,8 @@ def threshold_excess_probes_curve(
         if phi < 1:
             raise ConfigurationError(f"phi values must be >= 1, got {phi}")
         m = phi * n_bins
-        config = TrialConfig(
-            protocol="threshold", n_balls=m, n_bins=n_bins, trials=trials, seed=seed
-        )
-        summary = summarize_trials(config, metrics=("allocation_time",))
+        spec = SimulationSpec("threshold", m, n_bins, seed=seed, trials=trials)
+        summary = summarize_trials(spec, metrics=("allocation_time",))
         excess = summary["allocation_time"].mean - m
         scale = threshold_excess_probes(m, n_bins)
         rows.append(
@@ -130,12 +123,8 @@ def smoothness_contrast(
         m = n * n
         row: dict[str, Any] = {"n_bins": n, "n_balls": m}
         for name in ("adaptive", "threshold"):
-            config = TrialConfig(
-                protocol=name, n_balls=m, n_bins=n, trials=trials, seed=seed
-            )
-            summary = summarize_trials(
-                config, metrics=("gap", "quadratic_potential")
-            )
+            spec = SimulationSpec(name, m, n, seed=seed, trials=trials)
+            summary = summarize_trials(spec, metrics=("gap", "quadratic_potential"))
             row[f"{name}_gap_mean"] = summary["gap"].mean
             row[f"{name}_potential_mean"] = summary["quadratic_potential"].mean
             row[f"{name}_potential_per_bin"] = summary["quadratic_potential"].mean / n

@@ -168,9 +168,32 @@ class ProbeStream(ABC):
         )
 
     def _restore_base(self, state: dict) -> None:
-        """Restore the base-class position fields from a snapshot."""
-        self.consumed = int(state["consumed"])
-        self._pending = np.asarray(state["pending"], dtype=np.int64)
+        """Restore the base-class position fields from a snapshot.
+
+        A consumed count that is not a non-negative integer, or pending
+        give-backs (served as the next probes) that are not bins of this
+        stream, are refused here rather than at the next take.
+        """
+        consumed, pending = state["consumed"], np.asarray(state["pending"])
+        if (
+            isinstance(consumed, bool)
+            or not isinstance(consumed, (int, np.integer))
+            or consumed < 0
+        ):
+            raise ConfigurationError(
+                f"probe stream consumed must be a non-negative integer, got {consumed!r}"
+            )
+        if pending.size and (
+            pending.ndim != 1
+            or pending.dtype.kind != "i"
+            or pending.min() < 0
+            or pending.max() >= self.n_bins
+        ):
+            raise ConfigurationError(
+                f"probe stream pending must be a flat list of bins in [0, {self.n_bins})"
+            )
+        self.consumed = int(consumed)
+        self._pending = pending.astype(np.int64).ravel()
 
     def derive_generator(self, seed: SeedLike = None) -> np.random.Generator:
         """Deterministic auxiliary generator for protocol-internal randomness.
@@ -311,7 +334,8 @@ def probe_stream_from_state(state: dict) -> ProbeStream:
     Routed by the snapshot's ``"stream"`` key; the restored stream emits the
     exact probe sequence the checkpointed one would have emitted (pending
     give-backs included), which the checkpoint/restore tests certify
-    end-to-end through the dispatcher.
+    end-to-end through the dispatcher.  A snapshot no stream can produce
+    raises :class:`~repro.errors.ConfigurationError`.
     """
     if not isinstance(state, dict):
         raise ConfigurationError(
@@ -328,7 +352,12 @@ def probe_stream_from_state(state: dict) -> ProbeStream:
         raise ConfigurationError(
             f"unknown probe stream kind {kind!r}; available: {sorted(kinds)}"
         ) from None
-    return build(state)
+    try:
+        return build(state)
+    except ConfigurationError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"probe stream state is malformed: {exc!r}") from exc
 
 
 class BatchedProbeStream:

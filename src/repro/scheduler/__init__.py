@@ -9,10 +9,11 @@ available as a streaming dispatch policy.  A ball-by-ball reference
 implementation (:func:`reference_dispatch`) is kept for equivalence testing
 and benchmarking.
 
-Dispatchers can be built declaratively from a
-:class:`repro.api.DispatchSpec` via :meth:`Dispatcher.from_spec`; workload
-generators are registered by name in :data:`WORKLOADS` so specs stay
-serialisable.  Dispatch runs return :class:`DispatchResult`, part of the
+Dispatchers can be built declaratively with
+:meth:`repro.api.DispatchSpec.build_dispatcher`; the spec, the constructor
+and :meth:`Dispatcher.from_state` accept the same configurations, by one
+rule.  Workload generators are registered by name in :data:`WORKLOADS` so
+specs stay serialisable.  Dispatch runs return :class:`DispatchResult`, part of the
 unified :class:`repro.RunResult` hierarchy.
 """
 

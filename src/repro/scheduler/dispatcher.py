@@ -62,15 +62,23 @@ Two entry points are exposed:
 
 from __future__ import annotations
 
+import math
+import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.baselines.engine import _add_counts, chunked_argmin_commit
-from repro.baselines.left import left_source, replay_group_map
+from repro.baselines.left import check_replay_groups, left_source
 from repro.baselines.memory_engine import chunked_memory_commit
-from repro.core.backend import get_backend, resolve_backend, use_backend
+from repro.core.backend import (
+    KernelBackend,
+    get_backend,
+    resolve_backend,
+    use_backend,
+    validate_backend_name,
+)
 from repro.core.result import RunResult, register_record_kind
 from repro.core.thresholds import acceptance_limit, stage_segments
 from repro.core.weighted_engine import chunked_weighted_assign
@@ -114,8 +122,8 @@ _SCALAR = get_backend("scalar")
 
 
 #: Keys of a dispatcher-state document and of its config (see
-#: :meth:`Dispatcher.state_dict`), and the config integers it may leave
-#: ``None`` (automatic).
+#: :meth:`Dispatcher.state_dict`); the config keys are the parameters of
+#: :func:`_check_config`.
 _STATE_KEYS = (
     "config", "job_counts", "work", "probes", "jobs_dispatched",
     "weight_dispatched", "w_max_seen", "threshold_total", "memory", "probe_stream",
@@ -123,14 +131,73 @@ _STATE_KEYS = (
 _CONFIG_KEYS = (
     "n_servers", "policy", "d", "k", "w_max", "block_size", "small_burst", "backend",
 )
-_OPTIONAL_INTS = ("block_size", "small_burst")
 
 
-def _state_int(value, what: str, optional: bool = False) -> int | None:
+def _is_int(value) -> bool:
+    """A Python or NumPy integer, never a ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_config(
+    n_servers, policy, d, k, w_max, block_size, small_burst, backend
+) -> None:
+    """The one rule for a dispatcher configuration.
+
+    The :class:`Dispatcher` constructor, :meth:`Dispatcher.from_state`,
+    :class:`repro.api.DispatchSpec` and the per-job reference dispatcher
+    all apply it, so what they accept cannot drift apart.  It allocates
+    nothing, so a configuration of ``10**15`` servers is refused or
+    accepted in constant time.  Integer fields are Python or NumPy
+    integers, never ``bool``: ``n_servers >= 1``, ``d >= 1``, ``k >= 0``,
+    ``block_size`` ``None`` or ``>= 1`` and ``small_burst`` ``None`` or
+    ``>= 0``.  ``w_max`` is ``None`` or a finite, positive real number;
+    ``policy`` one of the dispatch policies; ``backend`` ``None``, a
+    registered name or a :class:`~repro.core.backend.KernelBackend`; and
+    the left policies need ``n_servers`` to split into ``d`` equal groups
+    (:func:`~repro.baselines.left.check_replay_groups`).  A violation
+    raises :class:`~repro.errors.ConfigurationError` whose message starts
+    with the field's name and a colon, so callers can prefix their own
+    context.
+    """
+    for name, value, low, optional in (
+        ("n_servers", n_servers, 1, False),
+        ("d", d, 1, False),
+        ("k", k, 0, False),
+        ("block_size", block_size, 1, True),
+        ("small_burst", small_burst, 0, True),
+    ):
+        if optional and value is None:
+            continue
+        if not _is_int(value) or value < low:
+            raise ConfigurationError(
+                f"{name}: must be {'None or ' if optional else ''}an integer "
+                f">= {low}, got {value!r}"
+            )
+    if policy not in _POLICIES:
+        raise ConfigurationError(f"policy: must be one of {_POLICIES}, got {policy!r}")
+    if w_max is not None and (
+        isinstance(w_max, bool)
+        or not isinstance(w_max, numbers.Real)
+        or not 0 < w_max < math.inf
+    ):
+        raise ConfigurationError(
+            f"w_max: must be None or a positive finite number, got {w_max!r}"
+        )
+    if policy in ("left", "weighted-left"):
+        try:
+            check_replay_groups(n_servers, d)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"d: {exc}") from exc
+    if not isinstance(backend, KernelBackend):
+        try:
+            validate_backend_name(backend)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"backend: {exc}") from exc
+
+
+def _state_int(value, what: str) -> int:
     """``value`` as an int, or a typed error naming the state field."""
-    if optional and value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_int(value):
         raise ConfigurationError(
             f"dispatcher-state {what} must be an integer, got {value!r}"
         )
@@ -254,6 +321,13 @@ class Dispatcher:
         keeps the ambient selection.  Every backend produces
         bit-identical assignments — this is purely an execution strategy.
 
+    Every configuration parameter (all but ``seed`` and ``probe_stream``)
+    goes through one rule, :func:`_check_config`, which
+    :meth:`from_state` and :class:`repro.api.DispatchSpec` apply too:
+    integers must be integers (Python or NumPy, never ``bool``; ``d=2.5``
+    is refused, not truncated), and a violation raises
+    :class:`~repro.errors.ConfigurationError` naming the field.
+
     The dispatcher is stateful: ``job_counts``, ``work``, ``probes`` (and the
     remembered servers of the ``"memory"`` policy) accumulate across
     :meth:`dispatch_batch` calls until :meth:`reset`.  :meth:`dispatch`
@@ -274,35 +348,14 @@ class Dispatcher:
         small_burst: int | None = None,
         backend: str | None = None,
     ) -> None:
-        if n_servers <= 0:
-            raise ConfigurationError(f"n_servers must be positive, got {n_servers}")
-        if policy not in _POLICIES:
-            raise ConfigurationError(
-                f"policy must be one of {_POLICIES}, got {policy!r}"
-            )
-        if d < 1:
-            raise ConfigurationError(f"d must be at least 1, got {d}")
-        if k < 0:
-            raise ConfigurationError(f"k must be non-negative, got {k}")
-        if w_max is not None and not 0 < w_max < np.inf:
-            raise ConfigurationError(f"w_max must be positive and finite, got {w_max}")
-        if policy in ("left", "weighted-left"):
-            # Validates the equal-groups requirement of the replay contract.
-            replay_group_map(n_servers, d)
-        if block_size is not None and block_size <= 0:
-            raise ConfigurationError("block_size must be positive when given")
-        if small_burst is not None and small_burst < 0:
-            raise ConfigurationError(
-                f"small_burst must be non-negative or None (auto), got {small_burst}"
-            )
+        _check_config(n_servers, policy, d, k, w_max, block_size, small_burst, backend)
         self.n_servers = int(n_servers)
         self.policy = policy
         self.d = int(d)
         self.k = int(k)
         self.w_max = None if w_max is None else float(w_max)
-        self.block_size = block_size
+        self.block_size = None if block_size is None else int(block_size)
         self.small_burst = None if small_burst is None else int(small_burst)
-        # Resolved eagerly so an unknown backend fails at construction.
         self._backend = None if backend is None else resolve_backend(backend)
         if probe_stream is not None:
             if probe_stream.n_bins != n_servers:
@@ -754,8 +807,8 @@ class Dispatcher:
 
         A checkpoint is untrusted input, so a state no dispatch can produce
         raises :class:`~repro.errors.ConfigurationError` before the state is
-        installed: a missing key; a config integer (``n_servers``, ``d``,
-        ``k``, ``block_size``, ``small_burst``), ``probes``,
+        installed: a missing key; a config the constructor's rule refuses
+        (the error names ``config.<field>``); a ``probes``,
         ``jobs_dispatched`` or remembered server that is not an integer;
         counters that are not numbers, job counts that are not a flat list
         of integers, a negative job count, a ``jobs_dispatched`` below 0 or
@@ -794,12 +847,12 @@ class Dispatcher:
             raise ConfigurationError(
                 f"dispatcher-state is missing {', '.join(missing)}"
             )
-        ints = {
-            key: _state_int(
-                config[key], f"config.{key}", optional=key in _OPTIONAL_INTS
-            )
-            for key in ("n_servers", "d", "k", *_OPTIONAL_INTS)
-        }
+        settings = {key: config[key] for key in _CONFIG_KEYS}
+        try:
+            _check_config(**settings)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"dispatcher-state config.{exc}") from exc
+        n_servers = settings["n_servers"]
         probes = _state_int(state["probes"], "probes")
         jobs_dispatched = _state_int(state["jobs_dispatched"], "jobs_dispatched")
         try:
@@ -817,27 +870,16 @@ class Dispatcher:
                 "and work a flat list of numbers"
             )
         # Checked before construction, which allocates n_servers-long state.
-        if not job_counts.size == work.size == ints["n_servers"]:
+        if not job_counts.size == work.size == n_servers:
             raise ConfigurationError(
-                f"dispatcher-state arrays do not match n_servers={ints['n_servers']}"
+                f"dispatcher-state arrays do not match n_servers={n_servers}"
             )
         job_counts = job_counts.astype(np.int64, copy=False)
         try:
             stream = probe_stream_from_state(state["probe_stream"])
-            dispatcher = cls(
-                ints.pop("n_servers"),
-                policy=config["policy"],
-                w_max=config["w_max"],
-                probe_stream=stream,
-                backend=config["backend"],
-                **ints,
-            )
-        except ConfigurationError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"dispatcher-state config or probe_stream is malformed: {exc!r}"
-            ) from exc
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"dispatcher-state probe_stream: {exc}") from exc
+        dispatcher = cls(probe_stream=stream, **settings)
         if job_counts.min() < 0:
             raise ConfigurationError(
                 "dispatcher-state job_counts hold a negative count "
@@ -896,30 +938,3 @@ class Dispatcher:
         dispatcher._threshold_total = total
         dispatcher._memory = memory
         return dispatcher
-
-    @classmethod
-    def from_spec(
-        cls, spec: "DispatchSpec", *, probe_stream: ProbeStream | None = None
-    ) -> "Dispatcher":
-        """Build a dispatcher from a declarative :class:`repro.api.DispatchSpec`.
-
-        This is the spec-driven construction path used by
-        :func:`repro.simulate`; the spec's policy parameters map one-to-one
-        onto the constructor arguments.
-        """
-        from repro.api.spec import DispatchSpec
-
-        if not isinstance(spec, DispatchSpec):
-            raise ConfigurationError(
-                f"from_spec expects a DispatchSpec, got {type(spec).__name__}"
-            )
-        return cls(
-            spec.n_servers,
-            policy=spec.policy,
-            seed=spec.seed,
-            probe_stream=probe_stream,
-            block_size=spec.block_size,
-            small_burst=spec.small_burst,
-            backend=spec.backend,
-            **spec.params,
-        )

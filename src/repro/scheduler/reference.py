@@ -20,7 +20,7 @@ from repro.errors import ConfigurationError
 from repro.runtime.costs import CostModel
 from repro.runtime.probes import ProbeStream, RandomProbeStream
 from repro.runtime.rng import SeedLike
-from repro.scheduler.dispatcher import _POLICIES, DispatchResult
+from repro.scheduler.dispatcher import DispatchResult, _check_config
 from repro.scheduler.jobs import Workload
 
 __all__ = ["reference_dispatch"]
@@ -46,21 +46,9 @@ def reference_dispatch(
     work-balancing policy — only the execution strategy differs
     (deliberately slow and simple).
     """
-    if n_servers <= 0:
-        raise ConfigurationError(f"n_servers must be positive, got {n_servers}")
-    if policy not in _POLICIES:
-        raise ConfigurationError(f"policy must be one of {_POLICIES}, got {policy!r}")
-    if d < 1:
-        raise ConfigurationError(f"d must be at least 1, got {d}")
-    if k < 0:
-        raise ConfigurationError(f"k must be non-negative, got {k}")
-    if w_max is not None and not 0 < w_max < np.inf:
-        raise ConfigurationError(f"w_max must be positive and finite, got {w_max}")
-    if policy in ("left", "weighted-left") and n_servers % d:
-        raise ConfigurationError(
-            "the left policy needs n_servers divisible by d, got "
-            f"{n_servers} servers and d={d}"
-        )
+    # The dispatcher's own config rule: the reference differs only in how
+    # it executes a configuration, not in which ones it accepts.
+    _check_config(n_servers, policy, d, k, w_max, None, None, None)
     if probe_stream is not None:
         if probe_stream.n_bins != n_servers:
             raise ConfigurationError("probe_stream.n_bins does not match n_servers")

@@ -20,7 +20,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
 from repro.api import (
@@ -472,6 +472,135 @@ class TestValidationNamesField:
         with pytest.raises(ConfigurationError) as excinfo:
             build()
         assert field_name in str(excinfo.value)
+
+
+# --------------------------------------------------------------------- #
+# Spec JSON is untrusted input
+# --------------------------------------------------------------------- #
+#: Sizes are small or at least 10^15: an allocation proportional to a
+#: value then fails at once with MemoryError instead of paging the host.
+SIZES = st.integers(-3, 64) | st.integers(10**15, 10**19)
+NAMES = st.sampled_from(
+    sorted(
+        {*ALL_PROTOCOLS, *DISPATCH_POLICIES, *WORKLOADS, *WEIGHT_DISTRIBUTIONS}
+        | {"random", "first", "arithmetic", "numpy", "scalar", "nope"}
+    )
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | SIZES | st.floats() | st.text(max_size=6) | NAMES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+#: Plausible values per field of each spec kind; the fuzz mixes in
+#: arbitrary JSON values and deletes fields.
+SPEC_FIELDS = {
+    "simulation": {
+        "protocol": NAMES,
+        "n_balls": SIZES,
+        "n_bins": SIZES,
+        "seed": st.none() | SIZES,
+        "trials": SIZES,
+        "record_trace": st.booleans(),
+        "backend": st.none() | NAMES,
+    },
+    "dispatch": {
+        "policy": NAMES,
+        "n_servers": SIZES,
+        "seed": st.none() | SIZES,
+        "block_size": st.none() | SIZES,
+        "small_burst": st.none() | SIZES,
+        "backend": st.none() | NAMES,
+    },
+    "workload": {"kind": NAMES, "n_jobs": SIZES, "seed": st.none() | SIZES},
+}
+PARAM_NAMES = st.sampled_from(
+    ["d", "k", "w_max", "offset", "block_size", "tie_break", "weight_dist",
+     "chunk_size", "capacity", "growth", "rounds", "schedule", "max_passes",
+     "alpha", "mean_size", "burst_size", "scale", "low", "high", "bogus"]
+)
+
+
+@st.composite
+def spec_shaped(draw, kind):
+    """A dict shaped like a ``kind`` spec, with some fields junk or missing."""
+    spec = {}
+    for name, plausible in SPEC_FIELDS[kind].items():
+        if draw(st.integers(0, 9)):
+            spec[name] = draw(plausible if draw(st.integers(0, 5)) else JSON_VALUES)
+    if draw(st.integers(0, 9)):
+        spec["params"] = draw(
+            st.dictionaries(PARAM_NAMES, SIZES | st.floats() | NAMES | JSON_VALUES, max_size=3)
+        )
+    if kind == "dispatch" and draw(st.booleans()):
+        spec["workload"] = draw(spec_shaped("workload"))
+    if kind != "workload" and draw(st.booleans()):
+        spec["kind"] = kind
+    return spec
+
+
+def spec_or_configuration_error(build, value):
+    try:
+        spec = build(value)
+    except ConfigurationError:
+        return None
+    assert isinstance(spec, (SimulationSpec, DispatchSpec))
+    return spec
+
+
+FUZZ = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestSpecJsonIsUntrusted:
+    @pytest.mark.parametrize(
+        "text, field_name",
+        [
+            ("{}", "protocol: required field is missing"),
+            ('{"protocol": "adaptive", "n_balls": 10}', "n_bins: required"),
+            ('{"kind": "dispatch"}', "policy: required field is missing"),
+            (
+                '{"kind": "dispatch", "policy": "adaptive", "n_servers": 4, "workload": {}}',
+                "workload.kind: required field is missing",
+            ),
+            ("{not json", "spec: not a JSON document"),
+            ("[" * 10**5, "spec: not a JSON document"),
+            (
+                '{"protocol": "greedy", "n_balls": 1, "n_bins": 1, "params": {"d": NaN}}',
+                "protocol/params",
+            ),
+        ],
+        ids=["empty", "no-n-bins", "dispatch-empty", "workload-empty", "not-json",
+             "deep-nesting", "nan-param"],
+    )
+    def test_bad_document_names_its_fault(self, text, field_name):
+        # Each of these used to raise TypeError, JSONDecodeError,
+        # RecursionError or ValueError.
+        with pytest.raises(ConfigurationError, match=field_name):
+            spec_from_json(text)
+
+    @pytest.mark.parametrize("cls", [SimulationSpec, DispatchSpec])
+    def test_from_json_turns_parse_errors_typed(self, cls):
+        with pytest.raises(ConfigurationError, match="not a JSON document"):
+            cls.from_json("{not json")
+
+    @FUZZ
+    @given(text=st.text())
+    def test_raw_text(self, text):
+        spec_or_configuration_error(spec_from_json, text)
+
+    @FUZZ
+    @given(value=JSON_VALUES)
+    def test_any_json_value(self, value):
+        spec_or_configuration_error(spec_from_dict, value)
+        spec_or_configuration_error(spec_from_json, json.dumps(value))
+
+    @FUZZ
+    @given(data=st.sampled_from(["simulation", "dispatch"]).flatmap(spec_shaped))
+    def test_spec_shaped_dicts(self, data):
+        spec = spec_or_configuration_error(spec_from_dict, data)
+        if spec is not None:
+            # Compared as text: a NaN parameter is not equal to itself.
+            assert spec_from_json(spec.to_json()).to_json() == spec.to_json()
 
 
 # --------------------------------------------------------------------- #

@@ -23,12 +23,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro  # noqa: F401  (registers the baselines)
+from repro.api.spec import SimulationSpec
 from repro.core import make_protocol
 from repro.errors import ConfigurationError
-from repro.experiments.config import SweepConfig, TrialConfig
+from repro.experiments.config import SweepConfig
 from repro.experiments.runner import (
     _run_trial_block,
-    as_spec,
     default_trial_block,
     run_sweep,
     run_trial,
@@ -64,14 +64,13 @@ def _fresh_seeds(master: int, trials: int) -> list[np.random.SeedSequence]:
     return trial_seed_table(master, trials)
 
 
-def _looped_records(config) -> list[dict]:
+def _looped_records(spec) -> list[dict]:
     """The per-trial reference: one ``run_trial`` per trial index."""
-    return [run_trial(config, i).as_record() for i in range(config.trials)]
+    return [run_trial(spec, i).as_record() for i in range(spec.trials)]
 
 
-def _block_records(config, block: int) -> list[dict]:
+def _block_records(spec, block: int) -> list[dict]:
     """Every trial, run as consecutive ``_run_trial_block`` blocks of ``block``."""
-    spec = as_spec(config)
     return [
         result.as_record()
         for start in range(0, spec.trials, block)
@@ -256,7 +255,7 @@ class TestSeedSingleHoming:
         assert [s.spawn_key for s in table] == [(0,), (1,), (2,)]
 
     def test_all_execution_modes_derive_identical_results(self):
-        config = TrialConfig(
+        config = SimulationSpec(
             protocol="adaptive", n_balls=800, n_bins=128, trials=6, seed=17
         )
         looped = _looped_records(config)
@@ -268,7 +267,7 @@ class TestSeedSingleHoming:
 
 class TestRunTrialsBatchedSurface:
     def test_trials_one_equals_legacy_exactly(self):
-        config = TrialConfig(
+        config = SimulationSpec(
             protocol="threshold", n_balls=700, n_bins=100, trials=1, seed=3
         )
         legacy = run_trial(config, 0)
@@ -278,7 +277,7 @@ class TestRunTrialsBatchedSurface:
 
     @pytest.mark.parametrize("name,params", [("memory", {"d": 1, "k": 1})])
     def test_fallback_protocols_through_runner(self, name, params):
-        config = TrialConfig(
+        config = SimulationSpec(
             protocol=name, n_balls=300, n_bins=50, trials=3, seed=5, params=params
         )
         looped = _looped_records(config)
@@ -358,10 +357,10 @@ class TestPeakMemory:
 
         script = (
             "import resource\n"
-            "from repro.experiments.config import TrialConfig\n"
+            "from repro.api.spec import SimulationSpec\n"
             "from repro.experiments.runner import run_trials\n"
-            "config = TrialConfig(protocol='adaptive', n_balls=200,\n"
-            "                     n_bins=50, trials=10_000, seed=1)\n"
+            "config = SimulationSpec(protocol='adaptive', n_balls=200,\n"
+            "                        n_bins=50, trials=10_000, seed=1)\n"
             "records = run_trials(config, as_records=True)\n"
             "assert len(records) == 10_000\n"
             "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
@@ -393,7 +392,7 @@ class TestPartitionInvariance:
     )
     def test_trial_block_invariance(self, index, m, n, trials, seed, trial_block):
         name, params = BATCHED_PROTOCOLS[index]
-        config = TrialConfig(
+        config = SimulationSpec(
             protocol=name,
             n_balls=m,
             n_bins=n,

@@ -4,29 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.spec import SimulationSpec
 from repro.errors import ConfigurationError
-from repro.experiments.config import FIGURE3_DEFAULT, TABLE1_DEFAULT, SweepConfig, TrialConfig
-
-
-class TestTrialConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            TrialConfig("adaptive", n_balls=10, n_bins=0)
-        with pytest.raises(ConfigurationError):
-            TrialConfig("adaptive", n_balls=-1, n_bins=10)
-        with pytest.raises(ConfigurationError):
-            TrialConfig("adaptive", n_balls=10, n_bins=10, trials=0)
-
-    def test_with_size(self):
-        config = TrialConfig("adaptive", n_balls=100, n_bins=10)
-        resized = config.with_size(n_balls=200)
-        assert resized.n_balls == 200 and resized.n_bins == 10
-        assert config.n_balls == 100  # original untouched
-
-    def test_frozen(self):
-        config = TrialConfig("adaptive", n_balls=100, n_bins=10)
-        with pytest.raises(AttributeError):
-            config.n_balls = 5  # type: ignore[misc]
+from repro.experiments.config import FIGURE3_DEFAULT, TABLE1_DEFAULT, SweepConfig
 
 
 class TestSweepConfig:
@@ -42,7 +22,7 @@ class TestSweepConfig:
         with pytest.raises(ConfigurationError):
             SweepConfig(protocols=("adaptive",), n_bins=10, ball_grid=(10,), trials=0)
 
-    def test_trial_configs_expansion(self):
+    def test_specs_expansion(self):
         sweep = SweepConfig(
             protocols=("adaptive", "threshold"),
             n_bins=100,
@@ -50,11 +30,27 @@ class TestSweepConfig:
             trials=5,
             params={"adaptive": {"offset": 2}},
         )
-        configs = sweep.trial_configs()
-        assert len(configs) == 4
-        adaptive_configs = [c for c in configs if c.protocol == "adaptive"]
-        assert all(c.params == {"offset": 2} for c in adaptive_configs)
-        assert {c.n_balls for c in configs} == {100, 200}
+        specs = sweep.specs()
+        assert len(specs) == 4
+        assert all(isinstance(spec, SimulationSpec) for spec in specs)
+        adaptive_specs = [s for s in specs if s.protocol == "adaptive"]
+        assert all(s.params == {"offset": 2} for s in adaptive_specs)
+        assert {s.n_balls for s in specs} == {100, 200}
+        assert {(s.trials, s.seed, s.n_bins) for s in specs} == {(5, 0, 100)}
+
+    @pytest.mark.parametrize(
+        "overrides, field_name",
+        [
+            ({"protocols": ("adaptive", "nope")}, "protocol"),
+            ({"params": {"adaptive": {"bogus": 1}}}, "params"),
+            ({"backend": "bogus"}, "backend"),
+        ],
+    )
+    def test_bad_cell_fails_when_the_sweep_is_built(self, overrides, field_name):
+        # Checked by expanding the specs, not at the sweep's first run.
+        fields = {"protocols": ("adaptive",), "n_bins": 10, "ball_grid": (10,)}
+        with pytest.raises(ConfigurationError, match=field_name):
+            SweepConfig(**{**fields, **overrides})
 
     def test_scaled(self):
         sweep = SweepConfig(protocols=("adaptive",), n_bins=1000, ball_grid=(10_000,))
@@ -77,5 +73,6 @@ class TestDefaults:
         assert set(FIGURE3_DEFAULT.protocols) == {"adaptive", "threshold"}
 
     def test_table1_default(self):
-        assert TABLE1_DEFAULT.n_balls == 16_000
-        assert TABLE1_DEFAULT.n_bins == 2_000
+        assert TABLE1_DEFAULT == SimulationSpec(
+            "adaptive", 16_000, 2_000, seed=2013, trials=20
+        )

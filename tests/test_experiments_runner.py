@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api.spec import SimulationSpec
 from repro.core.result import AllocationResult
 from repro.errors import ConfigurationError
-from repro.experiments.config import SweepConfig, TrialConfig
+from repro.experiments.config import SweepConfig
 from repro.experiments.runner import run_sweep, run_trial, run_trials, summarize_trials
 
-SMALL = TrialConfig(protocol="adaptive", n_balls=500, n_bins=100, trials=4, seed=5)
+SMALL = SimulationSpec("adaptive", n_balls=500, n_bins=100, trials=4, seed=5)
 
 
 class TestRunTrial:
@@ -28,7 +29,7 @@ class TestRunTrial:
 
     def test_unseeded_runs_stay_independent(self):
         """The cached seed table must not make seed=None batches identical."""
-        config = TrialConfig(
+        config = SimulationSpec(
             protocol="adaptive", n_balls=500, n_bins=100, trials=2, seed=None
         )
         first = run_trial(config, 0)
@@ -42,7 +43,7 @@ class TestRunTrial:
             run_trial(SMALL, -1)
 
     def test_params_forwarded_to_protocol(self):
-        config = TrialConfig(
+        config = SimulationSpec(
             protocol="greedy", n_balls=200, n_bins=50, trials=1, seed=0, params={"d": 3}
         )
         result = run_trial(config, 0)

@@ -121,8 +121,12 @@ class TestCli:
                 '{"protocol": "adaptive", "n_balls": -1, "n_bins": 5}',
                 "n_balls",
             ),
+            (["--spec", "-"], '{"kind": "dispatch"}', "policy: required field"),
+            (["--spec", "-"], "{not json", "spec: not a JSON document"),
+            (["--spec", "no-such-spec.json"], None, "spec: cannot read"),
         ],
-        ids=["trials-0", "workers-0", "scale-0", "scale-2", "spec-negative-balls"],
+        ids=["trials-0", "workers-0", "scale-0", "scale-2", "spec-negative-balls",
+             "spec-missing-field", "spec-not-json", "spec-missing-file"],
     )
     def test_bad_input_is_a_usage_error(self, argv, stdin, message):
         """Bad input exits with code 2 and a message, never a traceback."""

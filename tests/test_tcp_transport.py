@@ -9,8 +9,11 @@ socket under the connection differs.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
+import socket
+import struct
 import threading
 import time
 
@@ -113,11 +116,73 @@ class TestTcpTransportProtocol:
         finally:
             transport.shutdown()
 
+    @pytest.mark.parametrize(
+        "stray_bytes",
+        [
+            b"",
+            b"\x00\x00",
+            struct.pack("!i", 1000),
+            struct.pack("!i", 30) + b'{"type":"hello","worker_id":9}',
+            b"\x00\x00\x00\x02[]",
+        ],
+        ids=["silent", "partial-header", "partial-frame", "wrong-hello", "not-a-dict"],
+    )
+    def test_stray_peer_cannot_stall_the_spawn(self, stray_bytes):
+        # A local peer that connects before the worker used to be taken for
+        # it: spawn then waited on its hello with no time bound.
+        transport = TcpTransport(accept_timeout=10.0)
+        stray = socket.create_connection(transport.address)
+        try:
+            stray.sendall(stray_bytes)
+            started = time.monotonic()
+            handle = transport.spawn(0)
+            try:
+                assert time.monotonic() - started < 10.0
+                spec = SimulationSpec("adaptive", 100, 50, seed=7, trials=1)
+                handle.send({"type": "shard", "shard_id": 0, "spec": spec.to_dict()})
+                reply = handle.recv()
+                assert reply["type"] == "result"
+                assert reply["records"] == run_shard(spec, 0)
+            finally:
+                handle.close()
+        finally:
+            stray.close()
+            transport.shutdown()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="patches the worker entry point the forked child runs",
+    )
+    def test_no_hello_by_the_deadline_kills_the_worker(self, monkeypatch):
+        import repro.cluster.worker
+
+        monkeypatch.setattr(repro.cluster.worker, "tcp_worker_main", _never_dial)
+        transport = TcpTransport(accept_timeout=0.5)
+        stray = socket.create_connection(transport.address)
+        try:
+            started = time.monotonic()
+            with pytest.raises(ClusterError, match="never said hello"):
+                transport.spawn(0)
+            assert time.monotonic() - started < 5.0
+            assert not [
+                child
+                for child in multiprocessing.active_children()
+                if child.name == "repro-tcp-worker-0"
+            ]
+        finally:
+            stray.close()
+            transport.shutdown()
+
     def test_spawn_after_listener_closed_is_a_cluster_error(self):
         transport = TcpTransport(accept_timeout=0.5)
         transport.shutdown()
         with pytest.raises((ClusterError, OSError)):
             transport.spawn(0)
+
+
+def _never_dial(*args):
+    """A worker entry point that never connects back."""
+    time.sleep(60)
 
 
 class TestTcpEquivalence:
